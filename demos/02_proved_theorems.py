@@ -12,26 +12,26 @@ import time
 
 from subsum import verify
 
-RUNS = [
-    ("ordinary coprimality (conjecture 2)", lambda: verify.verify_coprimality_ordinary(20)),
-    ("binary nondivisibility (conjecture 7)", lambda: verify.verify_binary_nondivisibility(32)),
-    ("odd special value (conjecture 8)", lambda: verify.verify_odd_special_value(30)),
-    ("ternary value at -1 (conjecture 9)", lambda: verify.verify_ternary_minus_one(27)),
-    ("ternary recurrence at 1 (conjecture 10)", lambda: verify.verify_ternary_one(27)),
-    ("remainder reduction (lemma 4)", lambda: verify.verify_remainder_reduction(15)),
-]
+NAMES = {
+    "2": "ordinary coprimality",
+    "5": "binary coprimality (derived from 7)",
+    "7": "binary nondivisibility",
+    "8": "odd special value",
+    "9": "ternary value at -1",
+    "10": "ternary recurrence at 1",
+    "lemma4": "remainder reduction",
+}
+RUNS = [("2", 20), ("7", 32), ("8", 30), ("9", 27), ("10", 27), ("lemma4", 15)]
 
-for name, run in RUNS:
+for cid, max_n in RUNS:
     started = time.perf_counter()
-    report = run()
+    reports = verify.run(cid, max_n)  # 7 also returns the derived 5
     elapsed = time.perf_counter() - started
-    lo, hi = report.n_range
-    print(f"{name:45s} n={lo}..{hi}  {report.verdict}  ({elapsed:.2f}s)")
-    assert report.verdict == verify.ALL_HOLD
-
-cop5 = verify.derive_binary_coprimality(verify.verify_binary_nondivisibility(32))
-print(f"{'binary coprimality (conjecture 5, derived)':45s} n={cop5.n_range[0]}..{cop5.n_range[1]}  {cop5.verdict}")
-assert cop5.verdict == verify.ALL_HOLD
+    for report in reports:
+        lo, hi = report.n_range
+        label = f"{NAMES[report.conjecture_id]} ({report.conjecture_id})"
+        print(f"{label:45s} n={lo}..{hi}  {report.verdict}  ({elapsed:.2f}s)")
+        assert report.verdict == verify.ALL_HOLD
 
 print()
 print("All six proved conjectures reproduced.")

@@ -1,11 +1,16 @@
 """Command-line front end: compute objects, run verifications, emit tables.
 
-Exit codes: 0 success, 1 any failure record among the proved conjectures
-(2, 5, 7, 8, 9, 10), an engine disagreement, or an internal exact-
-division error; 2 bad flags.  WitnessOnly verdicts never affect the
-exit code.  stdout carries data, stderr carries logs and diagnostics.
-All big integers are serialized as decimal strings; coefficient lists
-ascend from x^0.
+`verify` takes its conjecture ids from `verify.CONJECTURES` and runs
+each through `verify.run`; `compute` applies `--engine` through
+`verify.with_engine`.
+
+Exit codes: 0 success; 1 any failure record in a report whose registry
+entry is proved, an engine disagreement, or an internal error (the
+library raised ValueError or ArithmeticError on input the parser
+accepted); 2 bad flags, all of which the parser checks.
+WitnessOnly verdicts never affect the exit code.  stdout carries data,
+stderr carries logs and diagnostics.  All big integers are serialized as
+decimal strings; coefficient lists ascend from x^0.
 """
 
 from __future__ import annotations
@@ -21,9 +26,23 @@ from .partitions import PartitionClass, enumerate_partitions
 
 log = logging.getLogger("subsum")
 
-GATING_CONJECTURES = {"2", "5", "7", "8", "9", "10"}
-
 _CLASSES = [c.value for c in PartitionClass]
+_ENGINES = ["dp", "enumerate", "both"]
+
+
+def _int_at_least(lowest: int):
+    """argparse type for an integer >= lowest, so a bad value exits 2 like any bad flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lowest:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="compute num/den/G and friends for one n")
     p_compute.add_argument("--class", dest="pclass", choices=_CLASSES, required=True)
-    p_compute.add_argument("--n", type=int, required=True)
+    p_compute.add_argument("--n", type=_int_at_least(0), required=True)
     p_compute.add_argument(
         "--what",
         choices=["num", "den", "g", "num-star", "den-star", "spol-list"],
@@ -43,26 +62,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument("--format", choices=["json", "text"], default="text")
     p_compute.add_argument("--expand", action="store_true", help="expand factored outputs")
-    p_compute.add_argument("--engine", choices=["dp", "enumerate", "both"], default="dp")
+    p_compute.add_argument("--engine", choices=_ENGINES, default="dp")
     p_compute.add_argument("--out", help="write the payload to this file instead of stdout")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run conjecture checks over 1..max-n")
-    p_verify.add_argument(
-        "--conjecture",
-        choices=[str(i) for i in range(1, 11)] + ["lemma4", "all"],
-        required=True,
-    )
-    p_verify.add_argument("--max-n", dest="max_n", type=int, required=True)
+    p_verify.add_argument("--conjecture", choices=[*verify.CONJECTURES, "all"], required=True)
+    p_verify.add_argument("--max-n", dest="max_n", type=_int_at_least(1), required=True)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--engine", choices=["dp", "enumerate", "both"], default="dp")
+    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p_verify.add_argument("--engine", choices=_ENGINES, default="dp")
     p_verify.add_argument("--out", help="write the payload to this file instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a sequence, one row per n")
     p_table.add_argument("--sequence", choices=["t", "s", "o-part", "g-degree"], required=True)
-    p_table.add_argument("--max-n", dest="max_n", type=int, required=True)
+    p_table.add_argument("--max-n", dest="max_n", type=_int_at_least(0), required=True)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--out", help="write the payload to this file instead of stdout")
     p_table.set_defaults(func=cmd_table)
@@ -80,15 +95,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except intpoly.NotDivisibleError as exc:
-        print(f"internal error: exact division failed ({exc}); this is a pipeline bug", file=sys.stderr)
-        return 1
     except verify.EngineMismatchError as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-        return 2  # unreachable; keeps type checkers calm
+    except (ValueError, ArithmeticError) as exc:
+        # The parser has checked every flag, so these come from the
+        # library's own consistency checks (inexact division, a signed
+        # log-concavity input, a non-monic modulus, ...): a bug, not bad input.
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}; this is a pipeline bug", file=sys.stderr)
+        return 1
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -140,8 +156,6 @@ def _format_factored(base: str, factors: list[tuple[int, int]]) -> str:
 def cmd_compute(args) -> int:
     pclass = PartitionClass(args.pclass)
     n = args.n
-    if n < 0:
-        raise ValueError("--n must be >= 0")
     what = args.what
 
     def poly_record(poly, what_name):
@@ -167,28 +181,18 @@ def cmd_compute(args) -> int:
             "factors": [[i, e] for i, e in factors],
         }
 
+    if what in ("num", "den", "g"):
+        rp = verify.with_engine(reduction.reduced_pair, n, pclass, args.engine)
     if what == "num":
-        record = poly_record(_pair(n, pclass, args.engine).num, "num")
+        record = poly_record(rp.num, "num")
     elif what == "num-star":
-        if args.engine == "both":
-            star = reduction.num_star(n, pclass, "dp")
-            if star != reduction.num_star(n, pclass, "enumerate"):
-                raise verify.EngineMismatchError(f"num* engines disagree at n={n}, {pclass.value}")
-        else:
-            star = reduction.num_star(n, pclass, args.engine)
-        record = poly_record(star, "num-star")
-    elif what == "den":
-        exps = _pair(n, pclass, args.engine).den_cyclo
+        record = poly_record(verify.with_engine(reduction.num_star, n, pclass, args.engine), "num-star")
+    elif what in ("den", "g"):
+        exps = rp.den_cyclo if what == "den" else rp.g_cyclo
         if args.expand:
-            record = poly_record(cyclotomic.expand_cyclotomics(exps), "den")
+            record = poly_record(cyclotomic.expand_cyclotomics(exps), what)
         else:
-            record = factored_record("cyclotomic", exps, "den")
-    elif what == "g":
-        exps = _pair(n, pclass, args.engine).g_cyclo
-        if args.expand:
-            record = poly_record(cyclotomic.expand_cyclotomics(exps), "g")
-        else:
-            record = factored_record("cyclotomic", exps, "g")
+            record = factored_record("cyclotomic", exps, what)
     elif what == "den-star":
         exps = reduction.den_star(n, pclass) if n >= 1 else {}
         if args.expand:
@@ -209,10 +213,6 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _pair(n: int, pclass: PartitionClass, engine: str) -> reduction.ReducedPair:
-    return verify._pair(n, pclass, engine)
-
-
 def _compute_text(record) -> str:
     label = f"{record.get('what', 'spol')}({record['n']}, {record['class']})"
     if record["kind"] == "polynomial":
@@ -228,54 +228,30 @@ def _compute_text(record) -> str:
 
 # --- verify ---
 
-_RUNNERS = {
-    "1": verify.run_irreducibility_witnesses,
-    "2": verify.verify_coprimality_ordinary,
-    "3": verify.check_unimodal_even_part,
-    "4": verify.check_den_log_concave,
-    "6": verify.check_binary_numerator_shape,
-    "8": verify.verify_odd_special_value,
-    "9": verify.verify_ternary_minus_one,
-    "10": verify.verify_ternary_one,
-    "lemma4": verify.verify_remainder_reduction,
-}
-
-
-def _run_conjecture(cid: str, max_n: int, engine: str, jobs: int) -> list[verify.ConjectureReport]:
-    if cid in ("5", "7"):
-        nondiv = verify.verify_binary_nondivisibility(max_n, engine=engine, jobs=jobs)
-        return [nondiv, verify.derive_binary_coprimality(nondiv)]
-    return [_RUNNERS[cid](max_n, engine=engine, jobs=jobs)]
-
-
 def cmd_verify(args) -> int:
-    if args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
-    ids = ["1", "2", "3", "4", "5", "6", "8", "9", "10", "lemma4"] if args.conjecture == "all" else [args.conjecture]
-    reports: list[verify.ConjectureReport] = []
+    ids = list(verify.CONJECTURES) if args.conjecture == "all" else [args.conjecture]
+    reports: dict[str, verify.ConjectureReport] = {}
     for cid in ids:
-        if cid in ("5", "6", "7") and args.max_n < 2:
-            log.warning("skipping conjecture %s: needs max-n >= 2", cid)
+        if cid in reports:  # derived along with its source (5 with 7)
             continue
-        got = _run_conjecture(cid, args.max_n, args.engine, args.jobs)
-        for report in got:
+        lowest = verify.CONJECTURES[cid].lowest_n
+        if args.max_n < lowest:
+            log.warning("skipping conjecture %s: needs max-n >= %d", cid, lowest)
+            continue
+        for report in verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs):
             log.info("conjecture %s: %s in %.2fs", report.conjecture_id, report.verdict, report.elapsed)
-        reports.extend(got)
+            reports[report.conjecture_id] = report
 
-    reports.sort(key=_report_order)
+    ordered = [reports[cid] for cid in verify.CONJECTURES if cid in reports]
     if args.format == "json":
-        payload = [_report_json(r) for r in reports]
+        payload = [_report_json(r) for r in ordered]
         _emit(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2), args.out)
     else:
-        _emit("\n".join(_report_text(r) for r in reports), args.out)
+        _emit("\n".join(_report_text(r) for r in ordered), args.out)
 
-    bad = any(r.conjecture_id in GATING_CONJECTURES and r.failures for r in reports)
-    mismatch = any(r.has_engine_mismatch() for r in reports)
+    bad = any(verify.CONJECTURES[r.conjecture_id].proved and r.failures for r in ordered)
+    mismatch = any(r.has_engine_mismatch() for r in ordered)
     return 1 if bad or mismatch else 0
-
-
-def _report_order(r: verify.ConjectureReport):
-    return (0, int(r.conjecture_id)) if r.conjecture_id.isdigit() else (1, 0)
 
 
 def _report_json(r: verify.ConjectureReport) -> dict:
@@ -306,8 +282,6 @@ def _report_text(r: verify.ConjectureReport) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.max_n < 0:
-        raise ValueError("--max-n must be >= 0")
     seq = args.sequence
     rows: list[tuple[int, int]] = []
     if seq == "t":

@@ -15,7 +15,7 @@ complex points.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import intpoly
@@ -192,11 +192,3 @@ def sub_exponents(a: CycloExponents, b: CycloExponents) -> dict[int, int]:
         else:
             out[d] = r
     return out
-
-
-def gcd_binomial_products_expanded(fs: Iterable[BinomialProduct]) -> IntPoly:
-    """Oracle: fold intpoly.gcd_primitive over the expansions."""
-    polys = [expand_binomials(f) for f in fs]
-    if not polys:
-        raise ValueError("gcd of an empty collection")
-    return reduce(intpoly.gcd_primitive, polys)

@@ -117,19 +117,6 @@ def _unpack(packed: int, bits: int, ncoeffs: int) -> IntPoly:
     return normalize(out)
 
 
-def mul_schoolbook(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    """Reference O(n*m) convolution; `mul` must agree with it bit for bit."""
-    if not a or not b:
-        return ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return normalize(out)
-
-
 def power(a: Sequence[int], e: int) -> IntPoly:
     """a**e by repeated squaring; a**0 is the constant 1."""
     if e < 0:
@@ -223,55 +210,6 @@ def primitive_part(a: Sequence[int]) -> IntPoly:
     if a[-1] < 0:
         g = -g
     return tuple(c // g for c in a)
-
-
-def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # Fraction-free remainder: repeatedly replace a by lc(b)*a - c*x^s*b.
-    # Scaling per step differs from the textbook prem by an integer
-    # factor, which the primitive-part step absorbs anyway.
-    db = len(b) - 1
-    lead = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and r:
-        c = r[-1]
-        r = [lead * x for x in r]
-        shift = len(r) - 1 - db
-        for j in range(db + 1):
-            r[shift + j] -= c * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def gcd_primitive(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    """gcd in Z[x] via content splitting and pseudo-remainder Euclid.
-
-    The result has positive leading coefficient and carries the gcd of
-    the input contents, so gcd of content-1 inputs has content 1.  This
-    is the brute-force oracle against which the structured minimum-
-    exponent gcd is validated; it is never on the production path.
-    """
-    a = normalize(a)
-    b = normalize(b)
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
-    if not a:
-        return _with_content(b)
-    if not b:
-        return _with_content(a)
-    c = math.gcd(content(a), content(b))
-    pa, pb = list(primitive_part(a)), list(primitive_part(b))
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while pb:
-        r = _pseudo_rem(pa, pb)
-        pa, pb = pb, list(primitive_part(r))
-    return tuple(c * x for x in primitive_part(pa))
-
-
-def _with_content(a: Sequence[int]) -> IntPoly:
-    a = normalize(a)
-    return tuple(-c for c in a) if a[-1] < 0 else a
 
 
 def is_unimodal(a: Sequence[int]) -> bool:

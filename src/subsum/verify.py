@@ -1,16 +1,24 @@
 """Executable checks for the proved theorems and the open shape conjectures.
 
-Each checker sweeps a range of n and returns a ConjectureReport with
-enough witness data to re-check any verdict by hand.  Proved statements
-(coprimality, binary nondivisibility, the odd and ternary special
-values, the ternary recurrence) report AllHold or FailuresFound; the
-open problems (irreducibility, unimodality and log-concavity shapes)
-always report WitnessOnly.  A pass on an open conjecture is bounded
-empirical evidence, while an unexpected violation would be a publishable
-finding and lands in the failures list with full reproduction data;
-neither outcome gates the build.
+`CONJECTURES` is the registry: one entry per report id, holding the
+partition class, the lowest n, the per-n check, whether the statement
+is proved, and an optional post-pass over the whole sweep.  `run` is
+the one runner.  It validates the range, maps the check over n, turns
+engine disagreements into failure records and collects a
+ConjectureReport with enough witness data to re-check any verdict by
+hand.  Proved statements (coprimality, binary nondivisibility, the odd
+and ternary special values, the ternary recurrence, lemma 4) report
+AllHold or FailuresFound; the open problems (irreducibility,
+unimodality and log-concavity shapes) always report WitnessOnly.  A
+pass on an open conjecture is bounded empirical evidence, while an
+unexpected violation would be a publishable finding and lands in the
+failures list with full reproduction data; neither outcome gates the
+build.
 
-Checkers accept jobs > 1 to spread independent n over a process pool.
+`with_engine` is the one place the accumulation engine is chosen:
+every reduced pair a check reads is built through it.
+
+`run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
 to serial ones apart from the elapsed-time field.
 """
@@ -18,10 +26,12 @@ to serial ones apart from the elapsed-time field.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from . import cyclotomic, intpoly, reduction
 from .intpoly import IrreducibilityStatus
@@ -30,6 +40,8 @@ from .partitions import PartitionClass
 ALL_HOLD = "AllHold"
 FAILURES_FOUND = "FailuresFound"
 WITNESS_ONLY = "WitnessOnly"
+
+ORDINARY = PartitionClass.ORDINARY
 
 
 class EngineMismatchError(AssertionError):
@@ -95,62 +107,34 @@ def _primes_upto(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def _pair(n: int, pclass: PartitionClass, engine: str) -> reduction.ReducedPair:
-    if engine == "both":
-        via_dp = reduction.reduced_pair(n, pclass, "dp")
-        via_enum = reduction.reduced_pair(n, pclass, "enumerate")
-        if via_dp.num != via_enum.num:
-            raise EngineMismatchError(f"num* engines disagree at n={n}, {pclass.value}")
-        return via_dp
-    return reduction.reduced_pair(n, pclass, engine)
+def with_engine(build, n: int, pclass: PartitionClass, engine: str):
+    """build(n, pclass, engine) under the chosen accumulation engine.
 
-
-def _run(check, ns, jobs: int) -> list[tuple[list[dict], list[dict]]]:
-    # Deterministic merge: results come back in ascending-n order whether
-    # mapped serially or over a pool.
-    if jobs <= 1:
-        return [check(n) for n in ns]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(check, ns, chunksize=max(1, len(ns) // (4 * jobs) or 1)))
-
-
-def _collect(conjecture_id, n_range, results, *, open_conjecture=False, start=None):
-    failures: list[dict] = []
-    witnesses: list[dict] = []
-    for fs, ws in results:
-        failures.extend(fs)
-        witnesses.extend(ws)
-    if open_conjecture:
-        verdict = WITNESS_ONLY
-    else:
-        verdict = ALL_HOLD if not failures else FAILURES_FOUND
-    elapsed = 0.0 if start is None else time.perf_counter() - start
-    return ConjectureReport(conjecture_id, n_range, verdict, failures, witnesses, elapsed)
-
-
-class _guard_engine:
-    """Turn an engine disagreement into a failure record, not an exception.
-
-    The report (and the CLI exit code) must be able to carry it, and the
-    wrapper has to survive pickling into a worker pool, hence a class
-    around a module-level check function rather than a closure.
+    `build` is `reduction.reduced_pair` or `reduction.num_star`.  Engine
+    "both" builds with "dp" and "enumerate", raises EngineMismatchError
+    unless the two agree, and returns the dp result.
     """
+    if engine != "both":
+        return build(n, pclass, engine)
+    via_dp = build(n, pclass, "dp")
+    if via_dp != build(n, pclass, "enumerate"):
+        raise EngineMismatchError(f"num* engines disagree at n={n}, {pclass.value}")
+    return via_dp
 
-    def __init__(self, check):
-        self.check = check
 
-    def __call__(self, n, **kw):
-        try:
-            return self.check(n, **kw)
-        except EngineMismatchError as exc:
-            return [{"n": n, "kind": "engine-mismatch", "detail": str(exc)}], []
+def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
+    return with_engine(reduction.reduced_pair, n, pclass, engine).num
 
+
+# Per-n checks: check(n, pclass, engine) -> (failures, witnesses).  They
+# stay module-level so that `run` can send them to worker processes.
 
 # --- Conjecture 2: ordinary coprimality ---
 
 
-def _coprimality_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    rp = _pair(n, PartitionClass.ORDINARY, engine)
+def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1."""
+    rp = with_engine(reduction.reduced_pair, n, pclass, engine)
     failures = []
     d_checked = sorted(rp.den_cyclo)
     for d in d_checked:
@@ -171,40 +155,23 @@ def _coprimality_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dic
     return failures, [witness]
 
 
-def verify_coprimality_ordinary(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_coprimality_check), engine=engine), range(1, max_n + 1), jobs)
-    return _collect("2", (1, max_n), results, start=start)
-
-
 # --- Conjectures 7 and 5: binary nondivisibility ---
 
 
-def _binary_nondiv_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    rp = _pair(n, PartitionClass.BINARY, engine)
+def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """No factor 1+x^(2^s) with 2^s <= n divides the binary numerator."""
+    num = _num(n, pclass, engine)
     failures = []
     s_checked = []
     s = 0
     while 2**s <= n:
         s_checked.append(s)
-        if not intpoly.remainder_mod_monic(rp.num, intpoly.binomial(2**s)):
+        if not intpoly.remainder_mod_monic(num, intpoly.binomial(2**s)):
             failures.append(
                 {"n": n, "s": s, "detail": f"(1+x^{2 ** s}) divides num_B({n},x)"}
             )
         s += 1
     return failures, [{"n": n, "s_checked": s_checked}]
-
-
-def verify_binary_nondivisibility(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """No factor 1+x^(2^s) with 2^s <= n divides the binary numerator."""
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_binary_nondiv_check), engine=engine), range(2, max_n + 1), jobs)
-    return _collect("7", (2, max_n), results, start=start)
 
 
 def derive_binary_coprimality(nondiv: ConjectureReport) -> ConjectureReport:
@@ -223,44 +190,31 @@ def derive_binary_coprimality(nondiv: ConjectureReport) -> ConjectureReport:
 # --- Conjecture 8: odd partitions at x = -1 ---
 
 
-def _odd_value_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    got = intpoly.eval_at_int(_pair(n, PartitionClass.ODD, engine).num, -1)
+def _odd_value_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """num_O(n,-1) equals the odd part of n!."""
+    got = intpoly.eval_at_int(_num(n, pclass, engine), -1)
     want = odd_factorial_part(n)
     if got != want:
         return [{"n": n, "detail": f"num_O({n},-1) = {got} != o({n}!) = {want}"}], []
     return [], [{"n": n, "value": str(got)}]
 
 
-def verify_odd_special_value(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """num_O(n,-1) equals the odd part of n!."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_odd_value_check), engine=engine), range(1, max_n + 1), jobs)
-    return _collect("8", (1, max_n), results, start=start)
-
-
 # --- Conjecture 9: ternary partitions at x = -1 ---
 
 
-def _ternary_minus_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    got = intpoly.eval_at_int(_pair(n, PartitionClass.TERNARY, engine).num, -1)
+def _ternary_minus_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """num_T(n,-1) = 3^v3(n!)."""
+    got = intpoly.eval_at_int(_num(n, pclass, engine), -1)
     want = 3 ** legendre_valuation(3, n)
     if got != want:
         return [{"n": n, "detail": f"num_T({n},-1) = {got} != 3^v3({n}!) = {want}"}], []
     return [], [{"n": n, "value": str(got)}]
 
 
-def verify_ternary_minus_one(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """num_T(n,-1) = 3^v3(n!), plus constancy across each triple 3m,3m+1,3m+2."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_ternary_minus_check), engine=engine), range(1, max_n + 1), jobs)
-    report = _collect("9", (1, max_n), results, start=start)
-    values = {w["n"]: int(w["value"]) for w in report.witnesses if "value" in w}
-    m = 1
-    while 3 * m + 2 <= max_n:
+def _ternary_triples(report: ConjectureReport, max_n: int) -> None:
+    """Post-pass: num_T(n,-1) is constant across each triple 3m, 3m+1, 3m+2."""
+    values = {w["n"]: int(w["value"]) for w in report.witnesses}
+    for m in range(1, (max_n - 2) // 3 + 1):
         triple = [values.get(3 * m + k) for k in range(3)]
         if None not in triple and len(set(triple)) != 1:
             report.failures.append(
@@ -269,18 +223,15 @@ def verify_ternary_minus_one(max_n: int, *, engine: str = "dp", jobs: int = 1) -
                     "detail": f"s({3 * m}),s({3 * m + 1}),s({3 * m + 2}) = {triple} not constant",
                 }
             )
-            report.verdict = FAILURES_FOUND
-        m += 1
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
 # --- Conjecture 10: ternary partitions at x = 1 ---
 
 
-def _t_value_check(m: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
+def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """t(m) by the direct power sum over ternary partitions equals num_T(m,1)."""
     direct = reduction.t_direct(m)
-    via_poly = intpoly.eval_at_int(_pair(m, PartitionClass.TERNARY, engine).num, 1)
+    via_poly = intpoly.eval_at_int(_num(m, pclass, engine), 1)
     if direct != via_poly:
         return (
             [{"n": m, "detail": f"t_direct({m}) = {direct} != num_T({m},1) = {via_poly}"}],
@@ -289,62 +240,35 @@ def _t_value_check(m: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
     return [], [{"n": m, "value": str(direct)}]
 
 
-def verify_ternary_one(
-    max_n: int,
-    *,
-    engine: str = "dp",
-    jobs: int = 1,
-    check_eval: bool = True,
-    check_blocks: bool = True,
-    check_recurrence: bool = True,
-) -> ConjectureReport:
-    """The t-sequence: block constancy and t(3n)-t(3n-2) = 4^n t(n).
-
-    Builds one t-table up to 3*max_n+2, with every entry computed both by
-    the direct power sum over ternary partitions and by evaluating the
-    reduced numerator at 1; the three sub-checks all run on that table
-    and can be toggled independently.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    top = 3 * max_n + 2
-    if check_eval:
-        results = _run(partial(_guard_engine(_t_value_check), engine=engine), range(0, top + 1), jobs)
-    else:
-        results = [([], [{"n": m, "value": str(reduction.t_direct(m))}]) for m in range(0, top + 1)]
-    report = _collect("10", (0, max_n), results, start=start)
-    t = {w["n"]: int(w["value"]) for w in report.witnesses if "value" in w}
-    for m in range(0, top + 1):
-        t.setdefault(m, reduction.t_direct(m))
-    if check_blocks:
-        for m in range(0, max_n + 1):
-            triple = [t[3 * m], t[3 * m + 1], t[3 * m + 2]]
-            if len(set(triple)) != 1:
-                report.failures.append(
-                    {"n": 3 * m, "detail": f"t block at {3 * m} not constant: {triple}"}
-                )
-    if check_recurrence:
-        for m in range(1, max_n + 1):
-            lhs = t[3 * m] - t[3 * m - 2]
-            rhs = 4**m * t[m]
-            if lhs != rhs:
-                report.failures.append(
-                    {"n": m, "detail": f"t({3 * m})-t({3 * m - 2}) = {lhs} != 4^{m}*t({m}) = {rhs}"}
-                )
+def _ternary_blocks(report: ConjectureReport, max_n: int) -> None:
+    """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n)."""
+    t = {w["n"]: int(w["value"]) for w in report.witnesses}
+    for m in range(0, 3 * max_n + 3):
+        if m not in t:  # the per-n check failed at m
+            t[m] = reduction.t_direct(m)
+    for m in range(0, max_n + 1):
+        triple = [t[3 * m], t[3 * m + 1], t[3 * m + 2]]
+        if len(set(triple)) != 1:
+            report.failures.append(
+                {"n": 3 * m, "detail": f"t block at {3 * m} not constant: {triple}"}
+            )
+    for m in range(1, max_n + 1):
+        lhs = t[3 * m] - t[3 * m - 2]
+        rhs = 4**m * t[m]
+        if lhs != rhs:
+            report.failures.append(
+                {"n": m, "detail": f"t({3 * m})-t({3 * m - 2}) = {lhs} != 4^{m}*t({m}) = {rhs}"}
+            )
     if t[1] != 1 or t[2] != 1:
         report.failures.append({"n": 1, "detail": f"t(1),t(2) = {t[1]},{t[2]} != 1,1"})
-    report.verdict = ALL_HOLD if not report.failures else FAILURES_FOUND
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
 # --- Conjecture 3 (open): unimodality of the even part ---
 
 
-def _even_part_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    num = _pair(n, PartitionClass.ORDINARY, engine).num
-    even, _ = intpoly.even_odd_split(num)
+def _even_part_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """Evidence: the even-exponent part of num stays unimodal."""
+    even, _ = intpoly.even_odd_split(_num(n, pclass, engine))
     compressed = even[::2]
     if intpoly.is_unimodal(compressed):
         return [], [{"n": n, "unimodal": True}]
@@ -361,22 +285,14 @@ def _even_part_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]
     )
 
 
-def check_unimodal_even_part(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """Evidence run: even-exponent part of num stays unimodal."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_even_part_check), engine=engine), range(1, max_n + 1), jobs)
-    return _collect("3", (1, max_n), results, open_conjecture=True, start=start)
-
-
 # --- Conjecture 4 (open): log-concavity of den except n = 3,5,6,7 ---
 
 DEN_LOG_CONCAVE_EXCEPTIONS = frozenset({3, 5, 6, 7})
 
 
-def _den_lc_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    den = _pair(n, PartitionClass.ORDINARY, engine).den_expanded()
+def _den_lc_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """Evidence: den is log-concave with failure set exactly {3,5,6,7}."""
+    den = with_engine(reduction.reduced_pair, n, pclass, engine).den_expanded()
     ok, idx = intpoly.is_log_concave(den)
     expected_failure = n in DEN_LOG_CONCAVE_EXCEPTIONS
     if ok and not expected_failure:
@@ -393,22 +309,14 @@ def _den_lc_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
     return [{"n": n, "kind": "finding", "index": idx, "detail": detail}], []
 
 
-def check_den_log_concave(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """Evidence run: den log-concave with failure set exactly {3,5,6,7}."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_den_lc_check), engine=engine), range(1, max_n + 1), jobs)
-    return _collect("4", (1, max_n), results, open_conjecture=True, start=start)
-
-
 # --- Conjecture 6 (open, corrected): binary numerator shape ---
 
 BINARY_LOG_CONCAVE_EXCEPTIONS = frozenset({4, 5})
 
 
-def _binary_shape_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    num = _pair(n, PartitionClass.BINARY, engine).num
+def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """Evidence: binary numerator unimodal; log-concavity fails only at n = 4, 5."""
+    num = _num(n, pclass, engine)
     unimodal = intpoly.is_unimodal(num)
     lc_ok, idx = intpoly.is_log_concave(num)
     failures = []
@@ -432,19 +340,10 @@ def _binary_shape_check(n: int, engine: str = "dp") -> tuple[list[dict], list[di
     return failures, [record]
 
 
-def check_binary_numerator_shape(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """Evidence run: binary numerator unimodal; log-concavity fails only at n = 4, 5."""
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_binary_shape_check), engine=engine), range(2, max_n + 1), jobs)
-    return _collect("6", (2, max_n), results, open_conjecture=True, start=start)
-
-
 # --- Remainder reduction (the n -> n mod d step behind the coprimality proof) ---
 
 
-def remainder_reduction_check(n: int, d: int) -> bool:
+def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     """Whether Phi_{2d}-nondivisibility of num agrees between n and r = n mod d.
 
     r = 0 uses num(0,x) = 1, which no Phi divides, so the check then
@@ -454,31 +353,20 @@ def remainder_reduction_check(n: int, d: int) -> bool:
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     modulus = cyclotomic.phi(2 * d)
-    num_n = reduction.reduced_pair(n, PartitionClass.ORDINARY).num
-    num_r = reduction.reduced_pair(n % d, PartitionClass.ORDINARY).num
-    nondiv_n = bool(intpoly.remainder_mod_monic(num_n, modulus))
-    nondiv_r = bool(intpoly.remainder_mod_monic(num_r, modulus))
+    nondiv_n = bool(intpoly.remainder_mod_monic(_num(n, ORDINARY, engine), modulus))
+    nondiv_r = bool(intpoly.remainder_mod_monic(_num(n % d, ORDINARY, engine), modulus))
     return nondiv_n == nondiv_r
 
 
-def _lemma4_check(n: int, engine: str = "dp") -> tuple[list[dict], list[dict]]:
-    _pair(n, PartitionClass.ORDINARY, engine)  # engine agreement when requested
+def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """Nondivisibility equivalence between n and n mod d for every 1 <= d <= n."""
     failures = []
     for d in range(1, n + 1):
-        if not remainder_reduction_check(n, d):
+        if not remainder_reduction_check(n, d, engine):
             failures.append(
                 {"n": n, "d": d, "detail": f"divisibility of num by Phi_{2 * d} differs between n={n} and r={n % d}"}
             )
     return failures, []
-
-
-def verify_remainder_reduction(max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
-    """Nondivisibility equivalence between n and n mod d for every 1 <= d <= n."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    start = time.perf_counter()
-    results = _run(partial(_guard_engine(_lemma4_check), engine=engine), range(1, max_n + 1), jobs)
-    return _collect("lemma4", (1, max_n), results, start=start)
 
 
 # --- Conjecture 1 (open): irreducibility witness ---
@@ -486,7 +374,7 @@ def verify_remainder_reduction(max_n: int, *, engine: str = "dp", jobs: int = 1)
 DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def irreducibility_witness(n: int, primes=DEFAULT_WITNESS_PRIMES) -> dict:
+def irreducibility_witness(n: int, primes=DEFAULT_WITNESS_PRIMES, engine: str = "dp") -> dict:
     """Mod-p sufficient-condition witness for irreducibility of num(n,x).
 
     Reports the integer content, then tries each prime until one
@@ -494,7 +382,7 @@ def irreducibility_witness(n: int, primes=DEFAULT_WITNESS_PRIMES) -> dict:
     reducible reduction proves nothing over the integers, so it never
     produces a negative verdict, only Inconclusive.
     """
-    num = reduction.reduced_pair(n, PartitionClass.ORDINARY).num
+    num = _num(n, ORDINARY, engine)
     record: dict = {"n": n, "content": intpoly.content(num), "tried": []}
     if intpoly.degree(num) <= 0:
         record["verdict"] = "Inconclusive"
@@ -514,17 +402,100 @@ def irreducibility_witness(n: int, primes=DEFAULT_WITNESS_PRIMES) -> dict:
     return record
 
 
-def run_irreducibility_witnesses(
-    max_n: int, primes=DEFAULT_WITNESS_PRIMES, *, engine: str = "dp", jobs: int = 1
-) -> ConjectureReport:
-    """Witness sweep for num(n,x) irreducibility; never claims reducibility."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """Evidence: mod-p irreducibility witness; never claims reducibility."""
+    return [], [irreducibility_witness(n, engine=engine)]
+
+
+# --- The registry and the runner ---
+
+
+@dataclass(frozen=True)
+class Conjecture:
+    """Everything `run` needs to produce one report.
+
+    `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, or
+    up to span*(max_n+1) - 1 when the post-pass needs more values than
+    the reported range.  `post(report, max_n)` then runs once on the
+    merged report and may add failures.  An entry with `source` set has
+    no sweep of its own: whenever the source entry runs, this entry's
+    report is derived from the source's report as `check(report)`.
+    """
+
+    cid: str
+    pclass: PartitionClass
+    lowest_n: int
+    check: Callable
+    proved: bool
+    post: Callable[[ConjectureReport, int], None] | None = None
+    span: int = 1
+    source: str | None = None
+
+
+CONJECTURES: dict[str, Conjecture] = {
+    c.cid: c
+    for c in (
+        Conjecture("1", ORDINARY, 1, _witness_check, proved=False),
+        Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
+        Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
+        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False),
+        Conjecture("5", PartitionClass.BINARY, 2, derive_binary_coprimality, proved=True, source="7"),
+        Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
+        Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
+        Conjecture("8", PartitionClass.ODD, 1, _odd_value_check, proved=True),
+        Conjecture("9", PartitionClass.TERNARY, 1, _ternary_minus_check, proved=True, post=_ternary_triples),
+        Conjecture("10", PartitionClass.TERNARY, 0, _t_value_check, proved=True, post=_ternary_blocks, span=3),
+        Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True),
+    )
+}
+
+
+def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> list[ConjectureReport]:
+    """Run conjecture `cid` up to max_n: its report, then any derived from it.
+
+    A derived id (5) runs its source (7), so both reports come back.
+    Engine disagreements become "engine-mismatch" failure records.  At
+    most min(jobs, CPU count, number of n) worker processes are used.
+    """
+    entry = CONJECTURES[cid]
+    if entry.source is not None:
+        return run(entry.source, max_n, engine=engine, jobs=jobs)
+    lowest = max(entry.lowest_n, 1)
+    if max_n < lowest:
+        raise ValueError(f"max_n must be >= {lowest}")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     start = time.perf_counter()
-    check = partial(_witness_check, primes=tuple(primes))
-    results = _run(check, range(1, max_n + 1), jobs)
-    return _collect("1", (1, max_n), results, open_conjecture=True, start=start)
+    check = partial(_guarded, entry.check, entry.pclass, engine)
+    ns = range(entry.lowest_n, entry.span * (max_n + 1))
+    workers = _workers(jobs, len(ns))
+    if workers == 1:
+        results = [check(n) for n in ns]
+    else:
+        # pool.map returns results in input order, so the merge stays deterministic.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(check, ns, chunksize=max(1, len(ns) // (4 * workers))))
+    failures = [f for fs, _ in results for f in fs]
+    witnesses = [w for _, ws in results for w in ws]
+    report = ConjectureReport(entry.cid, (entry.lowest_n, max_n), WITNESS_ONLY, failures, witnesses)
+    if entry.post is not None:
+        entry.post(report, max_n)
+    if entry.proved:
+        report.verdict = FAILURES_FOUND if report.failures else ALL_HOLD
+    report.elapsed = time.perf_counter() - start
+    derived = [c.check(report) for c in CONJECTURES.values() if c.source == cid]
+    return [report, *derived]
 
 
-def _witness_check(n: int, primes=DEFAULT_WITNESS_PRIMES) -> tuple[list[dict], list[dict]]:
-    return [], [irreducibility_witness(n, primes)]
+def _guarded(check, pclass: PartitionClass, engine: str, n: int) -> tuple[list[dict], list[dict]]:
+    # An engine disagreement is a failure record, not an exception: the
+    # report and the CLI exit code must carry it, and the sweep goes on.
+    try:
+        return check(n, pclass, engine)
+    except EngineMismatchError as exc:
+        return [{"n": n, "kind": "engine-mismatch", "detail": str(exc)}], []
+
+
+def _workers(jobs: int, count: int) -> int:
+    """Worker processes for `count` values of n: never more than the CPUs or the values."""
+    return min(jobs, os.cpu_count() or 1, count)

@@ -4,11 +4,13 @@ Nothing here may import from the production accumulation or gcd paths it
 checks: partition counts come from the Euler pentagonal recurrence,
 products from a dict-based convolution, enumeration from an
 ascending-composition algorithm, and mod-p irreducibility from brute
-trial division by all monic polynomials of low degree.
+trial division by all monic polynomials of low degree, gcds in Z[x]
+from pseudo-remainder Euclid on naively expanded products.
 """
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 
 @lru_cache(maxsize=None)
@@ -44,6 +46,26 @@ def naive_mul(a, b):
         return ()
     top = max(k for k, v in acc.items() if v) if any(acc.values()) else -1
     return tuple(acc.get(k, 0) for k in range(top + 1))
+
+
+def _strip(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def mul_schoolbook(a, b):
+    """Reference O(n*m) convolution; `intpoly.mul` must agree with it bit for bit."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _strip(out)
 
 
 def naive_product(polys):
@@ -176,3 +198,67 @@ def reciprocal_sum(partitions_list, x0):
             value *= 1 + Fraction(x0) ** part
         total += 1 / value
     return total
+
+
+def _primitive_part(a):
+    """a over its content, leading coefficient made positive; a must be nonzero."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return tuple(c // g for c in a)
+
+
+def _pseudo_rem(a, b):
+    # Fraction-free remainder: repeatedly replace a by lc(b)*a - c*x^s*b.
+    # Scaling per step differs from the textbook prem by an integer
+    # factor, which the primitive-part step absorbs anyway.
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    while len(r) - 1 >= db and r:
+        c = r[-1]
+        r = [lead * x for x in r]
+        shift = len(r) - 1 - db
+        for j in range(db + 1):
+            r[shift + j] -= c * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _with_content(a):
+    return tuple(-c for c in a) if a[-1] < 0 else a
+
+
+def gcd_primitive(a, b):
+    """gcd in Z[x] via content splitting and pseudo-remainder Euclid.
+
+    The result has positive leading coefficient and carries the gcd of
+    the input contents, so gcd of content-1 inputs has content 1.  This
+    is the brute-force oracle against which the structured minimum-
+    exponent gcd is validated.
+    """
+    a = _strip(a)
+    b = _strip(b)
+    if not a and not b:
+        raise ValueError("gcd(0, 0) is undefined")
+    if not a:
+        return _with_content(b)
+    if not b:
+        return _with_content(a)
+    c = math.gcd(math.gcd(*a), math.gcd(*b))
+    pa, pb = list(_primitive_part(a)), list(_primitive_part(b))
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    while pb:
+        r = _pseudo_rem(pa, pb)
+        pa, pb = pb, list(_primitive_part(r)) if r else []
+    return tuple(c * x for x in _primitive_part(pa))
+
+
+def gcd_binomial_products_expanded(fs):
+    """gcd of binomial products {i: e} for prod (1+x^i)^e, by expanding each and folding gcd_primitive."""
+    polys = [expand_factor_map(f) for f in fs]
+    if not polys:
+        raise ValueError("gcd of an empty collection")
+    return reduce(gcd_primitive, polys)

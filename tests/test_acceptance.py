@@ -69,7 +69,7 @@ def test_criterion_04_binary_nondivisibility(capsys):
 
 def test_criterion_05_odd_special_value():
     started = time.perf_counter()
-    report = verify.verify_odd_special_value(30)
+    [report] = verify.run("8", 30)
     assert report.verdict == verify.ALL_HOLD
     assert len(report.witnesses) == 30
     for n in range(1, 21):
@@ -81,7 +81,7 @@ def test_criterion_05_odd_special_value():
 
 def test_criterion_06_ternary_minus_one():
     started = time.perf_counter()
-    report = verify.verify_ternary_minus_one(27)
+    [report] = verify.run("9", 27)
     assert report.verdict == verify.ALL_HOLD
     values = {w["n"]: int(w["value"]) for w in report.witnesses}
     for m in range(1, 9):
@@ -93,7 +93,7 @@ def test_criterion_06_ternary_minus_one():
 
 def test_criterion_07_ternary_one():
     started = time.perf_counter()
-    report = verify.verify_ternary_one(27)
+    [report] = verify.run("10", 27)
     assert report.verdict == verify.ALL_HOLD
     t = {w["n"]: int(w["value"]) for w in report.witnesses}
     # every table entry was built by t_direct AND polynomial eval agreeing
@@ -155,18 +155,18 @@ def test_criterion_10_cyclotomic_suite():
 
 def test_criterion_11_open_conjecture_evidence():
     started = time.perf_counter()
-    unimodal = verify.check_unimodal_even_part(25)
+    [unimodal] = verify.run("3", 25)
     assert unimodal.verdict == verify.WITNESS_ONLY
     assert unimodal.failures == []
     assert all(w["unimodal"] for w in unimodal.witnesses)
 
-    den_lc = verify.check_den_log_concave(20)
+    [den_lc] = verify.run("4", 20)
     assert den_lc.verdict == verify.WITNESS_ONLY
     assert den_lc.failures == []
     observed = {w["n"] for w in den_lc.witnesses if w.get("log_concave") is False}
     assert observed == {3, 5, 6, 7}
 
-    shapes = verify.check_binary_numerator_shape(24)
+    [shapes] = verify.run("6", 24)
     assert shapes.verdict == verify.WITNESS_ONLY
     assert shapes.failures == []
     assert all(w["unimodal"] for w in shapes.witnesses if w["n"] > 5)

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from subsum import cli, intpoly, reduction
+from subsum import cli, intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
 
@@ -270,3 +271,78 @@ def test_mutated_numerator_breaks_division_exit_1(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert "pipeline bug" in err
+
+
+def test_internal_value_error_exits_1(capsys, monkeypatch):
+    # A library consistency error is a bug, not a bad flag: exit 1, never 2.
+    def broken(seq):
+        raise intpoly.NegativeCoefficientError("injected")
+
+    monkeypatch.setattr(intpoly, "is_log_concave", broken)
+    code = cli.main(["verify", "--conjecture", "4", "--max-n", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "internal error" in err and "NegativeCoefficientError" in err
+
+
+def test_bad_jobs_exit_2():
+    for jobs in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--conjecture", "8", "--max-n", "4", "--jobs", jobs])
+        assert exc.value.code == 2, jobs
+
+
+def test_conjecture_choices_come_from_registry():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    conjecture = next(a for a in sub.choices["verify"]._actions if a.dest == "conjecture")
+    assert list(conjecture.choices) == [*verify.CONJECTURES, "all"]
+
+
+def test_engine_enumerate_reaches_every_pair(capsys, monkeypatch):
+    real = reduction.reduced_pair
+    engines = set()
+
+    def recording(n, pclass, engine="dp"):
+        engines.add(engine)
+        return real(n, pclass, engine)
+
+    monkeypatch.setattr(reduction, "reduced_pair", recording)
+    for cid in ("1", "lemma4"):
+        code, _ = run(capsys, ["verify", "--conjecture", cid, "--max-n", "6", "--engine", "enumerate", "--format", "json"])
+        assert code == 0, cid
+    assert engines == {"enumerate"}
+
+
+def test_engine_both_checks_conjecture1(capsys, monkeypatch):
+    real_enum = reduction._num_star_enumerate
+
+    def corrupted(n, pclass):
+        star = real_enum(n, pclass)
+        # G(2,x) = 1, so the corrupted num* still divides exactly.
+        return intpoly.add(star, (1,)) if n == 2 else star
+
+    monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
+    reduction.reduced_pair.cache_clear()
+    try:
+        code, out = run(capsys, ["verify", "--conjecture", "1", "--max-n", "4", "--engine", "both", "--format", "json"])
+    finally:
+        reduction.reduced_pair.cache_clear()
+    assert code == 1
+    record = json.loads(out)
+    assert [f["n"] for f in record["failures"] if f.get("kind") == "engine-mismatch"] == [2]
+
+
+def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
+    real = reduction.num_star
+    calls = []
+
+    def counting(n, pclass, engine="dp"):
+        calls.append(n)
+        return real(n, pclass, engine)
+
+    monkeypatch.setattr(reduction, "num_star", counting)
+    reduction.reduced_pair.cache_clear()
+    code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
+    assert code == 0
+    assert sorted(calls) == list(range(1, 9))

@@ -8,6 +8,11 @@ from subsum.partitions import PartitionClass
 ORD = PartitionClass.ORDINARY
 
 
+def run_one(cid, max_n, **kw):
+    [report] = verify.run(cid, max_n, **kw)
+    return report
+
+
 @pytest.mark.parametrize("m,expected", [(24, 3), (1, 1), (40, 5), (7, 7), (64, 1)])
 def test_odd_part(m, expected):
     assert verify.odd_part(m) == expected
@@ -28,7 +33,7 @@ def test_odd_factorial_part_two_ways():
 
 
 def test_coprimality_small_range():
-    report = verify.verify_coprimality_ordinary(6)
+    report = run_one("2", 6)
     assert report.verdict == verify.ALL_HOLD
     assert report.failures == []
     assert report.n_range == (1, 6)
@@ -38,7 +43,7 @@ def test_coprimality_small_range():
 
 
 def test_coprimality_d_set_is_exactly_den_support():
-    report = verify.verify_coprimality_ordinary(15)
+    report = run_one("2", 15)
     for w in report.witnesses:
         rp = reduction.reduced_pair(w["n"], ORD)
         assert w["d_checked"] == sorted(rp.den_cyclo)
@@ -46,7 +51,7 @@ def test_coprimality_d_set_is_exactly_den_support():
 
 
 def test_binary_nondivisibility():
-    report = verify.verify_binary_nondivisibility(12)
+    report, _ = verify.run("7", 12)
     assert report.verdict == verify.ALL_HOLD
     by_n = {w["n"]: w for w in report.witnesses}
     assert by_n[4]["s_checked"] == [0, 1, 2]
@@ -55,15 +60,16 @@ def test_binary_nondivisibility():
 
 
 def test_derive_binary_coprimality():
-    nondiv = verify.verify_binary_nondivisibility(8)
-    cop = verify.derive_binary_coprimality(nondiv)
+    nondiv, cop = verify.run("5", 8)
+    assert nondiv.conjecture_id == "7"
+    assert cop == verify.derive_binary_coprimality(nondiv)
     assert cop.conjecture_id == "5"
     assert cop.verdict == verify.ALL_HOLD
     assert cop.n_range == nondiv.n_range
 
 
 def test_odd_special_value():
-    report = verify.verify_odd_special_value(14)
+    report = run_one("8", 14)
     assert report.verdict == verify.ALL_HOLD
     values = {w["n"]: int(w["value"]) for w in report.witnesses}
     assert values[1] == 1
@@ -71,7 +77,7 @@ def test_odd_special_value():
 
 
 def test_ternary_minus_one():
-    report = verify.verify_ternary_minus_one(14)
+    report = run_one("9", 14)
     assert report.verdict == verify.ALL_HOLD
     values = {w["n"]: int(w["value"]) for w in report.witnesses}
     assert values[1] == 1 and values[2] == 1
@@ -80,30 +86,22 @@ def test_ternary_minus_one():
 
 
 def test_ternary_one():
-    report = verify.verify_ternary_one(8)
+    report = run_one("10", 8)
     assert report.verdict == verify.ALL_HOLD
     t = {w["n"]: int(w["value"]) for w in report.witnesses}
     assert t[1] == 1 and t[2] == 1 and t[4] == 5
     assert t[3] - t[1] == 4 * t[1]
 
 
-def test_ternary_one_subchecks_toggle():
-    for flags in ((True, False, False), (False, True, False), (False, False, True)):
-        report = verify.verify_ternary_one(
-            5, check_eval=flags[0], check_blocks=flags[1], check_recurrence=flags[2]
-        )
-        assert report.verdict == verify.ALL_HOLD
-
-
 def test_unimodal_even_part():
-    report = verify.check_unimodal_even_part(12)
+    report = run_one("3", 12)
     assert report.verdict == verify.WITNESS_ONLY
     assert report.failures == []
     assert {w["n"] for w in report.witnesses} == set(range(1, 13))
 
 
 def test_den_log_concave_failure_set():
-    report = verify.check_den_log_concave(12)
+    report = run_one("4", 12)
     assert report.verdict == verify.WITNESS_ONLY
     assert report.failures == []
     not_lc = {w["n"] for w in report.witnesses if w.get("log_concave") is False}
@@ -114,7 +112,7 @@ def test_den_log_concave_failure_set():
 
 
 def test_binary_shape():
-    report = verify.check_binary_numerator_shape(12)
+    report = run_one("6", 12)
     assert report.verdict == verify.WITNESS_ONLY
     assert report.failures == []
     by_n = {w["n"]: w for w in report.witnesses}
@@ -136,7 +134,7 @@ def test_remainder_reduction_check_examples():
 
 
 def test_remainder_reduction_range():
-    report = verify.verify_remainder_reduction(10)
+    report = run_one("lemma4", 10)
     assert report.conjecture_id == "lemma4"
     assert report.verdict == verify.ALL_HOLD
 
@@ -156,14 +154,14 @@ def test_irreducibility_witness_examples():
 
 
 def test_irreducibility_report():
-    report = verify.run_irreducibility_witnesses(6)
+    report = run_one("1", 6)
     assert report.verdict == verify.WITNESS_ONLY
     assert len(report.witnesses) == 6
 
 
 def test_reports_reproducible():
-    a = verify.verify_coprimality_ordinary(8)
-    b = verify.verify_coprimality_ordinary(8)
+    a = run_one("2", 8)
+    b = run_one("2", 8)
     assert (a.verdict, a.failures, a.witnesses, a.n_range) == (
         b.verdict,
         b.failures,
@@ -173,15 +171,15 @@ def test_reports_reproducible():
 
 
 def test_jobs_parallel_matches_serial():
-    serial = verify.verify_odd_special_value(10, jobs=1)
-    parallel = verify.verify_odd_special_value(10, jobs=2)
+    serial = run_one("8", 10, jobs=1)
+    parallel = run_one("8", 10, jobs=2)
     assert serial.witnesses == parallel.witnesses
     assert serial.failures == parallel.failures
     assert serial.verdict == parallel.verdict
 
 
 def test_engine_both_agreement():
-    report = verify.verify_coprimality_ordinary(6, engine="both")
+    report = run_one("2", 6, engine="both")
     assert report.verdict == verify.ALL_HOLD
     assert not report.has_engine_mismatch()
 
@@ -196,7 +194,7 @@ def test_engine_mismatch_recorded(monkeypatch):
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", corrupted)
-    report = verify.verify_coprimality_ordinary(4, engine="both")
+    report = run_one("2", 4, engine="both")
     assert report.has_engine_mismatch()
     assert any(f.get("n") == 3 for f in report.failures)
 
@@ -212,6 +210,43 @@ def test_mutated_numerator_detected(monkeypatch):
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
-    report = verify.verify_coprimality_ordinary(5)
+    report = run_one("2", 5)
     assert report.verdict == verify.FAILURES_FOUND
     assert any(f.get("n") == 4 and f.get("d") == 1 for f in report.failures)
+
+
+def test_run_validates_range_and_jobs():
+    with pytest.raises(ValueError):
+        verify.run("7", 1)  # binary checks start at n = 2
+    with pytest.raises(ValueError):
+        verify.run("2", 0)
+    with pytest.raises(ValueError):
+        verify.run("2", 3, jobs=0)
+
+
+def test_jobs_capped_at_cpus_and_values(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    serial = run_one("8", 10)
+    capped = run_one("8", 10, jobs=10**6)  # 4 CPUs
+    run_one("8", 3, jobs=10**6)  # 3 values of n
+    run_one("8", 10, jobs=2)
+    assert sizes == [4, 3, 2]
+    assert capped.witnesses == serial.witnesses
