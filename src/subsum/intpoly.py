@@ -3,18 +3,25 @@
 A polynomial is a tuple of coefficients, index k holding the coefficient
 of x^k, with no trailing zero; the zero polynomial is the empty tuple.
 All operations are pure and exact.  Multiplication uses Kronecker
-substitution (pack into one big integer, multiply, unpack balanced
-digits), which is bit-identical to schoolbook convolution and much
-faster once Python's integer multiplication kicks in.
+substitution: the coefficients become whole-byte balanced digits of one
+big integer (1, 2, 4 or 8 bytes each, or wider when the product needs
+it), Python multiplies the two integers, and the digits are read back.
+Packing and unpacking are single `int.from_bytes`/`int.to_bytes` calls
+plus a bias fix-up, so both are linear in the packed size, and the
+result is bit-identical to schoolbook convolution.
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
-coefficient-sequence checks.
+coefficient-sequence checks.  The certificate's GF(p) reductions go
+through the same product: fast division with remainder by a
+precomputed inverse power series of the reversed modulus.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -78,6 +85,12 @@ def sub(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     return add(a, neg(b))
 
 
+# memoryview.cast and array read and write machine words in native order.
+_ORDER = sys.byteorder
+_SIGNED_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+_WORD_WIDTH = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # byte width 0..8 rounded up to a machine word
+
+
 def mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     """Exact product of two coefficient sequences."""
     if not a or not b:
@@ -86,35 +99,45 @@ def mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
         return normalize(a[0] * c for c in b)
     if len(b) == 1:
         return normalize(b[0] * c for c in a)
-    # Kronecker substitution: evaluate at 2^bits with bits wide enough
-    # that every product coefficient fits in a balanced digit.
-    bound = max(abs(c) for c in a) * max(abs(c) for c in b) * min(len(a), len(b))
-    bits = bound.bit_length() + 2
-    pa = _pack(a, bits)
-    pb = _pack(b, bits)
-    return _unpack(pa * pb, bits, len(a) + len(b) - 1)
+    # Kronecker substitution at radix 2^(8*width): every coefficient of
+    # the product is below half the radix in absolute value, so it is one
+    # balanced digit.
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8
+    if width <= 8:
+        width = _WORD_WIDTH[width]
+    n = len(a) + len(b) - 1
+    bias = _bias(width, n)
+    packed = _pack(a, width) * _pack(b, width)
+    # Adding the bias makes every digit c + radix/2, nonnegative; flipping
+    # each digit's top bit (xor with the same bias) then leaves c in two's
+    # complement, which a signed read of the digit returns.
+    raw = ((packed + bias) ^ bias).to_bytes(width * n, _ORDER)
+    if width in _SIGNED_FORMAT:
+        return normalize(memoryview(raw).cast(_SIGNED_FORMAT[width]).tolist())
+    return normalize(
+        int.from_bytes(raw[k : k + width], _ORDER, signed=True) for k in range(0, len(raw), width)
+    )
 
 
-def _pack(a: Sequence[int], bits: int) -> int:
-    total = 0
-    for k, c in enumerate(a):
-        total += c << (bits * k)
-    return total
+def _bias(width: int, ncoeffs: int) -> int:
+    """Half the radix in each of the low `ncoeffs` digits."""
+    half = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
+    return int.from_bytes(half * ncoeffs, _ORDER)
 
 
-def _unpack(packed: int, bits: int, ncoeffs: int) -> IntPoly:
-    # Balanced digit extraction: digits d with |d| < 2^(bits-1) are
-    # recovered exactly even when coefficients are negative.
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    out = []
-    for _ in range(ncoeffs):
-        d = packed & mask
-        if d >= half:
-            d -= 1 << bits
-        out.append(d)
-        packed = (packed - d) >> bits
-    return normalize(out)
+def _pack(a: Sequence[int], width: int) -> int:
+    """Sum of a[k] * radix^k, from the two's complement digits of a.
+
+    The digit of c is c mod radix; flipping its top bit gives c + radix/2,
+    and subtracting the bias leaves c.
+    """
+    if width in _SIGNED_FORMAT:
+        raw = array(_SIGNED_FORMAT[width], a).tobytes()
+    else:
+        raw = b"".join([c.to_bytes(width, _ORDER, signed=True) for c in a])
+    bias = _bias(width, len(a))
+    return (int.from_bytes(raw, _ORDER) ^ bias) - bias
 
 
 def power(a: Sequence[int], e: int) -> IntPoly:
@@ -263,16 +286,16 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
         raise BadPrimeError(f"{p} divides the leading coefficient")
     if len(pp) <= 1:
         return IrreducibilityStatus.INCONCLUSIVE
-    f = [c % p for c in pp]
+    inv_lead = pow(pp[-1], p - 2, p)
+    f = [c * inv_lead % p for c in pp]
     k = len(f) - 1
-    if k == 0:
-        return IrreducibilityStatus.INCONCLUSIVE
-    x = [0, 1]
+    inv = _gf_series_inverse(f[::-1], k, p)
+    x = _gf_mod([0, 1], f, p)
     # x^(p^k) == x mod f, and gcd(x^(p^(k/q)) - x, f) == 1 for prime q | k.
-    if _gf_powmod(x, p**k, f, p) != _gf_mod(x, f, p):
+    if _gf_powmod(x, p**k, f, inv, p) != x:
         return IrreducibilityStatus.REDUCIBLE
     for q in _prime_divisors(k):
-        w = _gf_sub(_gf_powmod(x, p ** (k // q), f, p), _gf_mod(x, f, p), p)
+        w = _gf_sub(_gf_powmod(x, p ** (k // q), f, inv, p), x, p)
         if len(_gf_gcd(w, f, p)) != 1:
             return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.IRREDUCIBLE
@@ -315,19 +338,54 @@ def _gf_mod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _gf_trim(r[:df])
 
 
-def _gf_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    return _gf_mod(mul(a, b), f, p)
+def _gf_low(a: Sequence[int], m: int, p: int) -> list[int]:
+    """a mod (p, x^m) as exactly m coefficients, zeros kept."""
+    out = [c % p for c in a[:m]]
+    out += [0] * (m - len(out))
+    return out
 
 
-def _gf_powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+def _gf_series_inverse(h: Sequence[int], m: int, p: int) -> list[int]:
+    """h^-1 mod x^m over GF(p) for h[0] == 1, by Newton iteration.
+
+    If h*g == 1 mod x^s then g - g*(h*g - 1) inverts h mod x^(2s).
+    """
+    g = [1]
+    while len(g) < m:
+        size = min(2 * len(g), m)
+        e = _gf_low(mul(h[:size], g), size, p)
+        e[0] -= 1
+        fix = _gf_low(mul(g, e), size, p)
+        g = [(c - d) % p for c, d in zip(g + [0] * (size - len(g)), fix)]
+    return g
+
+
+def _gf_rem(a: Sequence[int], f: Sequence[int], inv: Sequence[int], p: int) -> list[int]:
+    """a mod f over GF(p) for monic f and deg a < 2 deg f, by fast division.
+
+    (von zur Gathen and Gerhard, Modern Computer Algebra, section 9.1.)
+    inv is (rev f)^-1 mod x^(deg f).  With m = deg a - deg f + 1, the
+    quotient reversed is the low m coefficients of (rev a) * inv; it is
+    padded to length m before it is turned back, so a quotient whose top
+    coefficients vanish mod p keeps its alignment.
+    """
+    k = len(f) - 1
+    r = _gf_trim([c % p for c in a])
+    m = len(r) - k
+    if m <= 0:
+        return r
+    q = _gf_low(mul(r[: k - 1 : -1], inv[:m]), m, p)[::-1]
+    return _gf_trim([(c - d) % p for c, d in zip(r[:k], mul(q, f))])
+
+
+def _gf_powmod(a: Sequence[int], e: int, f: Sequence[int], inv: Sequence[int], p: int) -> list[int]:
+    """a^e mod f over GF(p) for monic f, inv as in `_gf_rem`."""
     result = [1]
     base = _gf_mod(a, f, p)
     while e:
         if e & 1:
-            result = _gf_mulmod(result, base, f, p)
-        base = _gf_mulmod(base, base, f, p)
+            result = _gf_rem(mul(result, base), f, inv, p)
+        base = _gf_rem(mul(base, base), f, inv, p)
         e >>= 1
     return result
 

@@ -214,14 +214,28 @@ class ReducedPair:
         return cyclotomic.expand_cyclotomics(self.g_cyclo)
 
 
-@lru_cache(maxsize=None)
+# Lemma 4 at n reads the pairs at n and at every n mod d, all at most n:
+# n + 1 pairs per class and engine.  256 entries hold that working set up
+# to n = 127 with both engines, far beyond the n a pair can be built at.
+_PAIR_CACHE_SIZE = 256
+
+
 def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
     """The reduced pair num/den with the summand gcd G cancelled.
 
     num = num*/expand(G) by exact division (a nonzero remainder would be
     a pipeline bug and raises), den = den* minus G in exponent space.
     n = 0 returns the identity pair num 1, den 1, G 1.
+
+    Pairs are cached in an LRU cache of 256 entries keyed on
+    (n, pclass, engine), so every call form shares one entry;
+    `reduced_pair.cache_info()` and `.cache_clear()` reach that cache.
     """
+    return _cached_pair(n, pclass, engine)
+
+
+def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
+    """`reduced_pair` without the cache."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
@@ -230,6 +244,11 @@ def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedP
     num = intpoly.exact_div(num_star(n, pclass, engine), cyclotomic.expand_cyclotomics(g))
     den = cyclotomic.sub_exponents(cyclotomic.to_cyclo_exponents(den_star(n, pclass)), g)
     return ReducedPair(n, pclass, num, den, g)
+
+
+_cached_pair = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_reduced_pair)
+reduced_pair.cache_info = _cached_pair.cache_info
+reduced_pair.cache_clear = _cached_pair.cache_clear
 
 
 def sr_eval_rational(n: int, pclass: PartitionClass, x0) -> Fraction:

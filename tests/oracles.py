@@ -160,8 +160,8 @@ def gfp_all_monic(deg, p):
         yield tuple(coeffs) + (1,)
 
 
-def gfp_divides(d, f, p):
-    """Whether d divides f over GF(p), by long division."""
+def gfp_rem(f, d, p):
+    """f mod d over GF(p), by long division; trailing zeros stripped."""
     r = [c % p for c in f]
     inv = pow(d[-1], p - 2, p)
     while len(r) >= len(d) and any(r):
@@ -174,7 +174,21 @@ def gfp_divides(d, f, p):
         for j, dj in enumerate(d):
             r[shift + j] = (r[shift + j] - c * dj) % p
         r.pop()
-    return not any(c % p for c in r)
+    return _strip(r)
+
+
+def gfp_divides(d, f, p):
+    """Whether d divides f over GF(p)."""
+    return not gfp_rem(f, d, p)
+
+
+def gfp_powmod(a, e, f, p):
+    """a^e mod f over GF(p) by e multiplications, each reduced by long division."""
+    out = gfp_rem((1,), f, p)
+    base = gfp_rem(a, f, p)
+    for _ in range(e):
+        out = gfp_rem(gfp_mul(out, base, p), f, p)
+    return out
 
 
 def gfp_irreducible_bruteforce(f, p):

@@ -156,7 +156,7 @@ def test_bad_flags_exit_2():
 
 
 def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
-    real = reduction.reduced_pair.__wrapped__
+    real = reduction._reduced_pair
 
     def mutated(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
@@ -174,7 +174,7 @@ def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
 
 
 def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
-    real = reduction.reduced_pair.__wrapped__
+    real = reduction._reduced_pair
 
     def mutated(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
@@ -196,15 +196,21 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
 
     def corrupted(n, pclass):
         star = real_dp(n, pclass)
-        if n == 3:
-            return intpoly.add(star, (1,))
-        return star
+        # G(2,x) = 1, so the corrupted num* still divides exactly and the
+        # run reaches the comparison of the two engines.
+        return intpoly.add(star, (1,)) if n == 2 else star
 
     monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
     reduction.reduced_pair.cache_clear()
-    code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
-    reduction.reduced_pair.cache_clear()
+    try:
+        code = cli.main(["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
+    finally:
+        reduction.reduced_pair.cache_clear()
+    captured = capsys.readouterr()
     assert code == 1
+    assert "internal error" not in captured.err
+    record = json.loads(captured.out)
+    assert [f["n"] for f in record["failures"] if f.get("kind") == "engine-mismatch"] == [2]
 
 
 def test_engine_both_clean_run(capsys):

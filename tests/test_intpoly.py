@@ -58,6 +58,45 @@ def test_mul_matches_naive_convolution(a, b):
     assert intpoly.mul(a, b) == oracles.mul_schoolbook(a, b)
 
 
+@st.composite
+def straddling_pairs(draw):
+    """Signed factors whose Kronecker bound max|a| * max|b| * min(len) has a chosen bit length.
+
+    The bit lengths straddle the byte widths 1/2, 2/4, 4/8 and 8/9; 65 and 100
+    bits need digits wider than a machine word.  With `extreme`, every
+    coefficient has the largest magnitude, so a product coefficient
+    reaches the bound itself.
+    """
+    bits = draw(st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64, 65, 100]))
+    la, lb = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    m = min(la, lb)
+    top_b = draw(st.integers(1, (1 << (bits - 1)) // m))
+    step = top_b * m  # top_a * step must land in [2^(bits-1), 2^bits)
+    top_a = draw(st.integers(-(-(1 << (bits - 1)) // step), ((1 << bits) - 1) // step))
+    extreme = draw(st.booleans())
+
+    def factor(top, length):
+        if extreme:
+            sign = draw(st.sampled_from([1, -1]))
+            return (sign * top,) * length
+        coeffs = draw(st.lists(st.integers(-top, top), min_size=length, max_size=length))
+        coeffs[draw(st.integers(0, length - 1))] = draw(st.sampled_from([top, -top]))
+        if coeffs[-1] == 0:
+            coeffs[-1] = top
+        return tuple(coeffs)
+
+    a, b = factor(top_a, la), factor(top_b, lb)
+    assert (max(map(abs, a)) * max(map(abs, b)) * m).bit_length() == bits
+    return a, b
+
+
+@given(straddling_pairs())
+@settings(max_examples=300)
+def test_mul_matches_schoolbook_at_digit_width_edges(pair):
+    a, b = pair
+    assert intpoly.mul(a, b) == oracles.mul_schoolbook(a, b)
+
+
 @given(polys, polys, polys)
 @settings(max_examples=100)
 def test_ring_axioms(a, b, c):
@@ -207,6 +246,27 @@ def test_irreducible_mod_p_examples():
     # primitive part of num(2,x) = 1+x+x^2
     assert intpoly.irreducible_mod_p((2, 2, 2), 2) is IrreducibilityStatus.IRREDUCIBLE
     assert intpoly.irreducible_mod_p((7,), 3) is IrreducibilityStatus.INCONCLUSIVE
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_gf_powmod_matches_oracle(p, data):
+    k = data.draw(st.integers(1, 30))
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)) + [1]
+    a = data.draw(st.lists(st.integers(0, p - 1), max_size=2 * k))
+    e = data.draw(st.integers(0, 200))
+    inv = intpoly._gf_series_inverse(f[::-1], k, p)
+    assert tuple(intpoly._gf_powmod(a, e, f, inv, p)) == oracles.gfp_powmod(a, e, f, p)
+
+
+def test_gf_powmod_x3_x_1_over_gf2():
+    # x^3 + x + 1 is irreducible over GF(2): x^8 == x mod f and x^2 != x.
+    f = [1, 1, 0, 1]
+    inv = intpoly._gf_series_inverse(f[::-1], 3, 2)
+    for e in range(20):
+        assert tuple(intpoly._gf_powmod([0, 1], e, f, inv, 2)) == oracles.gfp_powmod((0, 1), e, f, 2)
+    assert intpoly._gf_powmod([0, 1], 8, f, inv, 2) == [0, 1]
+    assert intpoly.irreducible_mod_p((1, 1, 0, 1), 2) is IrreducibilityStatus.IRREDUCIBLE
 
 
 def test_irreducible_mod_p_bad_prime():

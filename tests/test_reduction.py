@@ -147,6 +147,33 @@ def test_reduced_pair_small_and_conventions():
     assert rp2.num == (2, 2, 2)
 
 
+def test_reduced_pair_one_entry_per_key_whatever_the_call_form(monkeypatch):
+    real = reduction._num_star_dp
+    calls = []
+
+    def counting(n, pclass):
+        calls.append(n)
+        return real(n, pclass)
+
+    monkeypatch.setattr(reduction, "_num_star_dp", counting)
+    reduction.reduced_pair.cache_clear()
+    try:
+        first = reduction.reduced_pair(7, ORD)
+        assert reduction.reduced_pair(7, ORD, "dp") is first
+        assert reduction.reduced_pair(7, ORD, engine="dp") is first
+        assert reduction.reduced_pair(n=7, pclass=ORD) is first
+    finally:
+        reduction.reduced_pair.cache_clear()
+    assert calls == [7]
+
+
+def test_reduced_pair_cache_holds_lemma4_working_set():
+    # Lemma 4 at n reads n and every n mod d, so at most n + 1 pairs per
+    # class and engine; the bound must hold them with both engines.
+    maxsize = reduction.reduced_pair.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 2 * (40 + 1)
+
+
 def test_reconstruction_identities():
     for pclass in CLASSES:
         for n in range(0, 26):

@@ -185,7 +185,7 @@ def test_engine_both_agreement():
 
 
 def test_engine_mismatch_recorded(monkeypatch):
-    real = reduction.reduced_pair.__wrapped__
+    real = reduction._reduced_pair
 
     def corrupted(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
@@ -200,7 +200,7 @@ def test_engine_mismatch_recorded(monkeypatch):
 
 
 def test_mutated_numerator_detected(monkeypatch):
-    real = reduction.reduced_pair.__wrapped__
+    real = reduction._reduced_pair
 
     def mutated(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
