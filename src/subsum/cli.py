@@ -7,7 +7,9 @@ each through `verify.run`; `compute` applies `--engine` through
 Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the
 library raised ValueError or ArithmeticError on input the parser
-accepted); 2 bad flags, all of which the parser checks.
+accepted); 2 bad flags, all of which the parser checks, including a
+`verify --max-n` below the lowest n of the one conjecture requested
+(`--conjecture all` skips such conjectures with a warning instead).
 WitnessOnly verdicts never affect the exit code.  stdout carries data,
 stderr carries logs and diagnostics.  All big integers are serialized as
 decimal strings; coefficient lists ascend from x^0.
@@ -93,6 +95,10 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.conjecture != "all":
+        lowest = verify.CONJECTURES[args.conjecture].lowest_n
+        if args.max_n < lowest:
+            parser.error(f"--conjecture {args.conjecture} needs --max-n >= {lowest}")
     try:
         return args.func(args)
     except verify.EngineMismatchError as exc:
@@ -295,7 +301,7 @@ def cmd_table(args) -> int:
         rows = [(n, verify.odd_factorial_part(n)) for n in range(1, args.max_n + 1)]
     else:  # g-degree
         rows = [
-            (n, intpoly.degree(cyclotomic.expand_cyclotomics(reduction.big_g(n, PartitionClass.ORDINARY))))
+            (n, cyclotomic.cyclo_degree(reduction.big_g(n, PartitionClass.ORDINARY)))
             for n in range(1, args.max_n + 1)
         ]
     if args.format == "json":

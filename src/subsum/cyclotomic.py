@@ -16,7 +16,7 @@ complex points.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import intpoly
 from .intpoly import IntPoly
@@ -53,10 +53,8 @@ def phi_at_one(m: int) -> int:
     """Phi_m(1): p when m is a power of the prime p, else 1."""
     if m <= 1:
         raise ValueError("m must be > 1")
-    p = _smallest_prime_factor(m)
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else 1
+    primes = intpoly._prime_divisors(m)
+    return primes[0] if len(primes) == 1 else 1
 
 
 def phi_at_minus_one(m: int) -> int:
@@ -64,17 +62,6 @@ def phi_at_minus_one(m: int) -> int:
     if m <= 2:
         raise ValueError("m must be > 2")
     return intpoly.eval_at_int(phi(m), -1)
-
-
-def _smallest_prime_factor(m: int) -> int:
-    if m % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return f
-        f += 2
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -135,24 +122,6 @@ def _divisors(i: int) -> list[int]:
     return small + large[::-1]
 
 
-def min_exponents(fs: Iterable[BinomialProduct]) -> dict[int, int]:
-    """Entrywise-minimum cyclotomic exponent vector: the gcd of the products.
-
-    Because every input factors into the pairwise-coprime irreducibles
-    Phi_{2d}, their gcd is exactly the minimum exponent per d.  The
-    result stays in cyclotomic form; expand on demand.
-    """
-    vectors = [to_cyclo_exponents(f) for f in fs]
-    if not vectors:
-        raise ValueError("min_exponents of an empty collection")
-    acc = vectors[0]
-    for v in vectors[1:]:
-        acc = {d: min(e, v[d]) for d, e in acc.items() if d in v}
-        if not acc:
-            break
-    return {d: e for d, e in acc.items() if e}
-
-
 def cyclo_degree(c: CycloExponents) -> int:
     """Degree of the expansion, via deg Phi_{2d} = totient(2d)."""
     return sum(e * _totient(2 * d) for d, e in c.items())
@@ -161,22 +130,8 @@ def cyclo_degree(c: CycloExponents) -> int:
 @lru_cache(maxsize=None)
 def _totient(m: int) -> int:
     out = m
-    for p in _prime_factors(m):
+    for p in intpoly._prime_divisors(m):
         out -= out // p
-    return out
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
     return out
 
 

@@ -178,25 +178,10 @@ def exact_div(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     b = normalize(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(normalize(a))
-    if not a:
-        return ZERO
-    if len(a) < len(b):
-        raise NotDivisibleError("degree of dividend below divisor")
-    lead = b[-1]
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1]
-        if c == 0:
-            continue
-        if c % lead != 0:
-            raise NotDivisibleError(f"coefficient {c} not divisible by leading {lead}")
-        q[k] = c // lead
-        for j, bj in enumerate(b):
-            a[k + j] -= q[k] * bj
-    if any(a):
+    q, r = _divmod(a, b)
+    if r:
         raise NotDivisibleError("nonzero remainder")
-    return normalize(q)
+    return q
 
 
 def remainder_mod_monic(a: Sequence[int], m: Sequence[int]) -> IntPoly:
@@ -204,16 +189,32 @@ def remainder_mod_monic(a: Sequence[int], m: Sequence[int]) -> IntPoly:
     m = normalize(m)
     if len(m) < 2 or m[-1] != 1:
         raise NotMonicError("modulus must be monic of degree >= 1")
+    return _divmod(a, m)[1]
+
+
+def _divmod(a: Sequence[int], b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Schoolbook (q, r) with a == q*b + r and deg r < deg b, for normalized nonzero b.
+
+    Raises NotDivisibleError when a quotient coefficient is not an
+    integer, which cannot happen for monic b.
+    """
     r = list(normalize(a))
-    dm = len(m) - 1
-    for k in range(len(r) - 1, dm - 1, -1):
-        c = r[k]
+    *low, lead = b
+    db = len(low)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
         if c == 0:
             continue
-        r[k] = 0
-        for j in range(dm):
-            r[k - dm + j] -= c * m[j]
-    return normalize(r[:dm])
+        if lead != 1:  # every divisor in the pipeline is monic; skip the bignum division
+            if c % lead != 0:
+                raise NotDivisibleError(f"coefficient {c} not divisible by leading {lead}")
+            c //= lead
+        q[k] = c
+        # The r[k + db] term cancels; it is left unwritten because only r[:db] is returned.
+        for j, bj in enumerate(low):
+            r[k + j] -= c * bj
+    return normalize(q), normalize(r[:db])
 
 
 def content(a: Sequence[int]) -> int:

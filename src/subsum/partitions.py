@@ -41,17 +41,7 @@ def allowed_parts(pclass: PartitionClass, n: int) -> list[int]:
     """All parts of `pclass` that are <= n, ascending."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if pclass is PartitionClass.ORDINARY:
-        return list(range(1, n + 1))
-    if pclass is PartitionClass.ODD:
-        return list(range(1, n + 1, 2))
-    base = 2 if pclass is PartitionClass.BINARY else 3
-    parts = []
-    p = 1
-    while p <= n:
-        parts.append(p)
-        p *= base
-    return parts
+    return [part for part in range(1, n + 1) if pclass.allows(part)]
 
 
 def enumerate_partitions(n: int, pclass: PartitionClass) -> Iterator[Partition]:

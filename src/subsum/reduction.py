@@ -12,13 +12,25 @@ num = num*/G, den = den*/G.  G is NOT gcd(num*, den*); it is the gcd of
 the individual summands, and whether anything further cancels is
 exactly what the verification module checks.
 
+In cyclotomic exponents (d -> exponent of Phi_{2d}) den has one form for
+every class, because every class allows the part 1:
+
+    den(n,x) = prod over allowed d <= n of Phi_{2d}(x)^floor(n/d),
+
+that is, den* with each 1+x^i read as Phi_{2i}.  Write den*_d for the
+exponent of Phi_{2d} in den*.  sp(lambda) holds one Phi_{2d} per part
+d*j with j odd; those parts are each at least d, so there are at most
+floor(n/d) of them, and every cofactor keeps at least den*_d - floor(n/d)
+factors Phi_{2d}.  For allowed d the partition of floor(n/d) parts d
+padded with ones keeps exactly that many.  In all four classes a part
+d*j with j odd is allowed only when d is, so for any other d no
+sp(lambda) holds Phi_{2d} and den_d = 0.  G is den* in cyclotomic exponents minus den; no gcd is
+ever taken.
+
 Two interchangeable engines accumulate num*: a dynamic program over the
 allowed parts (production) and a streaming fold over the enumerated
 partitions (oracle).  Integer addition is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
-
-G itself is computed from closed-form exponent formulas (fast path)
-with the entrywise-minimum oracle available for cross-checking.
 """
 
 from __future__ import annotations
@@ -85,60 +97,19 @@ def h_factored(n: int, pclass: PartitionClass, m: Mapping[int, int]) -> dict[int
     return out
 
 
-def g_exponent_ordinary(n: int, d: int) -> int:
-    """Exponent of Phi_{2d} in G(n,x): sum of floor(n/(d*j)) over odd j > 1."""
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    total = 0
-    j = 3
-    while d * j <= n:
-        total += n // (d * j)
-        j += 2
-    return total
-
-
-def big_g(n: int, pclass: PartitionClass, engine: str = "closed") -> dict[int, int]:
+def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
     """Common divisor of all cofactors, as a cyclotomic exponent vector.
 
-    engine="closed" uses per-class exponent formulas: for ordinary and
-    odd partitions the exponent of Phi_{2d} is sum_{j>1 odd} floor(n/dj)
-    (d odd in the odd class); for ternary the exponent of Phi_{2*3^a} is
-    sum_{k>a} floor(n/3^k); the binary G is identically 1 because the
-    factors 1+x^(2^k) are pairwise coprime irreducibles and each has a
-    partition avoiding it.  engine="oracle" takes the entrywise minimum
-    over every enumerated cofactor instead.
+    The exponent of Phi_{2d} is den*_d - floor(n/d) for allowed d and
+    den*_d otherwise (see the module docstring), which is den* in
+    cyclotomic exponents minus den* read as a cyclotomic exponent vector.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return {}
-    if engine == "oracle":
-        return cyclotomic.min_exponents(
-            h_factored(n, pclass, multiplicities(p))
-            for p in enumerate_partitions(n, pclass)
-        )
-    if engine != "closed":
-        raise ValueError(f"unknown engine {engine!r}")
-    out: dict[int, int] = {}
-    if pclass in (PartitionClass.ORDINARY, PartitionClass.ODD):
-        step = 2 if pclass is PartitionClass.ODD else 1
-        for d in range(1, n + 1, step):
-            e = g_exponent_ordinary(n, d)
-            if e:
-                out[d] = e
-    elif pclass is PartitionClass.TERNARY:
-        d = 1
-        while 3 * d <= n:
-            e = 0
-            k = 3 * d
-            while k <= n:
-                e += n // k
-                k *= 3
-            if e:
-                out[d] = e
-            d *= 3
-    # binary: empty vector, G = 1
-    return out
+    star = den_star(n, pclass)
+    return cyclotomic.sub_exponents(cyclotomic.to_cyclo_exponents(star), star)
 
 
 def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
@@ -196,9 +167,11 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
 class ReducedPair:
     """num, den and G for one (n, class), den and G kept as Phi-products.
 
-    Invariants: expand(g_cyclo) * num == num*, and g_cyclo + den_cyclo
-    equals den* converted to cyclotomic exponents.  Treat the mappings
-    as read-only; instances are shared through a cache.
+    Invariants: expand(g_cyclo) * num == num*, den_cyclo is
+    {d: floor(n/d)} over the allowed d <= n (den* read as Phi_{2d}
+    exponents), and g_cyclo + den_cyclo equals den* converted to
+    cyclotomic exponents.  Treat the mappings as read-only; instances
+    are shared through a cache.
     """
 
     n: int
@@ -224,7 +197,8 @@ def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedP
     """The reduced pair num/den with the summand gcd G cancelled.
 
     num = num*/expand(G) by exact division (a nonzero remainder would be
-    a pipeline bug and raises), den = den* minus G in exponent space.
+    a pipeline bug and raises), den = prod Phi_{2d}^floor(n/d) over the
+    allowed d <= n.
     n = 0 returns the identity pair num 1, den 1, G 1.
 
     Pairs are cached in an LRU cache of 256 entries keyed on
@@ -242,8 +216,8 @@ def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> Reduced
         return ReducedPair(0, pclass, intpoly.ONE, {}, {})
     g = big_g(n, pclass)
     num = intpoly.exact_div(num_star(n, pclass, engine), cyclotomic.expand_cyclotomics(g))
-    den = cyclotomic.sub_exponents(cyclotomic.to_cyclo_exponents(den_star(n, pclass)), g)
-    return ReducedPair(n, pclass, num, den, g)
+    # den is den* read as Phi_{2d} exponents (module docstring).
+    return ReducedPair(n, pclass, num, den_star(n, pclass), g)
 
 
 _cached_pair = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_reduced_pair)

@@ -5,10 +5,12 @@ checks: partition counts come from the Euler pentagonal recurrence,
 products from a dict-based convolution, enumeration from an
 ascending-composition algorithm, and mod-p irreducibility from brute
 trial division by all monic polynomials of low degree, gcds in Z[x]
-from pseudo-remainder Euclid on naively expanded products.
+from pseudo-remainder Euclid on naively expanded products, and G from
+the entrywise-minimum cyclotomic exponents of every cofactor.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -276,3 +278,36 @@ def gcd_binomial_products_expanded(fs):
     if not polys:
         raise ValueError("gcd of an empty collection")
     return reduce(gcd_primitive, polys)
+
+
+def cyclo_exponents(f):
+    """{d: exponent of Phi_2d} in prod (1+x^i)^e, by trying every d <= i."""
+    out = {}
+    for i, e in f.items():
+        for d in range(1, i + 1):
+            if i % d == 0 and (i // d) % 2 == 1:
+                out[d] = out.get(d, 0) + e
+    return {d: e for d, e in out.items() if e}
+
+
+def min_exponents(fs):
+    """gcd of binomial products as the entrywise-minimum cyclotomic exponent vector.
+
+    Every product factors into the pairwise-coprime irreducibles Phi_2d,
+    so their gcd is exactly the minimum exponent per d.
+    """
+    vectors = [cyclo_exponents(f) for f in fs]
+    if not vectors:
+        raise ValueError("min_exponents of an empty collection")
+    common = set.intersection(*(set(v) for v in vectors))
+    return {d: min(v[d] for v in vectors) for d in sorted(common)}
+
+
+def big_g(n, pclass):
+    """G(n,x) as {d: exponent of Phi_2d}: the min-exponent gcd of every cofactor den*/sp(lambda)."""
+    parts = [i for i in range(1, n + 1) if pclass.allows(i)]
+    cofactors = []
+    for p in filtered_partitions(n, pclass.allows):
+        m = Counter(p)
+        cofactors.append({i: n // i - m[i] for i in parts})
+    return min_exponents(cofactors)

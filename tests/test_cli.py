@@ -118,6 +118,27 @@ def test_verify_all_small(capsys):
     assert ids == ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "lemma4"]
 
 
+@pytest.mark.parametrize("cid", ["5", "6", "7"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_single_conjecture_below_its_lowest_n_exits_2(capsys, cid, fmt):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--conjecture", cid, "--max-n", "1", "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--conjecture {cid} needs --max-n >= 2" in captured.err
+
+
+def test_all_below_a_lowest_n_warns_and_skips(capsys, caplog):
+    with caplog.at_level("WARNING", logger="subsum"):
+        code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "1", "--format", "json"])
+    assert code == 0
+    ids = [r["conjecture"] for r in json.loads(out)]
+    assert ids == ["1", "2", "3", "4", "8", "9", "10", "lemma4"]
+    skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert skipped == [f"skipping conjecture {cid}: needs max-n >= 2" for cid in ("5", "6", "7")]
+
+
 def test_table_t(capsys):
     code, out = run(capsys, ["table", "--sequence", "t", "--max-n", "4"])
     assert code == 0

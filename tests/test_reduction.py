@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsum import cyclotomic, intpoly, reduction
-from subsum.partitions import PartitionClass, enumerate_partitions, multiplicities
+from subsum.partitions import PartitionClass, allowed_parts, enumerate_partitions, multiplicities
 from subsum.reduction import InvalidPartitionError, PoleAtX0Error
 
 import oracles
@@ -72,13 +72,6 @@ def test_h_times_spol_is_den_star():
                 assert intpoly.mul(h, reduction.spol(p)) == star
 
 
-def test_g_exponent_ordinary_examples():
-    assert reduction.g_exponent_ordinary(4, 1) == 1
-    assert reduction.g_exponent_ordinary(10, 1) == 7
-    assert reduction.g_exponent_ordinary(9, 3) == 1
-    assert reduction.g_exponent_ordinary(7, 3) == 0  # 3d > 7
-
-
 def test_big_g_examples():
     assert reduction.big_g(4, ORD) == {1: 1}
     for n in range(0, 33):
@@ -90,10 +83,16 @@ def test_big_g_examples():
 def test_big_g_closed_form_matches_oracle():
     for pclass, top in ((ORD, 14), (ODD, 14), (BIN, 16), (TER, 18)):
         for n in range(1, top + 1):
-            assert reduction.big_g(n, pclass) == reduction.big_g(n, pclass, engine="oracle"), (
-                pclass,
-                n,
-            )
+            assert reduction.big_g(n, pclass) == oracles.big_g(n, pclass), (pclass, n)
+
+
+def test_den_is_floor_n_over_d_at_every_allowed_d():
+    # den = prod Phi_2d^floor(n/d) over allowed d <= n, and G is the rest of den*.
+    for pclass in CLASSES:
+        for n in range(1, 25):
+            expected = {d: n // d for d in allowed_parts(pclass, n)}
+            assert reduction.reduced_pair(n, pclass).den_cyclo == expected, (pclass, n)
+            assert reduction.big_g(n, pclass) == oracles.big_g(n, pclass), (pclass, n)
 
 
 def test_big_g_n4_matches_brute_force_polynomial_gcd():
