@@ -50,9 +50,7 @@ from fractions import Fraction
 
 from subsum import intpoly
 
-via_pair = intpoly.eval_at_rational(rp.num, Fraction(2)) / intpoly.eval_at_rational(
-    rp.den_expanded(), Fraction(2)
-)
+via_pair = intpoly.eval_at_int(rp.num, Fraction(2)) / intpoly.eval_at_int(rp.den_expanded(), Fraction(2))
 print(f"  direct reciprocal sum: {direct}")
 print(f"  num(2)/den(2):         {via_pair}")
 assert direct == via_pair

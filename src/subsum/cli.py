@@ -1,8 +1,8 @@
 """Command-line front end: compute objects, run verifications, emit tables.
 
 `verify` takes its conjecture ids from `verify.CONJECTURES` and runs
-each through `verify.run`; `compute` applies `--engine` through
-`verify.with_engine`.
+each through `verify.run`.  Both commands pass `--engine` straight
+through to `reduction.num_star`, the one place it is applied.
 
 Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             parser.error(f"--conjecture {args.conjecture} needs --max-n >= {lowest}")
     try:
         return args.func(args)
-    except verify.EngineMismatchError as exc:
+    except reduction.EngineMismatchError as exc:
         print(f"engine disagreement: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
@@ -188,11 +188,11 @@ def cmd_compute(args) -> int:
         }
 
     if what in ("num", "den", "g"):
-        rp = verify.with_engine(reduction.reduced_pair, n, pclass, args.engine)
+        rp = reduction.reduced_pair(n, pclass, args.engine)
     if what == "num":
         record = poly_record(rp.num, "num")
     elif what == "num-star":
-        record = poly_record(verify.with_engine(reduction.num_star, n, pclass, args.engine), "num-star")
+        record = poly_record(reduction.num_star(n, pclass, args.engine), "num-star")
     elif what in ("den", "g"):
         exps = rp.den_cyclo if what == "den" else rp.g_cyclo
         if args.expand:
@@ -200,7 +200,7 @@ def cmd_compute(args) -> int:
         else:
             record = factored_record("cyclotomic", exps, what)
     elif what == "den-star":
-        exps = reduction.den_star(n, pclass) if n >= 1 else {}
+        exps = reduction.den_star(n, pclass)
         if args.expand:
             record = poly_record(cyclotomic.expand_binomials(exps), "den-star")
         else:

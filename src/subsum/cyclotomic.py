@@ -42,13 +42,6 @@ def phi(m: int) -> IntPoly:
     return num
 
 
-def binomial_cyclo_divides(d: int, i: int) -> bool:
-    """Whether Phi_{2d} divides 1 + x^i (then always with multiplicity 1)."""
-    if d < 1 or i < 1:
-        raise ValueError("d and i must be >= 1")
-    return i % d == 0 and (i // d) % 2 == 1
-
-
 def phi_at_one(m: int) -> int:
     """Phi_m(1): p when m is a power of the prime p, else 1."""
     if m <= 1:
@@ -127,7 +120,6 @@ def cyclo_degree(c: CycloExponents) -> int:
     return sum(e * _totient(2 * d) for d, e in c.items())
 
 
-@lru_cache(maxsize=None)
 def _totient(m: int) -> int:
     out = m
     for p in intpoly._prime_divisors(m):

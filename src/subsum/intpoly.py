@@ -154,16 +154,9 @@ def power(a: Sequence[int], e: int) -> IntPoly:
     return result
 
 
-def eval_at_int(a: Sequence[int], x0: int) -> int:
-    """Exact Horner evaluation."""
+def eval_at_int(a: Sequence[int], x0: int | Fraction) -> int | Fraction:
+    """Exact Horner evaluation; at a Fraction x0 the value is a Fraction."""
     acc = 0
-    for c in reversed(a):
-        acc = acc * x0 + c
-    return acc
-
-
-def eval_at_rational(a: Sequence[int], x0: Fraction) -> Fraction:
-    acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x0 + c
     return acc
@@ -296,7 +289,8 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
     if _gf_powmod(x, p**k, f, inv, p) != x:
         return IrreducibilityStatus.REDUCIBLE
     for q in _prime_divisors(k):
-        w = _gf_sub(_gf_powmod(x, p ** (k // q), f, inv, p), x, p)
+        # Both terms lie in [0, p), so the difference has no trailing zero mod p.
+        w = [c % p for c in sub(_gf_powmod(x, p ** (k // q), f, inv, p), x)]
         if len(_gf_gcd(w, f, p)) != 1:
             return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.IRREDUCIBLE
@@ -389,15 +383,6 @@ def _gf_powmod(a: Sequence[int], e: int, f: Sequence[int], inv: Sequence[int], p
         base = _gf_rem(mul(base, base), f, inv, p)
         e >>= 1
     return result
-
-
-def _gf_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for k, c in enumerate(a):
-        out[k] = c
-    for k, c in enumerate(b):
-        out[k] = (out[k] - c) % p
-    return _gf_trim(out)
 
 
 def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator
 
 Partition = tuple[int, ...]
 
@@ -38,9 +38,9 @@ class PartitionClass(Enum):
 
 
 def allowed_parts(pclass: PartitionClass, n: int) -> list[int]:
-    """All parts of `pclass` that are <= n, ascending."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """All parts of `pclass` that are <= n, ascending; none for n = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return [part for part in range(1, n + 1) if pclass.allows(part)]
 
 
@@ -52,11 +52,6 @@ def enumerate_partitions(n: int, pclass: PartitionClass) -> Iterator[Partition]:
     partition.  Restricted classes recurse over their own allowed-part
     list rather than filtering the ordinary stream.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ()
-        return
     parts_desc = allowed_parts(pclass, n)[::-1]
     yield from _descend(n, parts_desc, 0)
 
@@ -78,14 +73,6 @@ def multiplicities(p: Partition) -> dict[int, int]:
     return dict(Counter(p))
 
 
-def from_multiplicities(m: Mapping[int, int]) -> Partition:
-    """Inverse of `multiplicities`."""
-    parts: list[int] = []
-    for part in sorted(m, reverse=True):
-        parts.extend([part] * m[part])
-    return tuple(parts)
-
-
 def count(n: int, pclass: PartitionClass) -> int:
     """Number of partitions `enumerate_partitions(n, pclass)` yields.
 
@@ -93,10 +80,6 @@ def count(n: int, pclass: PartitionClass) -> int:
     parts, not by enumeration, so it is cheap enough for progress
     reporting at any desk-scale n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
     table = [1] + [0] * n
     for part in allowed_parts(pclass, n):
         for r in range(part, n + 1):

@@ -27,10 +27,15 @@ d*j with j odd is allowed only when d is, so for any other d no
 sp(lambda) holds Phi_{2d} and den_d = 0.  G is den* in cyclotomic exponents minus den; no gcd is
 ever taken.
 
+n = 0 is no special case: it has no allowed parts and one partition,
+the empty one, so den* = num* = G = 1 follow from the empty products.
+
 Two interchangeable engines accumulate num*: a dynamic program over the
 allowed parts (production) and a streaming fold over the enumerated
 partitions (oracle).  Integer addition is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
+`num_star` is the one place the engine is applied; engine "both" builds
+num* with each and raises EngineMismatchError unless they agree.
 """
 
 from __future__ import annotations
@@ -59,18 +64,17 @@ class PoleAtX0Error(ZeroDivisionError):
     """Some subsum polynomial vanishes at the evaluation point."""
 
 
+class EngineMismatchError(AssertionError):
+    """The DP and streaming accumulation engines disagree."""
+
+
 def spol(p: Partition) -> IntPoly:
     """Subsum polynomial prod_j (1 + x^(lambda_j)); 1 for the empty partition."""
-    result = intpoly.ONE
-    for part, m in multiplicities(p).items():
-        result = intpoly.mul(result, cyclotomic.binomial_power(part, m))
-    return result
+    return cyclotomic.expand_binomials(multiplicities(p))
 
 
 def den_star(n: int, pclass: PartitionClass) -> dict[int, int]:
-    """Unreduced common denominator as a binomial product {i: floor(n/i)}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Unreduced common denominator as a binomial product {i: floor(n/i)}; {} for n = 0."""
     return {i: n // i for i in allowed_parts(pclass, n)}
 
 
@@ -104,24 +108,25 @@ def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
     den*_d otherwise (see the module docstring), which is den* in
     cyclotomic exponents minus den* read as a cyclotomic exponent vector.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return {}
     star = den_star(n, pclass)
     return cyclotomic.sub_exponents(cyclotomic.to_cyclo_exponents(star), star)
 
 
 def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
-    """Unreduced numerator sum of the cofactors h_lambda."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return intpoly.ONE
+    """Unreduced numerator sum of the cofactors h_lambda.
+
+    engine is "dp", "enumerate" or "both"; "both" builds num* with each,
+    raises EngineMismatchError unless they agree and returns the dp result.
+    """
     if engine == "dp":
         return _num_star_dp(n, pclass)
     if engine == "enumerate":
         return _num_star_enumerate(n, pclass)
+    if engine == "both":
+        via_dp = _num_star_dp(n, pclass)
+        if via_dp != _num_star_enumerate(n, pclass):
+            raise EngineMismatchError(f"num* engines disagree at n={n}, {pclass.value}")
+        return via_dp
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -132,26 +137,23 @@ def _num_star_dp(n: int, pclass: PartitionClass) -> IntPoly:
     prod (1+x^i)^(e_i - m_i) over multiplicity choices for the parts
     seen so far with total weight r.  A part of size i at multiplicity
     m contributes the factor (1+x^i)^(e_i - m), including m = 0, so the
-    untouched-part case needs no special handling.  After all parts,
-    table[n] is num*.
+    untouched-part case needs no special handling.  Every class allows
+    the part 1, and it comes first: with it alone, weight r is r ones, so
+    table[r] starts as (1+x)^(n-r) and no cell is ever empty.  After all
+    parts, table[n] is num*.
     """
-    table: list[IntPoly | None] = [intpoly.ONE] + [None] * n
-    for i in allowed_parts(pclass, n):
+    table = [cyclotomic.binomial_power(1, n - r) for r in range(n + 1)]
+    for i in allowed_parts(pclass, n)[1:]:
         cap = n // i
-        new: list[IntPoly | None] = [None] * (n + 1)
+        new = []
         for r in range(n + 1):
-            acc: IntPoly | None = None
-            for m in range(0, min(cap, r // i) + 1):
-                prev = table[r - i * m]
-                if prev is None:
-                    continue
-                term = intpoly.mul(cyclotomic.binomial_power(i, cap - m), prev)
-                acc = term if acc is None else intpoly.add(acc, term)
-            new[r] = acc
+            acc = intpoly.mul(cyclotomic.binomial_power(i, cap), table[r])
+            for m in range(1, r // i + 1):  # r <= n, so m <= cap
+                term = intpoly.mul(cyclotomic.binomial_power(i, cap - m), table[r - i * m])
+                acc = intpoly.add(acc, term)
+            new.append(acc)
         table = new
-    result = table[n]
-    assert result is not None  # part 1 is allowed in every class
-    return result
+    return table[n]
 
 
 def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
@@ -189,7 +191,7 @@ class ReducedPair:
 
 # Lemma 4 at n reads the pairs at n and at every n mod d, all at most n:
 # n + 1 pairs per class and engine.  256 entries hold that working set up
-# to n = 127 with both engines, far beyond the n a pair can be built at.
+# to n = 127 for two engines, far beyond the n a pair can be built at.
 _PAIR_CACHE_SIZE = 256
 
 
@@ -198,8 +200,7 @@ def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedP
 
     num = num*/expand(G) by exact division (a nonzero remainder would be
     a pipeline bug and raises), den = prod Phi_{2d}^floor(n/d) over the
-    allowed d <= n.
-    n = 0 returns the identity pair num 1, den 1, G 1.
+    allowed d <= n; n = 0 gives num 1, den 1, G 1.
 
     Pairs are cached in an LRU cache of 256 entries keyed on
     (n, pclass, engine), so every call form shares one entry;
@@ -210,10 +211,6 @@ def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedP
 
 def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
     """`reduced_pair` without the cache."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ReducedPair(0, pclass, intpoly.ONE, {}, {})
     g = big_g(n, pclass)
     num = intpoly.exact_div(num_star(n, pclass, engine), cyclotomic.expand_cyclotomics(g))
     # den is den* read as Phi_{2d} exponents (module docstring).
@@ -252,6 +249,4 @@ def t_direct(n: int) -> int:
 
     t(0) = 1 by the empty-partition convention.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return sum(1 << (n - len(p)) for p in enumerate_partitions(n, PartitionClass.TERNARY))

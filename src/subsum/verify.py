@@ -15,8 +15,10 @@ unexpected violation would be a publishable finding and lands in the
 failures list with full reproduction data; neither outcome gates the
 build.
 
-`with_engine` is the one place the accumulation engine is chosen:
-every reduced pair a check reads is built through it.
+Every check passes its engine straight to `reduction.reduced_pair`, so
+`reduction.num_star` is the one place the accumulation engine is
+applied; under engine "both" it raises EngineMismatchError, which `run`
+records as a failure.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -42,10 +44,6 @@ FAILURES_FOUND = "FailuresFound"
 WITNESS_ONLY = "WitnessOnly"
 
 ORDINARY = PartitionClass.ORDINARY
-
-
-class EngineMismatchError(AssertionError):
-    """The DP and streaming accumulation engines disagree."""
 
 
 @dataclass
@@ -83,47 +81,12 @@ def legendre_valuation(p: int, n: int) -> int:
 
 
 def odd_factorial_part(n: int) -> int:
-    """o(n!) as the product over odd primes p <= n of p^v_p(n!).
-
-    Built from valuations, never by expanding n!, so it stays cheap far
-    past the polynomial pipeline's range.
-    """
-    out = 1
-    for p in _primes_upto(n):
-        if p > 2:
-            out *= p ** legendre_valuation(p, n)
-    return out
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = b"\x00" * len(range(start, n + 1, p))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def with_engine(build, n: int, pclass: PartitionClass, engine: str):
-    """build(n, pclass, engine) under the chosen accumulation engine.
-
-    `build` is `reduction.reduced_pair` or `reduction.num_star`.  Engine
-    "both" builds with "dp" and "enumerate", raises EngineMismatchError
-    unless the two agree, and returns the dp result.
-    """
-    if engine != "both":
-        return build(n, pclass, engine)
-    via_dp = build(n, pclass, "dp")
-    if via_dp != build(n, pclass, "enumerate"):
-        raise EngineMismatchError(f"num* engines disagree at n={n}, {pclass.value}")
-    return via_dp
+    """o(n!), the odd part of n!."""
+    return odd_part(math.factorial(n))
 
 
 def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
-    return with_engine(reduction.reduced_pair, n, pclass, engine).num
+    return reduction.reduced_pair(n, pclass, engine).num
 
 
 # Per-n checks: check(n, pclass, engine) -> (failures, witnesses).  They
@@ -134,7 +97,7 @@ def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
 
 def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1."""
-    rp = with_engine(reduction.reduced_pair, n, pclass, engine)
+    rp = reduction.reduced_pair(n, pclass, engine)
     failures = []
     d_checked = sorted(rp.den_cyclo)
     for d in d_checked:
@@ -292,7 +255,7 @@ DEN_LOG_CONCAVE_EXCEPTIONS = frozenset({3, 5, 6, 7})
 
 def _den_lc_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: den is log-concave with failure set exactly {3,5,6,7}."""
-    den = with_engine(reduction.reduced_pair, n, pclass, engine).den_expanded()
+    den = reduction.reduced_pair(n, pclass, engine).den_expanded()
     ok, idx = intpoly.is_log_concave(den)
     expected_failure = n in DEN_LOG_CONCAVE_EXCEPTIONS
     if ok and not expected_failure:
@@ -492,7 +455,7 @@ def _guarded(check, pclass: PartitionClass, engine: str, n: int) -> tuple[list[d
     # report and the CLI exit code must carry it, and the sweep goes on.
     try:
         return check(n, pclass, engine)
-    except EngineMismatchError as exc:
+    except reduction.EngineMismatchError as exc:
         return [{"n": n, "kind": "engine-mismatch", "detail": str(exc)}], []
 
 

@@ -217,8 +217,6 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
 
     def corrupted(n, pclass):
         star = real_dp(n, pclass)
-        # G(2,x) = 1, so the corrupted num* still divides exactly and the
-        # run reaches the comparison of the two engines.
         return intpoly.add(star, (1,)) if n == 2 else star
 
     monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
@@ -232,6 +230,29 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
     assert "internal error" not in captured.err
     record = json.loads(captured.out)
     assert [f["n"] for f in record["failures"] if f.get("kind") == "engine-mismatch"] == [2]
+
+
+@pytest.mark.parametrize("engine", ["_num_star_dp", "_num_star_enumerate"])
+@pytest.mark.parametrize("what", ["num", "num-star"])
+def test_compute_engine_disagreement_exits_1(capsys, monkeypatch, what, engine):
+    real = getattr(reduction, engine)
+
+    def corrupted(n, pclass):
+        # G(3,x) = 1 + x does not divide the corrupted num*, so only a
+        # comparison made before that division reports the disagreement.
+        star = real(n, pclass)
+        return intpoly.add(star, (1,)) if n == 3 else star
+
+    monkeypatch.setattr(reduction, engine, corrupted)
+    reduction.reduced_pair.cache_clear()
+    try:
+        code = cli.main(["compute", "--class", "ordinary", "--n", "3", "--what", what, "--engine", "both"])
+    finally:
+        reduction.reduced_pair.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "engine disagreement: num* engines disagree at n=3, ordinary" in captured.err
 
 
 def test_engine_both_clean_run(capsys):
@@ -346,7 +367,6 @@ def test_engine_both_checks_conjecture1(capsys, monkeypatch):
 
     def corrupted(n, pclass):
         star = real_enum(n, pclass)
-        # G(2,x) = 1, so the corrupted num* still divides exactly.
         return intpoly.add(star, (1,)) if n == 2 else star
 
     monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
@@ -372,4 +392,4 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
     reduction.reduced_pair.cache_clear()
     code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
     assert code == 0
-    assert sorted(calls) == list(range(1, 9))
+    assert sorted(calls) == list(range(0, 9))

@@ -38,16 +38,18 @@ def test_phi_monic_with_totient_degree():
     [(2, 6, True), (2, 2, True), (2, 4, False), (1, 3, True), (3, 3, True), (3, 6, False)],
 )
 def test_binomial_cyclo_divides_examples(d, i, expected):
-    assert cyclotomic.binomial_cyclo_divides(d, i) is expected
+    # Phi_2d divides 1 + x^i exactly when i/d is an odd integer, and then once.
+    assert cyclotomic.to_cyclo_exponents({i: 1}).get(d) == (1 if expected else None)
 
 
 def test_binomial_cyclo_divides_matches_remainders():
-    for d in range(1, 21):
-        for i in range(1, 21):
-            says = cyclotomic.binomial_cyclo_divides(d, i)
+    for i in range(1, 21):
+        factors = cyclotomic.to_cyclo_exponents({i: 1})
+        for d in range(1, 21):
             rem = intpoly.remainder_mod_monic(intpoly.binomial(i), cyclotomic.phi(2 * d))
-            assert says == (rem == ()), (d, i)
-            if says:
+            assert (d in factors) == (rem == ()), (d, i)
+            if d in factors:
+                assert factors[d] == 1, (d, i)
                 # multiplicity exactly one: the quotient is no longer divisible
                 q = intpoly.exact_div(intpoly.binomial(i), cyclotomic.phi(2 * d))
                 assert intpoly.remainder_mod_monic(q, cyclotomic.phi(2 * d)) != ()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsum import cyclotomic, intpoly, reduction
-from subsum.partitions import PartitionClass, allowed_parts, enumerate_partitions, multiplicities
+from subsum.partitions import PartitionClass, allowed_parts, count, enumerate_partitions, multiplicities
 from subsum.reduction import InvalidPartitionError, PoleAtX0Error
 
 import oracles
@@ -80,10 +80,20 @@ def test_big_g_examples():
     assert reduction.big_g(0, ORD) == {}
 
 
-def test_big_g_closed_form_matches_oracle():
-    for pclass, top in ((ORD, 14), (ODD, 14), (BIN, 16), (TER, 18)):
-        for n in range(1, top + 1):
-            assert reduction.big_g(n, pclass) == oracles.big_g(n, pclass), (pclass, n)
+def test_n0_is_the_empty_partition_in_every_layer():
+    # n = 0 has no allowed parts and one partition, the empty one, so every
+    # object built from it is an empty product.
+    for pclass in CLASSES:
+        assert allowed_parts(pclass, 0) == []
+        assert list(enumerate_partitions(0, pclass)) == [()]
+        assert count(0, pclass) == 1
+        assert reduction.den_star(0, pclass) == {}
+        assert reduction.big_g(0, pclass) == {}
+        for engine in ("dp", "enumerate", "both"):
+            assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
+            rp = reduction.reduced_pair(0, pclass, engine)
+            assert (rp.num, rp.den_cyclo, rp.g_cyclo) == ((1,), {}, {}), (pclass, engine)
+    assert reduction.t_direct(0) == 1
 
 
 def test_den_is_floor_n_over_d_at_every_allowed_d():
@@ -179,12 +189,11 @@ def test_reconstruction_identities():
             rp = reduction.reduced_pair(n, pclass)
             star = reduction.num_star(n, pclass)
             assert intpoly.mul(rp.g_expanded(), rp.num) == star
-            if n >= 1:
-                den_star_cyclo = cyclotomic.to_cyclo_exponents(reduction.den_star(n, pclass))
-                merged = dict(rp.den_cyclo)
-                for d, e in rp.g_cyclo.items():
-                    merged[d] = merged.get(d, 0) + e
-                assert merged == den_star_cyclo
+            den_star_cyclo = cyclotomic.to_cyclo_exponents(reduction.den_star(n, pclass))
+            merged = dict(rp.den_cyclo)
+            for d, e in rp.g_cyclo.items():
+                merged[d] = merged.get(d, 0) + e
+            assert merged == den_star_cyclo
 
 
 def test_num_positive_ends():
@@ -222,9 +231,7 @@ def test_sr_eval_matches_reduced_pair():
             den = rp.den_expanded()
             for x0 in (2, -2, Fraction(1, 2), 3):
                 direct = reduction.sr_eval_rational(n, pclass, x0)
-                via_pair = intpoly.eval_at_rational(rp.num, Fraction(x0)) / intpoly.eval_at_rational(
-                    den, Fraction(x0)
-                )
+                via_pair = intpoly.eval_at_int(rp.num, Fraction(x0)) / intpoly.eval_at_int(den, Fraction(x0))
                 assert direct == via_pair, (pclass, n, x0)
 
 

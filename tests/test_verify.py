@@ -185,16 +185,20 @@ def test_engine_both_agreement():
 
 
 def test_engine_mismatch_recorded(monkeypatch):
-    real = reduction._reduced_pair
+    real = reduction._num_star_enumerate
 
-    def corrupted(n, pclass, engine="dp"):
-        rp = real(n, pclass, engine)
-        if engine == "enumerate" and n == 3:
-            return reduction.ReducedPair(n, pclass, intpoly.add(rp.num, (1,)), rp.den_cyclo, rp.g_cyclo)
-        return rp
+    def corrupted(n, pclass):
+        # G(3,x) = 1 + x does not divide the corrupted num*; the engines
+        # are compared before that division, so the mismatch is what is seen.
+        star = real(n, pclass)
+        return intpoly.add(star, (1,)) if n == 3 else star
 
-    monkeypatch.setattr(reduction, "reduced_pair", corrupted)
-    report = run_one("2", 4, engine="both")
+    monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
+    reduction.reduced_pair.cache_clear()
+    try:
+        report = run_one("2", 4, engine="both")
+    finally:
+        reduction.reduced_pair.cache_clear()
     assert report.has_engine_mismatch()
     assert any(f.get("n") == 3 for f in report.failures)
 
