@@ -7,7 +7,10 @@ divisor of the summands leaves the reduced pair num(4,x)/den(4,x),
 which turns out to be in lowest terms already.
 """
 
-from subsum import cyclotomic, reduction
+import math
+from fractions import Fraction
+
+from subsum import cyclotomic, intpoly, reduction
 from subsum.cli import format_poly
 from subsum.partitions import PartitionClass, enumerate_partitions, multiplicities
 
@@ -40,17 +43,15 @@ print(f"  cyclotomic exponents: {g}  (d -> exponent of Phi_2d)")
 print(f"  expanded: {format_poly(cyclotomic.expand_cyclotomics(g))}")
 
 show("The reduced pair")
-rp = reduction.reduced_pair(4, ORD)
-print(f"  num(4,x) = {format_poly(rp.num)}")
-print(f"  den(4,x) = {format_poly(rp.den_expanded())}")
+num = reduction.reduced_pair(4, ORD).num
+den = cyclotomic.expand_cyclotomics(reduction.den(4, ORD))
+print(f"  num(4,x) = {format_poly(num)}")
+print(f"  den(4,x) = {format_poly(den)}")
 
 show("Cross-check: the sum of reciprocals at x = 2, both ways")
-direct = reduction.sr_eval_rational(4, ORD, 2)
-from fractions import Fraction
-
-from subsum import intpoly
-
-via_pair = intpoly.eval_at_int(rp.num, Fraction(2)) / intpoly.eval_at_int(rp.den_expanded(), Fraction(2))
+x0 = Fraction(2)
+direct = sum(1 / math.prod(1 + x0**part for part in p) for p in enumerate_partitions(4, ORD))
+via_pair = intpoly.eval_at_int(num, x0) / intpoly.eval_at_int(den, x0)
 print(f"  direct reciprocal sum: {direct}")
 print(f"  num(2)/den(2):         {via_pair}")
 assert direct == via_pair

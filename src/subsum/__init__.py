@@ -12,19 +12,18 @@ from .partitions import (
     Partition,
     PartitionClass,
     allowed_parts,
-    count,
     enumerate_partitions,
     multiplicities,
 )
 from .reduction import (
     ReducedPair,
     big_g,
+    den,
     den_star,
     h_factored,
     num_star,
     reduced_pair,
     spol,
-    sr_eval_rational,
     t_direct,
 )
 from .verify import ConjectureReport, legendre_valuation, odd_part
@@ -40,7 +39,7 @@ __all__ = [
     "ReducedPair",
     "allowed_parts",
     "big_g",
-    "count",
+    "den",
     "den_star",
     "enumerate_partitions",
     "h_factored",
@@ -50,7 +49,6 @@ __all__ = [
     "odd_part",
     "reduced_pair",
     "spol",
-    "sr_eval_rational",
     "t_direct",
     "__version__",
 ]

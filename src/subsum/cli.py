@@ -1,8 +1,10 @@
 """Command-line front end: compute objects, run verifications, emit tables.
 
 `verify` takes its conjecture ids from `verify.CONJECTURES` and runs
-each through `verify.run`.  Both commands pass `--engine` straight
-through to `reduction.num_star`, the one place it is applied.
+each through `verify.run`.  Both commands pass `--engine` (`dp` or
+`both`) straight through to `reduction.num_star`, the one place it is
+applied, wherever num* is built; den and G are read from (n, class)
+and build no num*.
 
 Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the
@@ -29,7 +31,7 @@ from .partitions import PartitionClass, enumerate_partitions
 log = logging.getLogger("subsum")
 
 _CLASSES = [c.value for c in PartitionClass]
-_ENGINES = ["dp", "enumerate", "both"]
+_ENGINES = ["dp", "both"]
 
 
 def _int_at_least(lowest: int):
@@ -187,14 +189,12 @@ def cmd_compute(args) -> int:
             "factors": [[i, e] for i, e in factors],
         }
 
-    if what in ("num", "den", "g"):
-        rp = reduction.reduced_pair(n, pclass, args.engine)
     if what == "num":
-        record = poly_record(rp.num, "num")
+        record = poly_record(reduction.reduced_pair(n, pclass, args.engine).num, "num")
     elif what == "num-star":
         record = poly_record(reduction.num_star(n, pclass, args.engine), "num-star")
     elif what in ("den", "g"):
-        exps = rp.den_cyclo if what == "den" else rp.g_cyclo
+        exps = reduction.den(n, pclass) if what == "den" else reduction.big_g(n, pclass)
         if args.expand:
             record = poly_record(cyclotomic.expand_cyclotomics(exps), what)
         else:

@@ -254,13 +254,6 @@ def is_log_concave(a: Sequence[int]) -> tuple[bool, int | None]:
     return True, None
 
 
-def even_odd_split(a: Sequence[int]) -> tuple[IntPoly, IntPoly]:
-    """Split into even-exponent and odd-exponent parts; they sum back to a."""
-    even = [c if k % 2 == 0 else 0 for k, c in enumerate(a)]
-    odd = [c if k % 2 == 1 else 0 for k, c in enumerate(a)]
-    return normalize(even), normalize(odd)
-
-
 class IrreducibilityStatus(Enum):
     IRREDUCIBLE = "irreducible"
     REDUCIBLE = "reducible"
@@ -289,9 +282,8 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
     if _gf_powmod(x, p**k, f, inv, p) != x:
         return IrreducibilityStatus.REDUCIBLE
     for q in _prime_divisors(k):
-        # Both terms lie in [0, p), so the difference has no trailing zero mod p.
-        w = [c % p for c in sub(_gf_powmod(x, p ** (k // q), f, inv, p), x)]
-        if len(_gf_gcd(w, f, p)) != 1:
+        # `_gf_gcd` reduces the integer difference mod p.
+        if len(_gf_gcd(sub(_gf_powmod(x, p ** (k // q), f, inv, p), x), f, p)) != 1:
             return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.IRREDUCIBLE
 
@@ -311,7 +303,8 @@ def _prime_divisors(k: int) -> list[int]:
 
 
 # Minimal GF(p)[x] kit for the Rabin test: lists of ints in [0, p),
-# trailing zeros stripped, [] the zero polynomial.
+# trailing zeros stripped, [] the zero polynomial.  `_gf_mod`, and so
+# `_gf_gcd`, also take any integer list and reduce it mod p first.
 
 
 def _gf_trim(a: list[int]) -> list[int]:

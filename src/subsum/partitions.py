@@ -71,17 +71,3 @@ def _descend(remaining: int, parts_desc: list[int], idx: int) -> Iterator[Partit
 def multiplicities(p: Partition) -> dict[int, int]:
     """Map each part to its multiplicity; no zero entries."""
     return dict(Counter(p))
-
-
-def count(n: int, pclass: PartitionClass) -> int:
-    """Number of partitions `enumerate_partitions(n, pclass)` yields.
-
-    Computed by the standard coin-counting recurrence over the allowed
-    parts, not by enumeration, so it is cheap enough for progress
-    reporting at any desk-scale n.
-    """
-    table = [1] + [0] * n
-    for part in allowed_parts(pclass, n):
-        for r in range(part, n + 1):
-            table[r] += table[r - part]
-    return table[n]

@@ -30,18 +30,19 @@ ever taken.
 n = 0 is no special case: it has no allowed parts and one partition,
 the empty one, so den* = num* = G = 1 follow from the empty products.
 
-Two interchangeable engines accumulate num*: a dynamic program over the
+den and G are functions of (n, class) alone (`den`, `big_g`); only num
+needs num*.  Two accumulations of num* exist: a dynamic program over the
 allowed parts (production) and a streaming fold over the enumerated
-partitions (oracle).  Integer addition is exact, so both are
+partitions (the oracle).  Integer addition is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
-`num_star` is the one place the engine is applied; engine "both" builds
-num* with each and raises EngineMismatchError unless they agree.
+`num_star` is the one place the engine is applied, wherever num* is
+built: engine "dp" runs the dynamic program, and engine "both" runs
+both accumulations and raises EngineMismatchError unless they agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -58,10 +59,6 @@ from .partitions import (
 
 class InvalidPartitionError(ValueError):
     """The multiplicity map is not a class-valid partition of n."""
-
-
-class PoleAtX0Error(ZeroDivisionError):
-    """Some subsum polynomial vanishes at the evaluation point."""
 
 
 class EngineMismatchError(AssertionError):
@@ -101,6 +98,15 @@ def h_factored(n: int, pclass: PartitionClass, m: Mapping[int, int]) -> dict[int
     return out
 
 
+def den(n: int, pclass: PartitionClass) -> dict[int, int]:
+    """Reduced denominator as a cyclotomic exponent vector {d: floor(n/d)}.
+
+    den = prod Phi_{2d}^floor(n/d) over the allowed d <= n: den* with each
+    1+x^i read as Phi_{2i} (see the module docstring).  It needs no num*.
+    """
+    return den_star(n, pclass)
+
+
 def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
     """Common divisor of all cofactors, as a cyclotomic exponent vector.
 
@@ -115,13 +121,12 @@ def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
 def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
     """Unreduced numerator sum of the cofactors h_lambda.
 
-    engine is "dp", "enumerate" or "both"; "both" builds num* with each,
-    raises EngineMismatchError unless they agree and returns the dp result.
+    engine is "dp" or "both"; "both" also builds num* by the streaming
+    fold, raises EngineMismatchError unless the two agree and returns the
+    dp result.
     """
     if engine == "dp":
         return _num_star_dp(n, pclass)
-    if engine == "enumerate":
-        return _num_star_enumerate(n, pclass)
     if engine == "both":
         via_dp = _num_star_dp(n, pclass)
         if via_dp != _num_star_enumerate(n, pclass):
@@ -157,7 +162,7 @@ def _num_star_dp(n: int, pclass: PartitionClass) -> IntPoly:
 
 
 def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
-    """Streaming fold over the partition stream; the oracle engine."""
+    """Streaming fold over the partition stream; the oracle behind engine "both"."""
     total = intpoly.ZERO
     for p in enumerate_partitions(n, pclass):
         h = h_factored(n, pclass, multiplicities(p))
@@ -167,26 +172,15 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
 
 @dataclass(frozen=True)
 class ReducedPair:
-    """num, den and G for one (n, class), den and G kept as Phi-products.
+    """num for one (n, class); den and G come from `den` and `big_g`.
 
-    Invariants: expand(g_cyclo) * num == num*, den_cyclo is
-    {d: floor(n/d)} over the allowed d <= n (den* read as Phi_{2d}
-    exponents), and g_cyclo + den_cyclo equals den* converted to
-    cyclotomic exponents.  Treat the mappings as read-only; instances
-    are shared through a cache.
+    Invariant: expand(big_g(n, pclass)) * num == num*.  Instances are
+    shared through a cache.
     """
 
     n: int
     pclass: PartitionClass
     num: IntPoly
-    den_cyclo: Mapping[int, int]
-    g_cyclo: Mapping[int, int]
-
-    def den_expanded(self) -> IntPoly:
-        return cyclotomic.expand_cyclotomics(self.den_cyclo)
-
-    def g_expanded(self) -> IntPoly:
-        return cyclotomic.expand_cyclotomics(self.g_cyclo)
 
 
 # Lemma 4 at n reads the pairs at n and at every n mod d, all at most n:
@@ -196,11 +190,10 @@ _PAIR_CACHE_SIZE = 256
 
 
 def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
-    """The reduced pair num/den with the summand gcd G cancelled.
+    """The numerator of the reduced pair, with the summand gcd G cancelled.
 
     num = num*/expand(G) by exact division (a nonzero remainder would be
-    a pipeline bug and raises), den = prod Phi_{2d}^floor(n/d) over the
-    allowed d <= n; n = 0 gives num 1, den 1, G 1.
+    a pipeline bug and raises); n = 0 gives num 1.  den is `den(n, pclass)`.
 
     Pairs are cached in an LRU cache of 256 entries keyed on
     (n, pclass, engine), so every call form shares one entry;
@@ -211,37 +204,13 @@ def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedP
 
 def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
     """`reduced_pair` without the cache."""
-    g = big_g(n, pclass)
-    num = intpoly.exact_div(num_star(n, pclass, engine), cyclotomic.expand_cyclotomics(g))
-    # den is den* read as Phi_{2d} exponents (module docstring).
-    return ReducedPair(n, pclass, num, den_star(n, pclass), g)
+    g = cyclotomic.expand_cyclotomics(big_g(n, pclass))
+    return ReducedPair(n, pclass, intpoly.exact_div(num_star(n, pclass, engine), g))
 
 
 _cached_pair = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_reduced_pair)
 reduced_pair.cache_info = _cached_pair.cache_info
 reduced_pair.cache_clear = _cached_pair.cache_clear
-
-
-def sr_eval_rational(n: int, pclass: PartitionClass, x0) -> Fraction:
-    """Exact value of sum over partitions of 1/sp(lambda, x0).
-
-    Independent of the polynomial pipeline: each sp(lambda, x0) is
-    evaluated as a Fraction and the reciprocals are summed directly.
-    Must equal num(x0)/den(x0) of the reduced pair.
-    """
-    x0 = Fraction(x0)
-    powers: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for p in enumerate_partitions(n, pclass):
-        value = Fraction(1)
-        for part, m in multiplicities(p).items():
-            if part not in powers:
-                powers[part] = 1 + x0**part
-            value *= powers[part] ** m
-        if value == 0:
-            raise PoleAtX0Error(f"sp({p}, {x0}) = 0")
-        total += 1 / value
-    return total
 
 
 def t_direct(n: int) -> int:

@@ -15,10 +15,11 @@ unexpected violation would be a publishable finding and lands in the
 failures list with full reproduction data; neither outcome gates the
 build.
 
-Every check passes its engine straight to `reduction.reduced_pair`, so
-`reduction.num_star` is the one place the accumulation engine is
-applied; under engine "both" it raises EngineMismatchError, which `run`
-records as a failure.
+Every check that builds num* passes its engine straight to
+`reduction.reduced_pair`, so `reduction.num_star` is the one place the
+accumulation engine is applied; under engine "both" it raises
+EngineMismatchError, which `run` records as a failure.  Checks that read
+only den (conjecture 4 and the den side of 2) build no num*.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -37,7 +38,7 @@ from typing import Callable
 
 from . import cyclotomic, intpoly, reduction
 from .intpoly import IrreducibilityStatus
-from .partitions import PartitionClass
+from .partitions import PartitionClass, allowed_parts
 
 ALL_HOLD = "AllHold"
 FAILURES_FOUND = "FailuresFound"
@@ -97,11 +98,12 @@ def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
 
 def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1."""
-    rp = reduction.reduced_pair(n, pclass, engine)
+    num = _num(n, pclass, engine)
+    den = reduction.den(n, pclass)
     failures = []
-    d_checked = sorted(rp.den_cyclo)
+    d_checked = sorted(den)
     for d in d_checked:
-        if not intpoly.remainder_mod_monic(rp.num, cyclotomic.phi(2 * d)):
+        if not intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d)):
             failures.append(
                 {
                     "n": n,
@@ -109,7 +111,7 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
                     "detail": f"Phi_{2 * d} divides num({n},x) but occurs in den({n},x)",
                 }
             )
-    expanded_den = rp.den_expanded()
+    expanded_den = cyclotomic.expand_cyclotomics(den)
     if intpoly.content(expanded_den) != 1:
         failures.append(
             {"n": n, "detail": f"den({n},x) has content {intpoly.content(expanded_den)} != 1"}
@@ -122,18 +124,15 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
 
 
 def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """No factor 1+x^(2^s) with 2^s <= n divides the binary numerator."""
+    """No factor 1+x^(2^s) = Phi_(2^(s+1)) with 2^s <= n divides the binary numerator."""
     num = _num(n, pclass, engine)
     failures = []
     s_checked = []
-    s = 0
-    while 2**s <= n:
+    for d in allowed_parts(pclass, n):
+        s = d.bit_length() - 1
         s_checked.append(s)
-        if not intpoly.remainder_mod_monic(num, intpoly.binomial(2**s)):
-            failures.append(
-                {"n": n, "s": s, "detail": f"(1+x^{2 ** s}) divides num_B({n},x)"}
-            )
-        s += 1
+        if not intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d)):
+            failures.append({"n": n, "s": s, "detail": f"(1+x^{d}) divides num_B({n},x)"})
     return failures, [{"n": n, "s_checked": s_checked}]
 
 
@@ -231,8 +230,7 @@ def _ternary_blocks(report: ConjectureReport, max_n: int) -> None:
 
 def _even_part_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: the even-exponent part of num stays unimodal."""
-    even, _ = intpoly.even_odd_split(_num(n, pclass, engine))
-    compressed = even[::2]
+    compressed = intpoly.normalize(_num(n, pclass, engine)[::2])
     if intpoly.is_unimodal(compressed):
         return [], [{"n": n, "unimodal": True}]
     return (
@@ -255,7 +253,7 @@ DEN_LOG_CONCAVE_EXCEPTIONS = frozenset({3, 5, 6, 7})
 
 def _den_lc_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: den is log-concave with failure set exactly {3,5,6,7}."""
-    den = reduction.reduced_pair(n, pclass, engine).den_expanded()
+    den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
     ok, idx = intpoly.is_log_concave(den)
     expected_failure = n in DEN_LOG_CONCAVE_EXCEPTIONS
     if ok and not expected_failure:
@@ -337,7 +335,7 @@ def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dic
 DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def irreducibility_witness(n: int, primes=DEFAULT_WITNESS_PRIMES, engine: str = "dp") -> dict:
+def irreducibility_witness(n: int, engine: str = "dp") -> dict:
     """Mod-p sufficient-condition witness for irreducibility of num(n,x).
 
     Reports the integer content, then tries each prime until one
@@ -351,7 +349,7 @@ def irreducibility_witness(n: int, primes=DEFAULT_WITNESS_PRIMES, engine: str = 
         record["verdict"] = "Inconclusive"
         record["detail"] = "degree <= 0"
         return record
-    for p in primes:
+    for p in DEFAULT_WITNESS_PRIMES:
         try:
             status = intpoly.irreducible_mod_p(num, p)
         except intpoly.BadPrimeError:

@@ -31,9 +31,8 @@ def _stamp(k, detail, started, budget):
 
 def test_criterion_01_golden_ordinary_n4():
     started = time.perf_counter()
-    rp = reduction.reduced_pair(4, ORD)
-    assert list(rp.num) == [5, 8, 15, 14, 24, 20, 24, 14, 15, 8, 5]
-    assert rp.g_expanded() == (1, 1)
+    assert list(reduction.reduced_pair(4, ORD).num) == [5, 8, 15, 14, 24, 20, 24, 14, 15, 8, 5]
+    assert cyclotomic.expand_cyclotomics(reduction.big_g(4, ORD)) == (1, 1)
     _stamp(1, "num(4,x) and G(4,x)=1+x exact", started, 1.0)
 
 
@@ -116,8 +115,8 @@ def test_criterion_08_oracle_equivalence():
             assert fast == brute, (pclass, n)
     for pclass in CLASSES:
         for n in range(0, 16):
-            assert reduction.num_star(n, pclass, "dp") == reduction.num_star(
-                n, pclass, "enumerate"
+            assert reduction.num_star(n, pclass, "dp") == reduction._num_star_enumerate(
+                n, pclass
             ), (pclass, n)
     _stamp(8, "closed-form G == min-exponent oracle; DP == streaming num*", started, 300.0)
 
@@ -127,11 +126,12 @@ def test_criterion_09_rational_cross_check():
     points = (Fraction(2), Fraction(-2), Fraction(1, 2))
     for pclass in CLASSES:
         for n in range(0, 13):
-            rp = reduction.reduced_pair(n, pclass)
-            den = rp.den_expanded()
+            num = reduction.reduced_pair(n, pclass).num
+            den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
+            parts = list(enumerate_partitions(n, pclass))
             for x0 in points:
-                direct = reduction.sr_eval_rational(n, pclass, x0)
-                via_pair = intpoly.eval_at_int(rp.num, x0) / intpoly.eval_at_int(den, x0)
+                direct = oracles.reciprocal_sum(parts, x0)
+                via_pair = intpoly.eval_at_int(num, x0) / intpoly.eval_at_int(den, x0)
                 assert direct == via_pair, (pclass, n, x0)
     _stamp(9, "sum of 1/sp == num/den at x0 in {2,-2,1/2} for n <= 12", started, 60.0)
 

@@ -174,6 +174,13 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "--class", "ordinary", "--n", "-3", "--what", "num"])
     assert exc.value.code == 2
+    # The streaming fold runs only as the reference of engine "both".
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--class", "ordinary", "--n", "4", "--what", "num", "--engine", "enumerate"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--conjecture", "2", "--max-n", "4", "--engine", "enumerate"])
+    assert exc.value.code == 2
 
 
 def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
@@ -182,9 +189,7 @@ def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
     def mutated(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
         if n == 3 and pclass is PartitionClass.ORDINARY:
-            return reduction.ReducedPair(
-                n, pclass, intpoly.mul(rp.num, (1, 1)), rp.den_cyclo, rp.g_cyclo
-            )
+            return reduction.ReducedPair(n, pclass, intpoly.mul(rp.num, (1, 1)))
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
@@ -201,7 +206,7 @@ def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
         rp = real(n, pclass, engine)
         if n == 2 and pclass is PartitionClass.ORDINARY:
             # force a fake non-unimodal even part: 1 + 0x^2 + x^4
-            return reduction.ReducedPair(n, pclass, (1, 0, 0, 0, 1), rp.den_cyclo, rp.g_cyclo)
+            return reduction.ReducedPair(n, pclass, (1, 0, 0, 0, 1))
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
@@ -356,10 +361,11 @@ def test_engine_enumerate_reaches_every_pair(capsys, monkeypatch):
         return real(n, pclass, engine)
 
     monkeypatch.setattr(reduction, "reduced_pair", recording)
+    # Engine "both" runs the streaming fold beside the DP at every pair.
     for cid in ("1", "lemma4"):
-        code, _ = run(capsys, ["verify", "--conjecture", cid, "--max-n", "6", "--engine", "enumerate", "--format", "json"])
+        code, _ = run(capsys, ["verify", "--conjecture", cid, "--max-n", "6", "--engine", "both", "--format", "json"])
         assert code == 0, cid
-    assert engines == {"enumerate"}
+    assert engines == {"both"}
 
 
 def test_engine_both_checks_conjecture1(capsys, monkeypatch):
@@ -393,3 +399,28 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
     code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
     assert code == 0
     assert sorted(calls) == list(range(0, 9))
+
+
+def test_den_readers_build_no_num_star(capsys, monkeypatch):
+    # den and G depend on (n, class) alone, so reading them builds no num*.
+    real = reduction.num_star
+    calls = []
+
+    def counting(n, pclass, engine="dp"):
+        calls.append((n, pclass))
+        return real(n, pclass, engine)
+
+    monkeypatch.setattr(reduction, "num_star", counting)
+    reduction.reduced_pair.cache_clear()
+    try:
+        code, out = run(capsys, ["verify", "--conjecture", "4", "--max-n", "8", "--format", "json"])
+        assert code == 0
+        assert len(json.loads(out)["witnesses"]) == 8
+        for pclass in PartitionClass:
+            for what in ("den", "g"):
+                for expand in ([], ["--expand"]):
+                    argv = ["compute", "--class", pclass.value, "--n", "9", "--what", what, *expand]
+                    assert run(capsys, argv)[0] == 0, argv
+    finally:
+        reduction.reduced_pair.cache_clear()
+    assert calls == []

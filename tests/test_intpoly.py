@@ -224,22 +224,6 @@ def test_log_concave_reported_index_is_literal(coeffs):
         )
 
 
-def test_even_odd_split_examples():
-    assert intpoly.even_odd_split((5, 8, 15)) == ((5, 0, 15), (0, 8))
-    assert intpoly.even_odd_split(()) == ((), ())
-    even, _ = intpoly.even_odd_split(NUM4)
-    assert even[::2] == (5, 15, 24, 24, 15, 5)
-
-
-@given(polys)
-@settings(max_examples=100)
-def test_even_odd_split_reconstructs(a):
-    even, odd = intpoly.even_odd_split(a)
-    assert intpoly.add(even, odd) == a
-    assert all(c == 0 for c in even[1::2])
-    assert all(c == 0 for c in odd[0::2])
-
-
 def test_irreducible_mod_p_examples():
     assert intpoly.irreducible_mod_p((1, 0, 1), 3) is IrreducibilityStatus.IRREDUCIBLE
     assert intpoly.irreducible_mod_p((1, 0, 1), 5) is IrreducibilityStatus.REDUCIBLE

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsum import cyclotomic, intpoly, reduction
-from subsum.partitions import PartitionClass, allowed_parts, count, enumerate_partitions, multiplicities
-from subsum.reduction import InvalidPartitionError, PoleAtX0Error
+from subsum.partitions import PartitionClass, allowed_parts, enumerate_partitions, multiplicities
+from subsum.reduction import InvalidPartitionError
 
 import oracles
 
@@ -86,13 +86,13 @@ def test_n0_is_the_empty_partition_in_every_layer():
     for pclass in CLASSES:
         assert allowed_parts(pclass, 0) == []
         assert list(enumerate_partitions(0, pclass)) == [()]
-        assert count(0, pclass) == 1
         assert reduction.den_star(0, pclass) == {}
+        assert reduction.den(0, pclass) == {}
         assert reduction.big_g(0, pclass) == {}
-        for engine in ("dp", "enumerate", "both"):
+        assert reduction._num_star_enumerate(0, pclass) == (1,), pclass
+        for engine in ("dp", "both"):
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
-            rp = reduction.reduced_pair(0, pclass, engine)
-            assert (rp.num, rp.den_cyclo, rp.g_cyclo) == ((1,), {}, {}), (pclass, engine)
+            assert reduction.reduced_pair(0, pclass, engine).num == (1,), (pclass, engine)
     assert reduction.t_direct(0) == 1
 
 
@@ -101,7 +101,7 @@ def test_den_is_floor_n_over_d_at_every_allowed_d():
     for pclass in CLASSES:
         for n in range(1, 25):
             expected = {d: n // d for d in allowed_parts(pclass, n)}
-            assert reduction.reduced_pair(n, pclass).den_cyclo == expected, (pclass, n)
+            assert reduction.den(n, pclass) == expected, (pclass, n)
             assert reduction.big_g(n, pclass) == oracles.big_g(n, pclass), (pclass, n)
 
 
@@ -117,8 +117,8 @@ def test_big_g_n4_matches_brute_force_polynomial_gcd():
 def test_num_star_engines_agree():
     for pclass in CLASSES:
         for n in range(0, 13):
-            assert reduction.num_star(n, pclass, "dp") == reduction.num_star(
-                n, pclass, "enumerate"
+            assert reduction.num_star(n, pclass, "dp") == reduction._num_star_enumerate(
+                n, pclass
             ), (pclass, n)
 
 
@@ -131,27 +131,26 @@ def test_num4_is_num_star_divided_by_1_plus_x():
 
 
 def test_reduced_pair_golden_ordinary_n4():
-    rp = reduction.reduced_pair(4, ORD)
-    assert rp.num == NUM4
-    assert rp.g_cyclo == {1: 1}
-    assert rp.g_expanded() == (1, 1)
-    assert rp.den_cyclo == {1: 4, 2: 2, 3: 1, 4: 1}
+    assert reduction.reduced_pair(4, ORD).num == NUM4
+    g = reduction.big_g(4, ORD)
+    assert g == {1: 1}
+    assert cyclotomic.expand_cyclotomics(g) == (1, 1)
+    den = reduction.den(4, ORD)
+    assert den == {1: 4, 2: 2, 3: 1, 4: 1}
     # den = (1+x)^3 (1+x^2)^2 (1+x^3) (1+x^4), expanded independently
-    assert rp.den_expanded() == oracles.expand_factor_map({1: 3, 2: 2, 3: 1, 4: 1})
+    assert cyclotomic.expand_cyclotomics(den) == oracles.expand_factor_map({1: 3, 2: 2, 3: 1, 4: 1})
 
 
 def test_reduced_pair_golden_binary_n4():
-    rp = reduction.reduced_pair(4, BIN)
-    assert rp.num == NUMB4
-    assert rp.g_cyclo == {}
+    assert reduction.reduced_pair(4, BIN).num == NUMB4
+    assert reduction.big_g(4, BIN) == {}
 
 
 def test_reduced_pair_small_and_conventions():
-    rp0 = reduction.reduced_pair(0, ORD)
-    assert rp0.num == (1,) and rp0.den_cyclo == {} and rp0.g_cyclo == {}
-    rp1 = reduction.reduced_pair(1, ORD)
-    assert rp1.num == (1,)
-    assert rp1.den_cyclo == {1: 1}
+    assert reduction.reduced_pair(0, ORD).num == (1,)
+    assert reduction.den(0, ORD) == {} and reduction.big_g(0, ORD) == {}
+    assert reduction.reduced_pair(1, ORD).num == (1,)
+    assert reduction.den(1, ORD) == {1: 1}
     rp2 = reduction.reduced_pair(2, ORD)
     assert rp2.num == (2, 2, 2)
 
@@ -186,12 +185,12 @@ def test_reduced_pair_cache_holds_lemma4_working_set():
 def test_reconstruction_identities():
     for pclass in CLASSES:
         for n in range(0, 26):
-            rp = reduction.reduced_pair(n, pclass)
-            star = reduction.num_star(n, pclass)
-            assert intpoly.mul(rp.g_expanded(), rp.num) == star
+            g = reduction.big_g(n, pclass)
+            num = reduction.reduced_pair(n, pclass).num
+            assert intpoly.mul(cyclotomic.expand_cyclotomics(g), num) == reduction.num_star(n, pclass)
             den_star_cyclo = cyclotomic.to_cyclo_exponents(reduction.den_star(n, pclass))
-            merged = dict(rp.den_cyclo)
-            for d, e in rp.g_cyclo.items():
+            merged = dict(reduction.den(n, pclass))
+            for d, e in g.items():
                 merged[d] = merged.get(d, 0) + e
             assert merged == den_star_cyclo
 
@@ -208,42 +207,52 @@ def test_degree_drop_and_palindrome_regressions():
     # and num reads the same in both directions.
     findings = []
     for n in range(1, 21):
-        rp = reduction.reduced_pair(n, ORD)
-        if intpoly.degree(rp.num) != cyclotomic.cyclo_degree(rp.den_cyclo) - n:
+        num = reduction.reduced_pair(n, ORD).num
+        if intpoly.degree(num) != cyclotomic.cyclo_degree(reduction.den(n, ORD)) - n:
             findings.append(f"degree drop violated at n={n}")
-        if rp.num != rp.num[::-1]:
+        if num != num[::-1]:
             findings.append(f"palindromicity violated at n={n}")
     for f in findings:
         warnings.warn(f)
     assert True
 
 
+def _pair_at(n, pclass, x0):
+    x0 = Fraction(x0)
+    num = reduction.reduced_pair(n, pclass).num
+    den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
+    return intpoly.eval_at_int(num, x0) / intpoly.eval_at_int(den, x0)
+
+
 def test_sr_eval_rational_examples():
-    assert reduction.sr_eval_rational(4, ORD, 0) == 5
-    assert reduction.sr_eval_rational(2, ORD, 2) == Fraction(14, 45)
-    assert reduction.sr_eval_rational(0, ORD, 7) == 1
+    assert _pair_at(4, ORD, 0) == 5
+    assert _pair_at(2, ORD, 2) == Fraction(14, 45)
+    assert _pair_at(0, ORD, 7) == 1
 
 
 def test_sr_eval_matches_reduced_pair():
     for pclass in CLASSES:
         for n in range(0, 16):
-            rp = reduction.reduced_pair(n, pclass)
-            den = rp.den_expanded()
+            parts = list(enumerate_partitions(n, pclass))
             for x0 in (2, -2, Fraction(1, 2), 3):
-                direct = reduction.sr_eval_rational(n, pclass, x0)
-                via_pair = intpoly.eval_at_int(rp.num, Fraction(x0)) / intpoly.eval_at_int(den, Fraction(x0))
-                assert direct == via_pair, (pclass, n, x0)
+                assert oracles.reciprocal_sum(parts, x0) == _pair_at(n, pclass, x0), (pclass, n, x0)
 
 
 def test_sr_eval_matches_independent_reciprocal_sum():
+    # The partitions come from the oracle's own enumeration here.
     for n in range(0, 9):
         parts = oracles.filtered_partitions(n, lambda _: True)
-        assert reduction.sr_eval_rational(n, ORD, 2) == oracles.reciprocal_sum(parts, 2)
+        assert oracles.reciprocal_sum(parts, 2) == _pair_at(n, ORD, 2)
 
 
 def test_sr_eval_pole():
-    with pytest.raises(PoleAtX0Error):
-        reduction.sr_eval_rational(3, ORD, -1)
+    # sp((3), -1) = 0, so the sum has a pole at -1; the pair has it as a
+    # zero of den that num does not share.
+    with pytest.raises(ZeroDivisionError):
+        oracles.reciprocal_sum(list(enumerate_partitions(3, ORD)), -1)
+    den = cyclotomic.expand_cyclotomics(reduction.den(3, ORD))
+    assert intpoly.eval_at_int(den, -1) == 0
+    assert intpoly.eval_at_int(reduction.reduced_pair(3, ORD).num, -1) != 0
 
 
 def test_t_direct_values():

@@ -45,9 +45,9 @@ def test_coprimality_small_range():
 def test_coprimality_d_set_is_exactly_den_support():
     report = run_one("2", 15)
     for w in report.witnesses:
-        rp = reduction.reduced_pair(w["n"], ORD)
-        assert w["d_checked"] == sorted(rp.den_cyclo)
-        assert all(rp.den_cyclo[d] > 0 for d in w["d_checked"])
+        den = reduction.den(w["n"], ORD)
+        assert w["d_checked"] == sorted(den)
+        assert all(den[d] > 0 for d in w["d_checked"])
 
 
 def test_binary_nondivisibility():
@@ -140,7 +140,7 @@ def test_remainder_reduction_range():
 
 
 def test_irreducibility_witness_examples():
-    rec2 = verify.irreducibility_witness(2, primes=[2])
+    rec2 = verify.irreducibility_witness(2)
     assert rec2["content"] == 2
     assert rec2["verdict"] == "IrreducibleCertified"
     assert rec2["prime"] == 2
@@ -210,7 +210,7 @@ def test_mutated_numerator_detected(monkeypatch):
         rp = real(n, pclass, engine)
         if n == 4 and pclass is ORD:
             bad_num = intpoly.mul(rp.num, (1, 1))  # smuggle a Phi_2 factor in
-            return reduction.ReducedPair(n, pclass, bad_num, rp.den_cyclo, rp.g_cyclo)
+            return reduction.ReducedPair(n, pclass, bad_num)
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
