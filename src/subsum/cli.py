@@ -11,7 +11,11 @@ entry is proved, an engine disagreement, or an internal error (the
 library raised ValueError or ArithmeticError on input the parser
 accepted); 2 bad flags, all of which the parser checks, including a
 `verify --max-n` below the lowest n of the one conjecture requested
-(`--conjecture all` skips such conjectures with a warning instead).
+(`--conjecture all` skips such conjectures with a warning instead), and
+a flag that would be ignored: `--engine both` where no num* is built
+(`compute --what den|g|den-star|spol-list`, `verify --conjecture 4`;
+`--conjecture all` applies it wherever num* is built) and `--expand`
+where nothing is factored (`--what num|num-star|spol-list`).
 WitnessOnly verdicts never affect the exit code.  stdout carries data,
 stderr carries logs and diagnostics.  All big integers are serialized as
 decimal strings; coefficient lists ascend from x^0.
@@ -32,6 +36,7 @@ log = logging.getLogger("subsum")
 
 _CLASSES = [c.value for c in PartitionClass]
 _ENGINES = ["dp", "both"]
+_BUILDS_NUM = ["num", "num-star"]  # the --what values that --engine applies to
 
 
 def _int_at_least(lowest: int):
@@ -98,9 +103,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.conjecture != "all":
-        lowest = verify.CONJECTURES[args.conjecture].lowest_n
-        if args.max_n < lowest:
-            parser.error(f"--conjecture {args.conjecture} needs --max-n >= {lowest}")
+        entry = verify.CONJECTURES[args.conjecture]
+        if args.max_n < entry.lowest_n:
+            parser.error(f"--conjecture {args.conjecture} needs --max-n >= {entry.lowest_n}")
+        if args.engine == "both" and not entry.builds_num:
+            parser.error(f"--engine both: conjecture {args.conjecture} builds no num*")
+    if args.command == "compute":
+        if args.engine == "both" and args.what not in _BUILDS_NUM:
+            parser.error(f"--engine both: --what {args.what} builds no num*")
+        if args.expand and args.what in _BUILDS_NUM + ["spol-list"]:
+            parser.error(f"--expand: --what {args.what} has no factored form")
     try:
         return args.func(args)
     except reduction.EngineMismatchError as exc:

@@ -16,7 +16,7 @@ complex points.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import intpoly
 from .intpoly import IntPoly
@@ -40,6 +40,18 @@ def phi(m: int) -> IntPoly:
         if m % d == 0:
             num = intpoly.exact_div(num, phi(d))
     return num
+
+
+def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
+    """a mod Phi_{2d}, through a mod (x^d + 1), which Phi_{2d} divides.
+
+    Modulo x^d + 1, x^(q*d + j) is (-1)^q x^j, so the first reduction is
+    an O(deg a) fold with alternating signs; only a polynomial of degree
+    below d is then divided by Phi_{2d}.
+    """
+    step = 2 * d
+    folded = [sum(a[j::step]) - sum(a[j + d :: step]) for j in range(d)]
+    return intpoly.remainder_mod_monic(folded, phi(step))
 
 
 def phi_at_one(m: int) -> int:

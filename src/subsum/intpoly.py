@@ -8,7 +8,9 @@ big integer (1, 2, 4 or 8 bytes each, or wider when the product needs
 it), Python multiplies the two integers, and the digits are read back.
 Packing and unpacking are single `int.from_bytes`/`int.to_bytes` calls
 plus a bias fix-up, so both are linear in the packed size, and the
-result is bit-identical to schoolbook convolution.
+result is bit-identical to schoolbook convolution.  `unpack` reads back,
+with the same digit reader, a polynomial with nonnegative coefficients
+that its caller packed itself.
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
@@ -103,21 +105,28 @@ def mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     # the product is below half the radix in absolute value, so it is one
     # balanced digit.
     bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8
-    if width <= 8:
-        width = _WORD_WIDTH[width]
+    width = _word_width(bound.bit_length() + 1)
     n = len(a) + len(b) - 1
     bias = _bias(width, n)
     packed = _pack(a, width) * _pack(b, width)
     # Adding the bias makes every digit c + radix/2, nonnegative; flipping
     # each digit's top bit (xor with the same bias) then leaves c in two's
     # complement, which a signed read of the digit returns.
-    raw = ((packed + bias) ^ bias).to_bytes(width * n, _ORDER)
+    return normalize(_digits(((packed + bias) ^ bias).to_bytes(width * n, _ORDER), width, signed=True))
+
+
+def _word_width(bits: int) -> int:
+    """Whole bytes for a digit of `bits` bits, rounded up to a machine word up to 8."""
+    width = (bits + 7) // 8
+    return _WORD_WIDTH[width] if width <= 8 else width
+
+
+def _digits(raw: bytes, width: int, signed: bool) -> list[int]:
+    """The `width`-byte digits of `raw`, lowest first, read in two's complement if `signed`."""
     if width in _SIGNED_FORMAT:
-        return normalize(memoryview(raw).cast(_SIGNED_FORMAT[width]).tolist())
-    return normalize(
-        int.from_bytes(raw[k : k + width], _ORDER, signed=True) for k in range(0, len(raw), width)
-    )
+        fmt = _SIGNED_FORMAT[width]
+        return memoryview(raw).cast(fmt if signed else fmt.upper()).tolist()
+    return [int.from_bytes(raw[k : k + width], _ORDER, signed=signed) for k in range(0, len(raw), width)]
 
 
 def _bias(width: int, ncoeffs: int) -> int:
@@ -138,6 +147,21 @@ def _pack(a: Sequence[int], width: int) -> int:
         raw = b"".join([c.to_bytes(width, _ORDER, signed=True) for c in a])
     bias = _bias(width, len(a))
     return (int.from_bytes(raw, _ORDER) ^ bias) - bias
+
+
+def unpack_width(bound: int) -> int:
+    """Bytes per digit that hold every integer in [0, bound], as `mul` rounds them."""
+    return _word_width(bound.bit_length())
+
+
+def unpack(value: int, width: int) -> IntPoly:
+    """The coefficients of a packed polynomial with digits in [0, 2^(8*width)).
+
+    That is, the polynomial whose value at x = 2^(8*width) is `value`,
+    read back with one `int.to_bytes`.
+    """
+    ncoeffs = -(-value.bit_length() // (8 * width))
+    return tuple(_digits(value.to_bytes(width * ncoeffs, _ORDER), width, signed=False))
 
 
 def power(a: Sequence[int], e: int) -> IntPoly:

@@ -33,18 +33,29 @@ the empty one, so den* = num* = G = 1 follow from the empty products.
 den and G are functions of (n, class) alone (`den`, `big_g`); only num
 needs num*.  Two accumulations of num* exist: a dynamic program over the
 allowed parts (production) and a streaming fold over the enumerated
-partitions (the oracle).  Integer addition is exact, so both are
+partitions (the oracle).  Integer arithmetic is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
 `num_star` is the one place the engine is applied, wherever num* is
 built: engine "dp" runs the dynamic program, and engine "both" runs
 both accumulations and raises EngineMismatchError unless they agree.
+
+The dynamic program needs only a ring with a step p -> p*(1+x^i), and it
+runs on Python ints, twice.  Over Z at x = 1 the step is a doubling and
+the result is num*(n,1).  Every coefficient of num* is nonnegative, a
+sum of products of binomial coefficients, so each is at most their sum
+num*(n,1).  With w = 8 * unpack_width(num*(n,1)) bits, num*(2^w) holds
+each coefficient as one base-2^w digit, and the second run computes it
+with the step p + (p << w*i).  Evaluation at 2^w is a ring
+homomorphism, so carries between digits in intermediate cells are
+harmless: only the final value has to hold its coefficients digit by
+digit, and it does.  One unpack reads num* back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import cyclotomic, intpoly
 from .intpoly import IntPoly
@@ -136,28 +147,57 @@ def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
 
 
 def _num_star_dp(n: int, pclass: PartitionClass) -> IntPoly:
-    """Dynamic program sharing subsums across partitions.
+    """num* by the dynamic program at x = 2^w, sized by its run at x = 1 (see the module docstring)."""
+    parts = allowed_parts(pclass, n)
+    width = intpoly.unpack_width(_ring_dp(n, parts, _times_binomial_at_one))
+    shift = 8 * width
+    return intpoly.unpack(_ring_dp(n, parts, lambda p, i: p + (p << shift * i)), width)
 
-    Processing allowed parts one at a time, table[r] is the sum of
-    prod (1+x^i)^(e_i - m_i) over multiplicity choices for the parts
-    seen so far with total weight r.  A part of size i at multiplicity
-    m contributes the factor (1+x^i)^(e_i - m), including m = 0, so the
-    untouched-part case needs no special handling.  Every class allows
-    the part 1, and it comes first: with it alone, weight r is r ones, so
-    table[r] starts as (1+x)^(n-r) and no cell is ever empty.  After all
-    parts, table[n] is num*.
+
+def _times_binomial_at_one(p: int, i: int) -> int:
+    """p * (1 + x^i) at x = 1."""
+    return p << 1
+
+
+def _ring_dp(n: int, parts: list[int], times_binomial: Callable[[int, int], int]) -> int:
+    """num* in a ring where times_binomial(p, i) is p * (1 + x^i), from the parts up to n.
+
+    Processing the parts one at a time, table[r] is the sum of
+    prod (1+x^i)^(floor(n/i) - m_i) over the multiplicities m_i of the
+    parts seen so far with total weight r; before the first part only
+    weight 0 has a term, the empty product.  For a part i with
+    cap = floor(n/i) and powers[k] = (1+x^i)^k, the new cell at weight r,
+    with q = floor(r/i), is
+
+        sum over m <= q of powers[cap - m] * table[r - m*i] = powers[cap - q] * partial[r],
+
+        partial[r] = sum over m <= q of powers[q - m] * table[r - m*i]
+                   = powers[q] * table[r] + partial[r - i],
+
+    so each cell takes two products, not q + 1.  After all parts,
+    table[n] is num*, so after part i only the cells at weights n - s,
+    s a sum of the parts above i, are read again; the rest stay 0.
     """
-    table = [cyclotomic.binomial_power(1, n - r) for r in range(n + 1)]
-    for i in allowed_parts(pclass, n)[1:]:
+    later = []  # later[k][s]: some multiset of parts[k+1:] sums to s
+    sums = [True] + [False] * n
+    for i in reversed(parts):
+        later.append(sums[:])
+        for s in range(i, n + 1):
+            sums[s] = sums[s] or sums[s - i]
+    table = [1] + [0] * n
+    for i, reach in zip(parts, reversed(later)):
         cap = n // i
-        new = []
-        for r in range(n + 1):
-            acc = intpoly.mul(cyclotomic.binomial_power(i, cap), table[r])
-            for m in range(1, r // i + 1):  # r <= n, so m <= cap
-                term = intpoly.mul(cyclotomic.binomial_power(i, cap - m), table[r - i * m])
-                acc = intpoly.add(acc, term)
-            new.append(acc)
-        table = new
+        powers = [1]
+        for _ in range(cap):
+            powers.append(times_binomial(powers[-1], i))
+        partial = []
+        for r, cell in enumerate(table):
+            q = r // i
+            acc = powers[q] * cell
+            if q:
+                acc += partial[r - i]
+            partial.append(acc)
+        table = [powers[cap - r // i] * acc if reach[n - r] else 0 for r, acc in enumerate(partial)]
     return table[n]
 
 

@@ -103,7 +103,7 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
     failures = []
     d_checked = sorted(den)
     for d in d_checked:
-        if not intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d)):
+        if not cyclotomic.remainder_mod_phi_2d(num, d):
             failures.append(
                 {
                     "n": n,
@@ -131,7 +131,7 @@ def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[l
     for d in allowed_parts(pclass, n):
         s = d.bit_length() - 1
         s_checked.append(s)
-        if not intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d)):
+        if not cyclotomic.remainder_mod_phi_2d(num, d):
             failures.append({"n": n, "s": s, "detail": f"(1+x^{d}) divides num_B({n},x)"})
     return failures, [{"n": n, "s_checked": s_checked}]
 
@@ -313,9 +313,8 @@ def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    modulus = cyclotomic.phi(2 * d)
-    nondiv_n = bool(intpoly.remainder_mod_monic(_num(n, ORDINARY, engine), modulus))
-    nondiv_r = bool(intpoly.remainder_mod_monic(_num(n % d, ORDINARY, engine), modulus))
+    nondiv_n = bool(cyclotomic.remainder_mod_phi_2d(_num(n, ORDINARY, engine), d))
+    nondiv_r = bool(cyclotomic.remainder_mod_phi_2d(_num(n % d, ORDINARY, engine), d))
     return nondiv_n == nondiv_r
 
 
@@ -381,6 +380,8 @@ class Conjecture:
     merged report and may add failures.  An entry with `source` set has
     no sweep of its own: whenever the source entry runs, this entry's
     report is derived from the source's report as `check(report)`.
+    `builds_num` is false for a check that reads only den, so that no
+    engine applies to it.
     """
 
     cid: str
@@ -391,6 +392,7 @@ class Conjecture:
     post: Callable[[ConjectureReport, int], None] | None = None
     span: int = 1
     source: str | None = None
+    builds_num: bool = True
 
 
 CONJECTURES: dict[str, Conjecture] = {
@@ -399,7 +401,7 @@ CONJECTURES: dict[str, Conjecture] = {
         Conjecture("1", ORDINARY, 1, _witness_check, proved=False),
         Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
         Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
-        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False),
+        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, builds_num=False),
         Conjecture("5", PartitionClass.BINARY, 2, derive_binary_coprimality, proved=True, source="7"),
         Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),

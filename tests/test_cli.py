@@ -183,6 +183,29 @@ def test_bad_flags_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["compute", "--class", "ordinary", "--n", "4", "--what", w, "--engine", "both"]
+          for w in ("den", "g", "den-star", "spol-list")),
+        *(["compute", "--class", "ordinary", "--n", "4", "--what", w, "--expand"]
+          for w in ("num", "num-star", "spol-list")),
+        ["verify", "--conjecture", "4", "--max-n", "4", "--engine", "both"],
+    ],
+)
+def test_flags_that_would_be_ignored_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_engine_both_on_all_skips_no_conjecture(capsys):
+    code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "4", "--engine", "both", "--format", "json"])
+    assert code == 0
+    assert [r["conjecture"] for r in json.loads(out)] == list(verify.CONJECTURES)
+
+
 def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
     real = reduction._reduced_pair
 

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsum import cyclotomic, intpoly
+from subsum import cyclotomic, intpoly, reduction
+from subsum.partitions import PartitionClass
 
 import oracles
 
@@ -136,3 +137,13 @@ def test_cyclo_degree_matches_expansion():
 def test_binomial_power_cache_consistency():
     assert cyclotomic.binomial_power(3, 2) == oracles.naive_pow(oracles.binom_poly(3), 2)
     assert cyclotomic.binomial_power(1, 0) == (1,)
+
+
+def test_remainder_mod_phi_2d_matches_direct_remainder():
+    # Folding through x^d + 1 must leave the remainder mod Phi_2d unchanged.
+    for pclass in (PartitionClass.ORDINARY, PartitionClass.BINARY):
+        for n in range(1, 17):
+            num = reduction.reduced_pair(n, pclass).num
+            for d in range(1, n + 1):
+                want = intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d))
+                assert cyclotomic.remainder_mod_phi_2d(num, d) == want, (pclass, n, d)

@@ -278,3 +278,18 @@ def test_content_and_primitive_part():
     assert intpoly.primitive_part((2, 4, 6)) == (1, 2, 3)
     assert intpoly.primitive_part((-2, -4)) == (1, 2)
     assert math.gcd(*intpoly.primitive_part((6, 10, 15))) == 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 8, 9])
+def test_unpack_reads_every_digit_width(width):
+    radix = 1 << (8 * width)
+    top = radix - 1
+    for digits in [(0, top), (top, 0, top), (top,) * 3, (5, 0, 0, 1), (0, 0, top, 1)]:
+        value = sum(c * radix**k for k, c in enumerate(digits))
+        assert intpoly.unpack(value, width) == digits, digits
+    assert intpoly.unpack(0, width) == ()
+
+
+def test_unpack_width_holds_the_bound():
+    for bound, width in [(1, 1), (255, 1), (256, 2), (2**16, 4), (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8), (2**64, 9)]:
+        assert intpoly.unpack_width(bound) == width, bound

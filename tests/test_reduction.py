@@ -122,6 +122,25 @@ def test_num_star_engines_agree():
             ), (pclass, n)
 
 
+def _at_one(n, pclass):
+    return reduction._ring_dp(n, allowed_parts(pclass, n), reduction._times_binomial_at_one)
+
+
+def test_ring_dp_at_one_is_num_star_at_one():
+    for pclass in CLASSES:
+        for n in range(0, 25):
+            assert _at_one(n, pclass) == intpoly.eval_at_int(reduction.num_star(n, pclass), 1), (pclass, n)
+
+
+@pytest.mark.parametrize("pclass, n", [(ORD, 20), (ODD, 29), (BIN, 34), (TER, 48)])
+def test_packed_dp_at_first_digit_wider_than_a_word(pclass, n):
+    # The packed DP reads num* as digits of unpack_width(num*(n,1)) bytes;
+    # n is the first where that exceeds the 8-byte machine word.
+    assert intpoly.unpack_width(_at_one(n - 1, pclass)) <= 8
+    assert intpoly.unpack_width(_at_one(n, pclass)) > 8
+    assert reduction.num_star(n, pclass) == reduction._num_star_enumerate(n, pclass)
+
+
 def test_num_star_n2():
     assert reduction.num_star(2, ORD) == (2, 2, 2)
 
