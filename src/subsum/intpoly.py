@@ -14,14 +14,17 @@ that its caller packed itself.
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
-coefficient-sequence checks.  The certificate's GF(p) reductions go
-through the same product: fast division with remainder by a
-precomputed inverse power series of the reversed modulus.
+coefficient-sequence checks.  The certificate reads x^(p^j) mod f off
+one Frobenius chain: the p-th power map is linear over GF(p), so each
+step multiplies the coefficient vector by Berlekamp's Q matrix, whose
+rows are packed integers at the same whole-byte digits that `unpack`
+reads back.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from enum import Enum
@@ -300,14 +303,13 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
     inv_lead = pow(pp[-1], p - 2, p)
     f = [c * inv_lead % p for c in pp]
     k = len(f) - 1
-    inv = _gf_series_inverse(f[::-1], k, p)
-    x = _gf_mod([0, 1], f, p)
+    chain = _frobenius_chain(f, p)
     # x^(p^k) == x mod f, and gcd(x^(p^(k/q)) - x, f) == 1 for prime q | k.
-    if _gf_powmod(x, p**k, f, inv, p) != x:
+    if chain[k] != chain[0]:
         return IrreducibilityStatus.REDUCIBLE
     for q in _prime_divisors(k):
         # `_gf_gcd` reduces the integer difference mod p.
-        if len(_gf_gcd(sub(_gf_powmod(x, p ** (k // q), f, inv, p), x), f, p)) != 1:
+        if len(_gf_gcd(sub(chain[k // q], chain[0]), f, p)) != 1:
             return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.IRREDUCIBLE
 
@@ -350,56 +352,52 @@ def _gf_mod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _gf_trim(r[:df])
 
 
-def _gf_low(a: Sequence[int], m: int, p: int) -> list[int]:
-    """a mod (p, x^m) as exactly m coefficients, zeros kept."""
-    out = [c % p for c in a[:m]]
-    out += [0] * (m - len(out))
-    return out
+def _frobenius_chain(f: Sequence[int], p: int) -> list[list[int]]:
+    """[x^(p^j) mod f for j = 0 .. deg f] over GF(p), for monic f of degree k >= 1.
 
-
-def _gf_series_inverse(h: Sequence[int], m: int, p: int) -> list[int]:
-    """h^-1 mod x^m over GF(p) for h[0] == 1, by Newton iteration.
-
-    If h*g == 1 mod x^s then g - g*(h*g - 1) inverts h mod x^(2s).
-    """
-    g = [1]
-    while len(g) < m:
-        size = min(2 * len(g), m)
-        e = _gf_low(mul(h[:size], g), size, p)
-        e[0] -= 1
-        fix = _gf_low(mul(g, e), size, p)
-        g = [(c - d) % p for c, d in zip(g + [0] * (size - len(g)), fix)]
-    return g
-
-
-def _gf_rem(a: Sequence[int], f: Sequence[int], inv: Sequence[int], p: int) -> list[int]:
-    """a mod f over GF(p) for monic f and deg a < 2 deg f, by fast division.
-
-    (von zur Gathen and Gerhard, Modern Computer Algebra, section 9.1.)
-    inv is (rev f)^-1 mod x^(deg f).  With m = deg a - deg f + 1, the
-    quotient reversed is the low m coefficients of (rev a) * inv; it is
-    padded to length m before it is turned back, so a quotient whose top
-    coefficients vanish mod p keeps its alignment.
+    Over GF(p), a(x)^p = a(x^p), so the p-th power map is linear, with
+    Berlekamp's matrix Q: row i is x^(ip) mod f (Knuth, TAOCP vol. 2,
+    section 4.6.2).  Each step a -> sum a_i Q_i runs on packed rows
+    (`_gf_apply`).  Q itself comes from the same step, applied k - 1
+    times to 1, with the matrix of multiplication by x^p, whose row i is
+    x^(i+p) mod f.  The rows live for this call only: k packed rows of k
+    digits per matrix, plus the k + 1 chain entries.
     """
     k = len(f) - 1
-    r = _gf_trim([c % p for c in a])
-    m = len(r) - k
-    if m <= 0:
-        return r
-    q = _gf_low(mul(r[: k - 1 : -1], inv[:m]), m, p)[::-1]
-    return _gf_trim([(c - d) % p for c, d in zip(r[:k], mul(q, f))])
+    width = _chain_width(k, p)
+    # Rows x^(i+p) with i + p < k are monomials; x^k .. x^(k+p-1) mod f
+    # take p shift-and-subtract steps, of which those with exponent >= p are rows.
+    times_xp = [1 << (8 * width * (i + p)) for i in range(k - p)]
+    r = [0] * (k - 1) + [1]
+    for m in range(k, k + p):
+        top = r.pop()
+        r.insert(0, 0)
+        r = [(c - top * fj) % p for c, fj in zip(r, f)]
+        if m >= p:
+            times_xp.append(_pack(r, width))
+    q_rows = [1]
+    a = [1]
+    for _ in range(k - 1):
+        a = _gf_apply(a, times_xp, width, p)
+        q_rows.append(_pack(a, width))
+    chain = [_gf_mod([0, 1], f, p)]
+    for _ in range(k):
+        chain.append(_gf_apply(chain[-1], q_rows, width, p))
+    return chain
 
 
-def _gf_powmod(a: Sequence[int], e: int, f: Sequence[int], inv: Sequence[int], p: int) -> list[int]:
-    """a^e mod f over GF(p) for monic f, inv as in `_gf_rem`."""
-    result = [1]
-    base = _gf_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = _gf_rem(mul(result, base), f, inv, p)
-        base = _gf_rem(mul(base, base), f, inv, p)
-        e >>= 1
-    return result
+def _chain_width(k: int, p: int) -> int:
+    """Digit bytes for `_gf_apply` on k rows: they hold the largest digit sum k (p-1)^2."""
+    return unpack_width(k * (p - 1) ** 2)
+
+
+def _gf_apply(a: Sequence[int], rows: Sequence[int], width: int, p: int) -> list[int]:
+    """sum a_i rows[i] mod p, for rows packed at `width` bytes with digits in [0, p).
+
+    The digit sums stay below the radix, so no carry crosses digits and
+    one `unpack` reads the exact sums back.
+    """
+    return _gf_trim([c % p for c in unpack(sum(map(operator.mul, a, rows)), width)])
 
 
 def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:

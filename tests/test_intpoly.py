@@ -234,23 +234,43 @@ def test_irreducible_mod_p_examples():
 
 @given(st.sampled_from([2, 3, 5, 7, 13]), st.data())
 @settings(max_examples=150, deadline=None)
-def test_gf_powmod_matches_oracle(p, data):
-    k = data.draw(st.integers(1, 30))
+def test_frobenius_chain_matches_oracle(p, data):
+    # Degrees below p make x^p itself a reduction, not a monomial row.
+    k = data.draw(st.one_of(st.integers(1, max(p - 1, 1)), st.integers(1, 30)))
     f = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)) + [1]
-    a = data.draw(st.lists(st.integers(0, p - 1), max_size=2 * k))
-    e = data.draw(st.integers(0, 200))
-    inv = intpoly._gf_series_inverse(f[::-1], k, p)
-    assert tuple(intpoly._gf_powmod(a, e, f, inv, p)) == oracles.gfp_powmod(a, e, f, p)
+    chain = intpoly._frobenius_chain(f, p)
+    assert len(chain) == k + 1
+    for j, entry in enumerate(chain):
+        if p**j > 200:  # the oracle makes e products for x^e
+            break
+        assert tuple(entry) == oracles.gfp_powmod((0, 1), p**j, f, p)
+    for prev, entry in zip(chain, chain[1:]):
+        assert tuple(entry) == oracles.gfp_powmod(prev, p, f, p)
 
 
-def test_gf_powmod_x3_x_1_over_gf2():
+def test_frobenius_chain_x3_x_1_over_gf2():
     # x^3 + x + 1 is irreducible over GF(2): x^8 == x mod f and x^2 != x.
     f = [1, 1, 0, 1]
-    inv = intpoly._gf_series_inverse(f[::-1], 3, 2)
-    for e in range(20):
-        assert tuple(intpoly._gf_powmod([0, 1], e, f, inv, 2)) == oracles.gfp_powmod((0, 1), e, f, 2)
-    assert intpoly._gf_powmod([0, 1], 8, f, inv, 2) == [0, 1]
+    chain = intpoly._frobenius_chain(f, 2)
+    for j, entry in enumerate(chain):
+        assert tuple(entry) == oracles.gfp_powmod((0, 1), 2**j, f, 2)
+    assert chain[3] == chain[0] == [0, 1]
+    assert chain[1] == [0, 0, 1]
     assert intpoly.irreducible_mod_p((1, 1, 0, 1), 2) is IrreducibilityStatus.IRREDUCIBLE
+
+
+@pytest.mark.parametrize("k", [1, 2, 455, 456])
+def test_packed_step_holds_the_largest_digit_sum(k):
+    # Every coefficient and row entry at p - 1 makes each digit sum k (p-1)^2,
+    # which crosses 2^8 between k = 1 and 2, and 2^16 between k = 455 and 456.
+    p = 13
+    width = intpoly._chain_width(k, p)
+    assert 256**width > k * (p - 1) ** 2
+    a = [p - 1] * k
+    row = [p - 1] * k
+    rows = [intpoly._pack(row, width)] * k
+    want = [sum(a[i] * row[j] for i in range(k)) % p for j in range(k)]
+    assert intpoly._gf_apply(a, rows, width, p) == intpoly._gf_trim(want)
 
 
 def test_irreducible_mod_p_bad_prime():
@@ -260,7 +280,7 @@ def test_irreducible_mod_p_bad_prime():
 
 @given(
     st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=5),
-    st.sampled_from([2, 3, 5]),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
 )
 @settings(max_examples=150, deadline=None)
 def test_irreducible_mod_p_matches_bruteforce(coeffs, p):
