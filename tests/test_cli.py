@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subsum
 from subsum import cli, intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
@@ -322,6 +327,66 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["coeffs"][0] == "5"
+
+
+def _python(args, **kwargs):
+    """Run a fresh interpreter on this checkout's sources."""
+    env = {**os.environ, "PYTHONPATH": str(Path(subsum.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, text=True, **kwargs)
+
+
+def _cli_process(argv, stdout):
+    return _python(["-m", "subsum.cli", *argv], stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "table"])
+@pytest.mark.parametrize("out", ["missing/x", "."])
+def test_bad_out_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("reduced_pair", "t_direct", "big_g"):
+        monkeypatch.setattr(reduction, name, no_work)
+    monkeypatch.setattr(verify, "run", no_work)
+    argv = {
+        "compute": ["compute", "--class", "ordinary", "--n", "3", "--what", "num"],
+        "verify": ["verify", "--conjecture", "9", "--max-n", "3"],
+        "table": ["table", "--sequence", "t", "--max-n", "3"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+
+
+def test_write_to_closed_pipe_exits_1_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to write_end now fails with EPIPE
+    try:
+        proc = _cli_process(["compute", "--class", "ordinary", "--n", "3", "--what", "num"], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["cannot write output: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_write_to_full_device_exits_1_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["compute", "--class", "ordinary", "--n", "3", "--what", "num"], full)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["cannot write output: [Errno 28] No space left on device"]
+
+
+def test_import_loads_neither_the_process_pool_nor_fractions():
+    code = (
+        "import sys, subsum.cli; "
+        "print([m for m in ('concurrent.futures.process', 'fractions') if m in sys.modules])"
+    )
+    out = _python(["-c", code], capture_output=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_json_round_trip(capsys):

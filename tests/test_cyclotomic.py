@@ -40,12 +40,12 @@ def test_phi_monic_with_totient_degree():
 )
 def test_binomial_cyclo_divides_examples(d, i, expected):
     # Phi_2d divides 1 + x^i exactly when i/d is an odd integer, and then once.
-    assert cyclotomic.to_cyclo_exponents({i: 1}).get(d) == (1 if expected else None)
+    assert oracles.cyclo_exponents({i: 1}).get(d) == (1 if expected else None)
 
 
 def test_binomial_cyclo_divides_matches_remainders():
     for i in range(1, 21):
-        factors = cyclotomic.to_cyclo_exponents({i: 1})
+        factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 21):
             rem = intpoly.remainder_mod_monic(intpoly.binomial(i), cyclotomic.phi(2 * d))
             assert (d in factors) == (rem == ()), (d, i)
@@ -81,12 +81,6 @@ def test_expand_binomials_examples():
     assert cyclotomic.expand_binomials({2: 1, 1: 2}) == (1, 2, 2, 2, 1)
 
 
-def test_to_cyclo_exponents_examples():
-    assert cyclotomic.to_cyclo_exponents({1: 4, 2: 2, 3: 1, 4: 1}) == {1: 5, 2: 2, 3: 1, 4: 1}
-    assert cyclotomic.to_cyclo_exponents({}) == {}
-    assert cyclotomic.to_cyclo_exponents({6: 1}) == {2: 1, 6: 1}
-
-
 factor_maps = st.dictionaries(
     st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=3), max_size=5
 )
@@ -95,7 +89,7 @@ factor_maps = st.dictionaries(
 @given(factor_maps)
 @settings(max_examples=80, deadline=None)
 def test_cyclo_exponents_reconstruct_expansion(f):
-    via_cyclo = cyclotomic.expand_cyclotomics(cyclotomic.to_cyclo_exponents(f))
+    via_cyclo = cyclotomic.expand_cyclotomics(oracles.cyclo_exponents(f))
     assert via_cyclo == cyclotomic.expand_binomials(f)
 
 
@@ -116,17 +110,10 @@ def test_min_exponents_examples():
         {2: 2, 3: 1, 4: 1},
     ]
     assert oracles.min_exponents(h_maps_n4) == {1: 1}
-    assert oracles.min_exponents([{1: 2, 2: 1}]) == cyclotomic.to_cyclo_exponents({1: 2, 2: 1})
+    assert oracles.min_exponents([{1: 2, 2: 1}]) == oracles.cyclo_exponents({1: 2, 2: 1})
     assert oracles.min_exponents([{1: 2}, {2: 1}]) == {}
     with pytest.raises(ValueError):
         oracles.min_exponents([])
-
-
-def test_sub_exponents():
-    assert cyclotomic.sub_exponents({1: 5, 2: 2}, {1: 1}) == {1: 4, 2: 2}
-    assert cyclotomic.sub_exponents({1: 1}, {1: 1}) == {}
-    with pytest.raises(ArithmeticError):
-        cyclotomic.sub_exponents({1: 1}, {1: 2})
 
 
 def test_cyclo_degree_matches_expansion():

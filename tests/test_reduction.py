@@ -207,7 +207,7 @@ def test_reconstruction_identities():
             g = reduction.big_g(n, pclass)
             num = reduction.reduced_pair(n, pclass).num
             assert intpoly.mul(cyclotomic.expand_cyclotomics(g), num) == reduction.num_star(n, pclass)
-            den_star_cyclo = cyclotomic.to_cyclo_exponents(reduction.den_star(n, pclass))
+            den_star_cyclo = oracles.cyclo_exponents(reduction.den_star(n, pclass))
             merged = dict(reduction.den(n, pclass))
             for d, e in g.items():
                 merged[d] = merged.get(d, 0) + e

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -246,7 +247,7 @@ def test_jobs_capped_at_cpus_and_values(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
     serial = run_one("8", 10)
     capped = run_one("8", 10, jobs=10**6)  # 4 CPUs
