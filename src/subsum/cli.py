@@ -4,7 +4,10 @@
 each through `verify.run`.  Both commands pass `--engine` (`dp` or
 `both`) straight through to `reduction.num_star`, the one place it is
 applied, wherever num* is built; den and G are read from (n, class)
-and build no num*.
+and build no num*.  For the Phi_2d-divisibility checks (conjectures 2
+and 7, lemma 4) `--engine` also selects the route in `verify`: "dp"
+certifies at a root of unity mod p, "both" compares that certificate
+with the full remainder.
 
 Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the

@@ -9,13 +9,14 @@ Phi_{2d}, and two structured representations carry the pipeline:
 * a cyclotomic exponent vector, a map d -> exponent of Phi_{2d}.
 
 This module expands both; `reduction` reads both off (n, class) directly.
-Root-of-unity reasoning stays symbolic throughout: divisibility by
-Phi_{2d} is decided by exact integer remainders, never by evaluating at
-complex points.
+Divisibility by Phi_{2d} is decided by exact integer remainders, or
+certified at a root of unity in a prime field (`root_of_unity` picks
+the field and the root), never by evaluating at complex points.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -53,6 +54,49 @@ def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
     step = 2 * d
     folded = [sum(a[j::step]) - sum(a[j + d :: step]) for j in range(d)]
     return intpoly.remainder_mod_monic(folded, phi(step))
+
+
+# Certificate primes lie above this floor, far above twice any n a run
+# can build, so that no part i <= n and no 2d is divisible by p.
+_PRIME_FLOOR = 10**6
+
+
+@lru_cache(maxsize=None)
+def root_of_unity(d: int, k: int = 0) -> tuple[int, int]:
+    """(p, zeta): the k-th prime p = 1 (mod 2d) above 10^6, and an element of order 2d in GF(p).
+
+    k counts from 0.  A candidate is proved prime by trial division up to
+    isqrt(p), run only once it passes a base-2 Fermat test.  zeta is
+    a^((p-1)/2d) for the least a >= 2 with Phi_{2d}(zeta) = 0 mod p,
+    which holds exactly when zeta has order 2d, since p does not divide
+    2d.  Memoized per process: at most three entries per d.
+    """
+    if d < 1 or k < 0:
+        raise ValueError("need d >= 1 and k >= 0")
+    m = 2 * d
+    if k:
+        p = root_of_unity(d, k - 1)[0] + m
+    else:
+        p = _PRIME_FLOOR // m * m + 1
+        if p <= _PRIME_FLOOR:
+            p += m
+    while not _is_prime(p):
+        p += m
+    f = phi(m)
+    a = 2
+    while True:
+        zeta = pow(a, (p - 1) // m, p)
+        value = 0
+        for c in reversed(f):
+            value = (value * zeta + c) % p
+        if not value:
+            return p, zeta
+        a += 1
+
+
+def _is_prime(c: int) -> bool:
+    """Primality of an odd c > 2: a base-2 Fermat filter, then trial division."""
+    return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
 
 
 def phi_at_one(m: int) -> int:

@@ -50,13 +50,18 @@ with the step p + (p << w*i).  Evaluation at 2^w is a ring
 homomorphism, so carries between digits in intermediate cells are
 harmless: only the final value has to hold its coefficients digit by
 digit, and it does.  One unpack reads num* back.
+
+Whether Phi_{2d} divides num needs no num at all when the answer is no:
+`leading_coefficient` runs the coin DP for sum of 1/sp(lambda) at a root
+of unity of order 2d in a prime field and keeps one coefficient per
+weight, which is num(zeta) up to a known unit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import cyclotomic, intpoly
 from .intpoly import IntPoly
@@ -74,7 +79,14 @@ class InvalidPartitionError(ValueError):
 
 
 class EngineMismatchError(AssertionError):
-    """The DP and streaming accumulation engines disagree."""
+    """Two routes disagree: the num* engines, or a certificate and the full remainder.
+
+    `fields` (such as d) locate the disagreement in its failure record.
+    """
+
+    def __init__(self, detail: str, **fields):
+        super().__init__(detail)
+        self.fields = fields
 
 
 def spol(p: Partition) -> IntPoly:
@@ -215,8 +227,7 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
     return total
 
 
-@dataclass(frozen=True)
-class ReducedPair:
+class ReducedPair(NamedTuple):
     """num for one (n, class); den and G come from `den` and `big_g`.
 
     Invariant: expand(big_g(n, pclass)) * num == num*.  Instances are
@@ -256,6 +267,89 @@ def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> Reduced
 _cached_pair = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_reduced_pair)
 reduced_pair.cache_info = _cached_pair.cache_info
 reduced_pair.cache_clear = _cached_pair.cache_clear
+
+
+def leading_coefficient(
+    n: int, pclass: PartitionClass, d: int, k: int = 0, top: int | None = None
+) -> tuple[int, int, int]:
+    """(p, zeta, L(n)): num(n) at a root of unity of order 2d, up to a unit, in GF(p).
+
+    (p, zeta) is `cyclotomic.root_of_unity(d, k)`, and d must be an
+    allowed part of the class.  Write x = zeta + t and work with Laurent
+    series in t over GF(p).  The coin DP over the allowed parts i,
+    table[r] += table[r-i] * u_i with u_i = 1/(1+x^i), builds
+    sr(r, x) = sum over partitions of r of prod 1/(1+x^lambda_j).  u_i
+    has a simple pole with leading coefficient 1/(i zeta^(i-1)) when i/d
+    is an odd integer (p > 2*i, so the root is simple) and is the unit
+    1/(1+zeta^i) otherwise.  So table[r] has valuation >= -floor(r/d),
+    and its coefficient L(r) at t^(-floor(r/d)) needs only the
+    predecessors' L:
+
+    * the pole i = d adds L(r-d) / (d zeta^(d-1));
+    * the poles i = d*j with odd j >= 3 add nothing: their terms have
+      valuation >= -floor(r/d) + j - 1;
+    * every other part adds L(r-i) / (1+zeta^i) when (r-i)//d == r//d,
+      which for i > d never holds and for i < d means i <= r mod d.
+
+    sr(n) = num/den with den = prod Phi_{2d'}^floor(n/d'), and
+    Phi_{2d}(zeta + t) = Phi'_{2d}(zeta) t + O(t^2), so
+
+        L(n) * D = num(n)(zeta)  (mod p),
+        D = Phi'_{2d}(zeta)^floor(n/d) * prod_{d' != d} Phi_{2d'}(zeta)^floor(n/d'),
+
+    where D is nonzero mod p, as zeta has order 2d and p > 2n.  L(n) != 0
+    proves that Phi_{2d} does not divide num(n) over Z; L(n) = 0 proves
+    nothing.  For any d that is not a part the target valuation is
+    wrong, and a ValueError is raised.
+
+    Lemma 4 appears inside the DP: only the pole i = d carries L from
+    one block of d weights to the next, so L(n) = lc(u_d)^floor(n/d) *
+    L(n mod d), with lc(u_d) = 1/(d zeta^(d-1)) a unit.  The pass
+    computes every L(r) by the recurrence above and does not assume
+    this identity.
+
+    One pass gives L(r) for every r up to upto, the next power of two
+    >= max(top, d), in O(upto * d) operations mod p; top defaults to n,
+    and lemma 4 passes its n to read L(n mod d) off the pass of L(n).
+    The pass for k = 0 is cached on (class, d, upto) in an LRU cache of
+    512 entries, each an array of upto + 1 < 2*max(top, d) ints below p;
+    the passes for the fallback primes k > 0 are not cached.
+    """
+    top = n if top is None else top
+    if not 0 <= n <= top or not pclass.allows(d):
+        raise ValueError(f"need 0 <= n <= top and d a part of {pclass.value} partitions")
+    upto = 1 << (max(top, d) - 1).bit_length()
+    p, zeta = cyclotomic.root_of_unity(d, k)
+    lead = _first_leading_pass(pclass, d, upto) if k == 0 else _leading_pass(pclass, d, upto, p, zeta)
+    return p, zeta, lead[n]
+
+
+def _leading_pass(pclass: PartitionClass, d: int, upto: int, p: int, zeta: int) -> array:
+    """L(r) mod p for r = 0..upto (see `leading_coefficient`)."""
+    if 2 * upto >= p:
+        raise ValueError(f"prime {p} too small for weights up to {upto}")
+    lead = [1] + [0] * upto
+    for i in allowed_parts(pclass, d):  # parts above d never reach the leading order
+        if i == d:
+            c = pow(d * pow(zeta, d - 1, p), -1, p)
+            for r in range(d, upto + 1):
+                lead[r] = (lead[r] + lead[r - d] * c) % p
+            continue
+        u = pow(1 + pow(zeta, i, p), -1, p)
+        for block in range(0, upto + 1, d):
+            for r in range(block + i, min(block + d, upto + 1)):
+                lead[r] = (lead[r] + lead[r - i] * u) % p
+    return array("q", lead)
+
+
+# A sweep reads, at each n, one pass per d <= n, all of the same length:
+# up to n = 512 they fit, and each pass is built once per power of two.
+_LEAD_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_LEAD_CACHE_SIZE)
+def _first_leading_pass(pclass: PartitionClass, d: int, upto: int) -> array:
+    return _leading_pass(pclass, d, upto, *cyclotomic.root_of_unity(d))
 
 
 def t_direct(n: int) -> int:

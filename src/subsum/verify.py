@@ -19,7 +19,12 @@ Every check that builds num* passes its engine straight to
 `reduction.reduced_pair`, so `reduction.num_star` is the one place the
 accumulation engine is applied; under engine "both" it raises
 EngineMismatchError, which `run` records as a failure.  Checks that read
-only den (conjecture 4 and the den side of 2) build no num*.
+only den (conjecture 4 and the den side of 2) build no num*.  The
+Phi_{2d}-nondivisibility checks (conjectures 2 and 7, lemma 4) go
+through `_phi_2d_nondivides`, the one place their route is chosen:
+engine "dp" decides each d by a certificate at a root of unity mod p
+and builds num only when three primes all fail; engine "both" also
+takes the full remainder for every d and compares the two.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -31,9 +36,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cyclotomic, intpoly, reduction
 from .intpoly import IrreducibilityStatus
@@ -46,16 +50,35 @@ WITNESS_ONLY = "WitnessOnly"
 ORDINARY = PartitionClass.ORDINARY
 
 
-@dataclass
 class ConjectureReport:
     """Machine-readable verdict for one conjecture over an n-range."""
 
-    conjecture_id: str
-    n_range: tuple[int, int]
-    verdict: str
-    failures: list[dict] = field(default_factory=list)
-    witnesses: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("conjecture_id", "n_range", "verdict", "failures", "witnesses", "elapsed")
+
+    def __init__(
+        self,
+        conjecture_id: str,
+        n_range: tuple[int, int],
+        verdict: str,
+        failures: list[dict] | None = None,
+        witnesses: list[dict] | None = None,
+        elapsed: float = 0.0,
+    ):
+        self.conjecture_id = conjecture_id
+        self.n_range = n_range
+        self.verdict = verdict
+        self.failures = [] if failures is None else failures
+        self.witnesses = [] if witnesses is None else witnesses
+        self.elapsed = elapsed
+
+    def __eq__(self, other):
+        if not isinstance(other, ConjectureReport):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"ConjectureReport({fields})"
 
     def has_engine_mismatch(self) -> bool:
         return any(f.get("kind") == "engine-mismatch" for f in self.failures)
@@ -89,6 +112,58 @@ def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
     return reduction.reduced_pair(n, pclass, engine).num
 
 
+# --- Phi_{2d} nondivisibility: the one place the route is chosen ---
+
+# Primes tried per d under engine "dp" before the full remainder decides.
+CERTIFICATE_PRIMES = 3
+
+
+def _phi_2d_nondivides(
+    n: int, pclass: PartitionClass, d: int, engine: str, top: int | None = None
+) -> tuple[bool, list[int] | None]:
+    """Whether Phi_{2d} does not divide num(n), and the certificate [d, p, zeta, L] that shows it.
+
+    The local route reads L = num(n)(zeta) up to a unit at a root of
+    unity zeta of order 2d mod p (`reduction.leading_coefficient`);
+    L != 0 proves nondivisibility.  Engine "dp" tries the first
+    CERTIFICATE_PRIMES primes and, when L = 0 at all of them, decides by
+    the full remainder of num mod Phi_{2d}, returning no certificate.
+    Engine "both" reads the first prime's L and also takes the full
+    remainder, which decides; it raises EngineMismatchError when the
+    certificate proves a nondivisibility that the remainder denies.
+    Every d is decided one way or the other.  top >= n sizes the L pass
+    (see `reduction.leading_coefficient`).
+    """
+    certificate = None
+    for k in range(1 if engine == "both" else CERTIFICATE_PRIMES):
+        p, zeta, lead = reduction.leading_coefficient(n, pclass, d, k, top)
+        if lead:
+            certificate = [d, p, zeta, lead]
+            break
+    if certificate is not None and engine == "dp":
+        return True, certificate
+    nondiv = bool(cyclotomic.remainder_mod_phi_2d(_num(n, pclass, engine), d))
+    if certificate is not None and not nondiv:
+        raise reduction.EngineMismatchError(
+            f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
+        )
+    return nondiv, certificate
+
+
+def _decide(n: int, pclass: PartitionClass, ds: list[int], engine: str) -> tuple[list[int], dict]:
+    """The d in ds with Phi_{2d} | num(n), and witness fields saying how each d was decided."""
+    divides, certificates, full_route = [], [], []
+    for d in ds:
+        nondiv, certificate = _phi_2d_nondivides(n, pclass, d, engine)
+        if certificate is None:
+            full_route.append(d)
+        else:
+            certificates.append(certificate)
+        if not nondiv:
+            divides.append(d)
+    return divides, {"certificates": certificates, "full_route": full_route}
+
+
 # Per-n checks: check(n, pclass, engine) -> (failures, witnesses).  They
 # stay module-level so that `run` can send them to worker processes.
 
@@ -96,26 +171,26 @@ def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
 
 
 def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1."""
-    num = _num(n, pclass, engine)
+    """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1.
+
+    den is a product of factors Phi_{2d}; once each is checked monic,
+    Gauss's lemma gives den content 1, and its constant term is the
+    product of the factors' constant terms.  den is never expanded.
+    """
     den = reduction.den(n, pclass)
-    failures = []
     d_checked = sorted(den)
+    divides, decided = _decide(n, pclass, d_checked, engine)
+    failures = [
+        {"n": n, "d": d, "detail": f"Phi_{2 * d} divides num({n},x) but occurs in den({n},x)"}
+        for d in divides
+    ]
+    constant_term = 1
     for d in d_checked:
-        if not cyclotomic.remainder_mod_phi_2d(num, d):
-            failures.append(
-                {
-                    "n": n,
-                    "d": d,
-                    "detail": f"Phi_{2 * d} divides num({n},x) but occurs in den({n},x)",
-                }
-            )
-    expanded_den = cyclotomic.expand_cyclotomics(den)
-    if intpoly.content(expanded_den) != 1:
-        failures.append(
-            {"n": n, "detail": f"den({n},x) has content {intpoly.content(expanded_den)} != 1"}
-        )
-    witness = {"n": n, "d_checked": d_checked, "den_constant_term": expanded_den[0]}
+        factor = cyclotomic.phi(2 * d)
+        if factor[-1] != 1:
+            failures.append({"n": n, "d": d, "detail": f"Phi_{2 * d} is not monic, so den({n},x) may have content > 1"})
+        constant_term *= factor[0] ** den[d]
+    witness = {"n": n, "d_checked": d_checked, "den_constant_term": constant_term, **decided}
     return failures, [witness]
 
 
@@ -124,15 +199,10 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
 
 def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """No factor 1+x^(2^s) = Phi_(2^(s+1)) with 2^s <= n divides the binary numerator."""
-    num = _num(n, pclass, engine)
-    failures = []
-    s_checked = []
-    for d in allowed_parts(pclass, n):
-        s = d.bit_length() - 1
-        s_checked.append(s)
-        if not cyclotomic.remainder_mod_phi_2d(num, d):
-            failures.append({"n": n, "s": s, "detail": f"(1+x^{d}) divides num_B({n},x)"})
-    return failures, [{"n": n, "s_checked": s_checked}]
+    ds = allowed_parts(pclass, n)
+    divides, decided = _decide(n, pclass, ds, engine)
+    failures = [{"n": n, "s": d.bit_length() - 1, "detail": f"(1+x^{d}) divides num_B({n},x)"} for d in divides]
+    return failures, [{"n": n, "s_checked": [d.bit_length() - 1 for d in ds], **decided}]
 
 
 def derive_binary_coprimality(nondiv: ConjectureReport) -> ConjectureReport:
@@ -306,14 +376,16 @@ def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[li
 def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     """Whether Phi_{2d}-nondivisibility of num agrees between n and r = n mod d.
 
-    r = 0 uses num(0,x) = 1, which no Phi divides, so the check then
-    degenerates to nondivisibility at n alone; the equivalence is still
-    asserted as stated.
+    Each side is decided by `_phi_2d_nondivides`; under engine "dp" both
+    L values come from the same cached pass, the one sized for n.  r = 0 uses num(0,x) = 1,
+    which no Phi divides, so the check then degenerates to
+    nondivisibility at n alone; the equivalence is still asserted as
+    stated.
     """
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    nondiv_n = bool(cyclotomic.remainder_mod_phi_2d(_num(n, ORDINARY, engine), d))
-    nondiv_r = bool(cyclotomic.remainder_mod_phi_2d(_num(n % d, ORDINARY, engine), d))
+    nondiv_n, _ = _phi_2d_nondivides(n, ORDINARY, d, engine)
+    nondiv_r, _ = _phi_2d_nondivides(n % d, ORDINARY, d, engine, top=n)
     return nondiv_n == nondiv_r
 
 
@@ -369,8 +441,7 @@ def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[di
 # --- The registry and the runner ---
 
 
-@dataclass(frozen=True)
-class Conjecture:
+class Conjecture(NamedTuple):
     """Everything `run` needs to produce one report.
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, or
@@ -458,7 +529,7 @@ def _guarded(check, pclass: PartitionClass, engine: str, n: int) -> tuple[list[d
     try:
         return check(n, pclass, engine)
     except reduction.EngineMismatchError as exc:
-        return [{"n": n, "kind": "engine-mismatch", "detail": str(exc)}], []
+        return [{"n": n, "kind": "engine-mismatch", **exc.fields, "detail": str(exc)}], []
 
 
 def _workers(jobs: int, count: int) -> int:

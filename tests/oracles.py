@@ -5,8 +5,9 @@ checks: partition counts come from the Euler pentagonal recurrence,
 products from a dict-based convolution, enumeration from an
 ascending-composition algorithm, and mod-p irreducibility from brute
 trial division by all monic polynomials of low degree, gcds in Z[x]
-from pseudo-remainder Euclid on naively expanded products, and G from
-the entrywise-minimum cyclotomic exponents of every cofactor.
+from pseudo-remainder Euclid on naively expanded products, G from
+the entrywise-minimum cyclotomic exponents of every cofactor, and the
+root-of-unity certificates from first principles.
 """
 
 import math
@@ -311,3 +312,30 @@ def big_g(n, pclass):
         m = Counter(p)
         cofactors.append({i: n // i - m[i] for i in parts})
     return min_exponents(cofactors)
+
+
+def certificate_problems(num, certificate):
+    """Why [d, p, zeta, L] fails to prove that Phi_2d does not divide num; [] if it proves it.
+
+    p must be prime (trial division) with p = 1 mod 2d; zeta must have
+    order exactly 2d mod p (zeta^d = -1, and zeta^(2d/q) != 1 for every
+    odd prime q dividing d); L must be a nonzero residue; and num(zeta),
+    from num's own coefficients, must be nonzero mod p.  Then Phi_2d,
+    which vanishes at zeta mod p, cannot divide num over Z.
+    """
+    d, p, zeta, lead = certificate
+    problems = []
+    if not is_prime(p):
+        problems.append(f"{p} is not prime")
+    if p % (2 * d) != 1:
+        problems.append(f"{p} != 1 mod {2 * d}")
+    if pow(zeta, d, p) != p - 1:
+        problems.append(f"zeta^{d} != -1 mod {p}")
+    for q in range(3, d + 1, 2):
+        if d % q == 0 and is_prime(q) and pow(zeta, 2 * d // q, p) == 1:
+            problems.append(f"zeta^{2 * d // q} = 1 mod {p}")
+    if not 0 < lead < p:
+        problems.append(f"L = {lead} is not a nonzero residue mod {p}")
+    if sum(c * pow(zeta, j, p) for j, c in enumerate(num)) % p == 0:
+        problems.append(f"num(zeta) = 0 mod {p}")
+    return problems

@@ -221,7 +221,9 @@ def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
-    code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "4", "--format", "json"])
+    # Engine "dp" certifies at a root of unity and reads no num; "both"
+    # also takes the full remainder of the corrupted num.
+    code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
     assert code == 1
     record = json.loads(out)
     assert record["verdict"] == "FailuresFound"
@@ -383,7 +385,7 @@ def test_write_to_full_device_exits_1_with_one_line():
 def test_import_loads_neither_the_process_pool_nor_fractions():
     code = (
         "import sys, subsum.cli; "
-        "print([m for m in ('concurrent.futures.process', 'fractions') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures.process', 'fractions', 'dataclasses', 'inspect') if m in sys.modules])"
     )
     out = _python(["-c", code], capture_output=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -479,14 +481,20 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
     calls = []
 
     def counting(n, pclass, engine="dp"):
-        calls.append(n)
+        calls.append((n, engine))
         return real(n, pclass, engine)
 
     monkeypatch.setattr(reduction, "num_star", counting)
     reduction.reduced_pair.cache_clear()
-    code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
-    assert code == 0
-    assert sorted(calls) == list(range(0, 9))
+    try:
+        code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
+        assert code == 0
+        assert calls == []  # every d certified at a root of unity
+        code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--engine", "both", "--format", "json"])
+        assert code == 0
+    finally:
+        reduction.reduced_pair.cache_clear()
+    assert sorted(calls) == [(n, "both") for n in range(0, 9)]
 
 
 def test_den_readers_build_no_num_star(capsys, monkeypatch):

@@ -134,3 +134,18 @@ def test_remainder_mod_phi_2d_matches_direct_remainder():
             for d in range(1, n + 1):
                 want = intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d))
                 assert cyclotomic.remainder_mod_phi_2d(num, d) == want, (pclass, n, d)
+
+
+def test_root_of_unity_primes_and_orders():
+    for d in range(1, 41):
+        m = 2 * d
+        primes = [cyclotomic.root_of_unity(d, k)[0] for k in range(3)]
+        start = 10**6 // m * m + 1
+        candidates = range(start if start > 10**6 else start + m, primes[-1] + 1, m)
+        assert [c for c in candidates if oracles.is_prime(c)] == primes
+        for k, p in enumerate(primes):
+            zeta = cyclotomic.root_of_unity(d, k)[1]
+            orders = [next(j for j in range(1, m + 1) if pow(pow(a, (p - 1) // m, p), j, p) == 1) for a in range(2, 40)]
+            assert zeta == pow(2 + orders.index(m), (p - 1) // m, p)
+    with pytest.raises(ValueError):
+        cyclotomic.root_of_unity(0)

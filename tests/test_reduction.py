@@ -295,3 +295,56 @@ def test_exact_division_by_g_always_clean(n, pclass):
     # the assert means the division was exact.
     rp = reduction.reduced_pair(n, pclass)
     assert rp.n == n
+
+
+def _at_mod(f, z, p):
+    value = 0
+    for c in reversed(f):
+        value = (value * z + c) % p
+    return value
+
+
+@pytest.mark.parametrize("pclass", CLASSES)
+def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
+    """L(n) * D = num(n)(zeta) mod p for every allowed d <= 24, n <= 24 and the three primes.
+
+    D = Phi'_2d(zeta)^floor(n/d) * prod over the other allowed d' <= n of
+    Phi_2d'(zeta)^floor(n/d'), built here from phi and its derivative.
+    """
+    for d in allowed_parts(pclass, 24):
+        phi = cyclotomic.phi(2 * d)
+        derivative = tuple(j * c for j, c in enumerate(phi))[1:]
+        for k in range(3):
+            p, zeta = cyclotomic.root_of_unity(d, k)
+            lc = pow(d * pow(zeta, d - 1, p), -1, p)
+            for n in range(25):
+                big_d = pow(_at_mod(derivative, zeta, p), n // d, p)
+                for e in allowed_parts(pclass, n):
+                    if e != d:
+                        big_d = big_d * pow(_at_mod(cyclotomic.phi(2 * e), zeta, p), n // e, p) % p
+                assert big_d
+                got_p, got_zeta, lead = reduction.leading_coefficient(n, pclass, d, k)
+                assert (got_p, got_zeta) == (p, zeta)
+                num = reduction.reduced_pair(n, pclass).num
+                assert lead * big_d % p == _at_mod(num, zeta, p), (n, d, k)
+                # Lemma 4 inside the DP, which the pass computes but does not assume.
+                assert lead == pow(lc, n // d, p) * reduction.leading_coefficient(n % d, pclass, d, k)[2] % p
+
+
+def test_leading_coefficient_needs_an_allowed_part():
+    with pytest.raises(ValueError):
+        reduction.leading_coefficient(9, BIN, 3)
+    with pytest.raises(ValueError):
+        reduction.leading_coefficient(-1, ORD, 1)
+
+
+def test_leading_pass_is_shared_across_n():
+    reduction._first_leading_pass.cache_clear()
+    for n in range(5, 9):
+        assert reduction.leading_coefficient(n % 3, ORD, 3, top=n) == reduction.leading_coefficient(n % 3, ORD, 3)
+    # upto is the next power of two >= max(top, d): (ordinary, 3, 8), and (ordinary, 3, 4) for top = n % 3.
+    assert reduction._first_leading_pass.cache_info().currsize == 2
+    assert reduction._first_leading_pass.cache_info().misses == 2
+    assert reduction._first_leading_pass.cache_info().maxsize == 512
+    with pytest.raises(ValueError):
+        reduction.leading_coefficient(9, ORD, 3, top=8)

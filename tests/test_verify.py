@@ -6,7 +6,10 @@ import pytest
 from subsum import cyclotomic, intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
+import oracles
+
 ORD = PartitionClass.ORDINARY
+BIN = PartitionClass.BINARY
 
 
 def run_one(cid, max_n, **kw):
@@ -215,9 +218,11 @@ def test_mutated_numerator_detected(monkeypatch):
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
-    report = run_one("2", 5)
+    # Only engine "both" reads num here; its certificate then contradicts the remainder.
+    report = run_one("2", 5, engine="both")
     assert report.verdict == verify.FAILURES_FOUND
     assert any(f.get("n") == 4 and f.get("d") == 1 for f in report.failures)
+    assert report.has_engine_mismatch()
 
 
 def test_run_validates_range_and_jobs():
@@ -255,3 +260,117 @@ def test_jobs_capped_at_cpus_and_values(monkeypatch):
     run_one("8", 10, jobs=2)
     assert sizes == [4, 3, 2]
     assert capped.witnesses == serial.witnesses
+
+
+def _assert_certified(report, pclass, ds_of):
+    for w in report.witnesses:
+        num = reduction.reduced_pair(w["n"], pclass).num
+        assert w["full_route"] == []
+        assert [c[0] for c in w["certificates"]] == ds_of(w)
+        for certificate in w["certificates"]:
+            assert oracles.certificate_problems(num, certificate) == [], (w["n"], certificate)
+
+
+def test_every_certificate_passes_the_independent_checker():
+    _assert_certified(run_one("2", 16), ORD, lambda w: w["d_checked"])
+    nondiv, _ = verify.run("7", 24)
+    _assert_certified(nondiv, BIN, lambda w: [1 << s for s in w["s_checked"]])
+
+
+def test_checker_rejects_a_bad_certificate():
+    num = reduction.reduced_pair(4, ORD).num
+    [good] = [c for c in run_one("2", 4).witnesses[-1]["certificates"] if c[0] == 3]
+    d, p, zeta, lead = good
+    assert oracles.certificate_problems(num, good) == []
+    assert oracles.certificate_problems(num, [d, 7 * p, zeta, lead])  # composite, though = 1 mod 6
+    assert oracles.certificate_problems(num, [d, p, zeta * zeta % p, lead])  # order 3, not 6
+    assert oracles.certificate_problems(intpoly.mul(num, cyclotomic.phi(6)), good)
+
+
+def _vanishing(monkeypatch, ds, primes):
+    """Make L vanish at the first `primes` primes for every d in ds."""
+    real = reduction.leading_coefficient
+
+    def vanishing(n, pclass, d, k=0, top=None):
+        p, zeta, lead = real(n, pclass, d, k, top)
+        return p, zeta, 0 if d in ds and k < primes else lead
+
+    monkeypatch.setattr(reduction, "leading_coefficient", vanishing)
+
+
+def _counting_num_star(monkeypatch):
+    real = reduction.num_star
+    calls = []
+
+    def counting(n, pclass, engine="dp"):
+        calls.append(n)
+        return real(n, pclass, engine)
+
+    monkeypatch.setattr(reduction, "num_star", counting)
+    reduction.reduced_pair.cache_clear()
+    return calls
+
+
+def test_vanishing_first_prime_falls_back_to_the_next(monkeypatch):
+    _vanishing(monkeypatch, {2}, 1)
+    calls = _counting_num_star(monkeypatch)
+    report = run_one("2", 6)
+    assert report.verdict == verify.ALL_HOLD
+    second = cyclotomic.root_of_unity(2, 1)
+    for w in report.witnesses:
+        assert w["full_route"] == []
+        assert [c[1:3] for c in w["certificates"] if c[0] == 2] == ([list(second)] if w["n"] >= 2 else [])
+    assert calls == []
+
+
+def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
+    _vanishing(monkeypatch, {2}, verify.CERTIFICATE_PRIMES)
+    calls = _counting_num_star(monkeypatch)
+    try:
+        report = run_one("2", 6)
+        assert report.verdict == verify.ALL_HOLD
+        for w in report.witnesses:
+            assert w["full_route"] == ([2] if w["n"] >= 2 else [])
+            assert [c[0] for c in w["certificates"]] == [d for d in w["d_checked"] if d != 2]
+        assert calls == [2, 3, 4, 5, 6]
+        both = run_one("2", 6, engine="both")
+        assert [w["full_route"] for w in both.witnesses] == [w["full_route"] for w in report.witnesses]
+        assert verify.remainder_reduction_check(6, 2)
+        assert verify.remainder_reduction_check(6, 4)
+    finally:
+        reduction.reduced_pair.cache_clear()
+
+
+def test_full_route_reports_a_divisor(monkeypatch):
+    # With no certificate for d = 2, the full remainder decides, and finds
+    # the Phi_4 smuggled into num(4).
+    _vanishing(monkeypatch, {2}, verify.CERTIFICATE_PRIMES)
+    real = reduction._reduced_pair
+
+    def mutated(n, pclass, engine="dp"):
+        rp = real(n, pclass, engine)
+        if n == 4 and pclass is ORD:
+            return reduction.ReducedPair(n, pclass, intpoly.mul(rp.num, cyclotomic.phi(4)))
+        return rp
+
+    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    report = run_one("2", 5)
+    assert report.verdict == verify.FAILURES_FOUND
+    assert [(f["n"], f["d"]) for f in report.failures] == [(4, 2)]
+    assert not report.has_engine_mismatch()
+
+
+def test_den_side_by_gauss_lemma_matches_the_expanded_den():
+    for w in run_one("2", 20).witnesses:
+        expanded = cyclotomic.expand_cyclotomics(reduction.den(w["n"], ORD))
+        assert intpoly.content(expanded) == 1
+        assert w["den_constant_term"] == expanded[0]
+
+
+def test_non_monic_den_factor_is_a_failure(monkeypatch):
+    real = cyclotomic.phi
+    monkeypatch.setattr(cyclotomic, "phi", lambda m: tuple(2 * c for c in real(m)) if m == 4 else real(m))
+    report = run_one("2", 3)
+    assert report.verdict == verify.FAILURES_FOUND
+    assert [(f["n"], f["d"]) for f in report.failures] == [(2, 2), (3, 2)]
+    assert all("not monic" in f["detail"] for f in report.failures)
