@@ -67,9 +67,10 @@ def root_of_unity(d: int, k: int = 0) -> tuple[int, int]:
 
     k counts from 0.  A candidate is proved prime by trial division up to
     isqrt(p), run only once it passes a base-2 Fermat test.  zeta is
-    a^((p-1)/2d) for the least a >= 2 with Phi_{2d}(zeta) = 0 mod p,
-    which holds exactly when zeta has order 2d, since p does not divide
-    2d.  Memoized per process: at most three entries per d.
+    a^((p-1)/2d) for the least a >= 2 for which zeta has order 2d, tested
+    directly: zeta^(2d) = 1 always, zeta^d = -1 rules out every order
+    dividing d, and zeta^(2d/q) != 1, for each odd prime q | d, every
+    order dividing 2d/q.  Memoized per process: at most three entries per d.
     """
     if d < 1 or k < 0:
         raise ValueError("need d >= 1 and k >= 0")
@@ -82,14 +83,11 @@ def root_of_unity(d: int, k: int = 0) -> tuple[int, int]:
             p += m
     while not _is_prime(p):
         p += m
-    f = phi(m)
+    odd_primes = [q for q in intpoly._prime_divisors(d) if q > 2]
     a = 2
     while True:
         zeta = pow(a, (p - 1) // m, p)
-        value = 0
-        for c in reversed(f):
-            value = (value * zeta + c) % p
-        if not value:
+        if pow(zeta, d, p) == p - 1 and all(pow(zeta, m // q, p) != 1 for q in odd_primes):
             return p, zeta
         a += 1
 
@@ -97,21 +95,6 @@ def root_of_unity(d: int, k: int = 0) -> tuple[int, int]:
 def _is_prime(c: int) -> bool:
     """Primality of an odd c > 2: a base-2 Fermat filter, then trial division."""
     return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
-
-
-def phi_at_one(m: int) -> int:
-    """Phi_m(1): p when m is a power of the prime p, else 1."""
-    if m <= 1:
-        raise ValueError("m must be > 1")
-    primes = intpoly._prime_divisors(m)
-    return primes[0] if len(primes) == 1 else 1
-
-
-def phi_at_minus_one(m: int) -> int:
-    """Phi_m(-1) for m > 2, by direct exact evaluation."""
-    if m <= 2:
-        raise ValueError("m must be > 2")
-    return intpoly.eval_at_int(phi(m), -1)
 
 
 @lru_cache(maxsize=None)

@@ -53,8 +53,9 @@ digit, and it does.  One unpack reads num* back.
 
 Whether Phi_{2d} divides num needs no num at all when the answer is no:
 `leading_coefficient` runs the coin DP for sum of 1/sp(lambda) at a root
-of unity of order 2d in a prime field and keeps one coefficient per
-weight, which is num(zeta) up to a known unit.
+of unity of order 2d in a prime field, keeping one coefficient per
+weight r < d.  Lemma 4 carries it to every n: L(n) = c^floor(n/d) *
+L(n mod d) for a unit c, and L(n) is num(n)(zeta) up to a known unit.
 """
 
 from __future__ import annotations
@@ -269,9 +270,7 @@ reduced_pair.cache_info = _cached_pair.cache_info
 reduced_pair.cache_clear = _cached_pair.cache_clear
 
 
-def leading_coefficient(
-    n: int, pclass: PartitionClass, d: int, k: int = 0, top: int | None = None
-) -> tuple[int, int, int]:
+def leading_coefficient(n: int, pclass: PartitionClass, d: int, k: int = 0) -> tuple[int, int, int]:
     """(p, zeta, L(n)): num(n) at a root of unity of order 2d, up to a unit, in GF(p).
 
     (p, zeta) is `cyclotomic.root_of_unity(d, k)`, and d must be an
@@ -285,7 +284,7 @@ def leading_coefficient(
     and its coefficient L(r) at t^(-floor(r/d)) needs only the
     predecessors' L:
 
-    * the pole i = d adds L(r-d) / (d zeta^(d-1));
+    * the pole i = d adds L(r-d) * c, c = 1/(d zeta^(d-1));
     * the poles i = d*j with odd j >= 3 add nothing: their terms have
       valuation >= -floor(r/d) + j - 1;
     * every other part adds L(r-i) / (1+zeta^i) when (r-i)//d == r//d,
@@ -297,59 +296,45 @@ def leading_coefficient(
         L(n) * D = num(n)(zeta)  (mod p),
         D = Phi'_{2d}(zeta)^floor(n/d) * prod_{d' != d} Phi_{2d'}(zeta)^floor(n/d'),
 
-    where D is nonzero mod p, as zeta has order 2d and p > 2n.  L(n) != 0
-    proves that Phi_{2d} does not divide num(n) over Z; L(n) = 0 proves
-    nothing.  For any d that is not a part the target valuation is
-    wrong, and a ValueError is raised.
+    where D is nonzero mod p, as zeta has order 2d and p > 2n (a
+    ValueError is raised otherwise).  L(n) != 0 proves that Phi_{2d}
+    does not divide num(n) over Z; L(n) = 0 proves nothing.  For any d
+    that is not a part the target valuation is wrong, and a ValueError
+    is raised.
 
-    Lemma 4 appears inside the DP: only the pole i = d carries L from
-    one block of d weights to the next, so L(n) = lc(u_d)^floor(n/d) *
-    L(n mod d), with lc(u_d) = 1/(d zeta^(d-1)) a unit.  The pass
-    computes every L(r) by the recurrence above and does not assume
-    this identity.
+    Most cells of that DP are zero and are skipped, as the num* DP skips
+    the weights it cannot reach.  L(0) = 1 and every other L starts at
+    0; the parts below d move L only within a block of d weights, so
+    after them only block 0, L(0..d-1), is nonzero.  The pole part d,
+    the last part that reaches the leading order, then sets
+    L(r) = c * L(r-d) for r >= d in ascending r.  Hence lemma 4:
 
-    One pass gives L(r) for every r up to upto, the next power of two
-    >= max(top, d), in O(upto * d) operations mod p; top defaults to n,
-    and lemma 4 passes its n to read L(n mod d) off the pass of L(n).
-    The pass for k = 0 is cached on (class, d, upto) in an LRU cache of
-    512 entries, each an array of upto + 1 < 2*max(top, d) ints below p;
-    the passes for the fallback primes k > 0 are not cached.
+        L(n) = c^floor(n/d) * L(n mod d),
+
+    and only block 0 is ever computed, in O(d * #parts) operations mod
+    p.  It is cached with p, zeta and c on (class, d, k) for the life of
+    the process: `verify` asks for k < 3, so a run up to n = N holds at
+    most 3 entries per class and d <= N, each of d ints below p, O(N^2)
+    ints per class.
     """
-    top = n if top is None else top
-    if not 0 <= n <= top or not pclass.allows(d):
-        raise ValueError(f"need 0 <= n <= top and d a part of {pclass.value} partitions")
-    upto = 1 << (max(top, d) - 1).bit_length()
+    if n < 0 or not pclass.allows(d):
+        raise ValueError(f"need n >= 0 and d a part of {pclass.value} partitions")
+    p, zeta, c, block = _leading_block(pclass, d, k)
+    if 2 * n >= p:
+        raise ValueError(f"prime {p} too small for n = {n}")
+    return p, zeta, pow(c, n // d, p) * block[n % d] % p
+
+
+@lru_cache(maxsize=None)
+def _leading_block(pclass: PartitionClass, d: int, k: int) -> tuple[int, int, int, array]:
+    """(p, zeta, c, L(0..d-1)) for `leading_coefficient`: the coin DP over the parts below d."""
     p, zeta = cyclotomic.root_of_unity(d, k)
-    lead = _first_leading_pass(pclass, d, upto) if k == 0 else _leading_pass(pclass, d, upto, p, zeta)
-    return p, zeta, lead[n]
-
-
-def _leading_pass(pclass: PartitionClass, d: int, upto: int, p: int, zeta: int) -> array:
-    """L(r) mod p for r = 0..upto (see `leading_coefficient`)."""
-    if 2 * upto >= p:
-        raise ValueError(f"prime {p} too small for weights up to {upto}")
-    lead = [1] + [0] * upto
-    for i in allowed_parts(pclass, d):  # parts above d never reach the leading order
-        if i == d:
-            c = pow(d * pow(zeta, d - 1, p), -1, p)
-            for r in range(d, upto + 1):
-                lead[r] = (lead[r] + lead[r - d] * c) % p
-            continue
+    block = [1] + [0] * (d - 1)
+    for i in allowed_parts(pclass, d - 1):
         u = pow(1 + pow(zeta, i, p), -1, p)
-        for block in range(0, upto + 1, d):
-            for r in range(block + i, min(block + d, upto + 1)):
-                lead[r] = (lead[r] + lead[r - i] * u) % p
-    return array("q", lead)
-
-
-# A sweep reads, at each n, one pass per d <= n, all of the same length:
-# up to n = 512 they fit, and each pass is built once per power of two.
-_LEAD_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_LEAD_CACHE_SIZE)
-def _first_leading_pass(pclass: PartitionClass, d: int, upto: int) -> array:
-    return _leading_pass(pclass, d, upto, *cyclotomic.root_of_unity(d))
+        for r in range(i, d):
+            block[r] = (block[r] + block[r - i] * u) % p
+    return p, zeta, pow(d * pow(zeta, d - 1, p), -1, p), array("q", block)
 
 
 def t_direct(n: int) -> int:

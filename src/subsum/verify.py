@@ -20,11 +20,12 @@ Every check that builds num* passes its engine straight to
 accumulation engine is applied; under engine "both" it raises
 EngineMismatchError, which `run` records as a failure.  Checks that read
 only den (conjecture 4 and the den side of 2) build no num*.  The
-Phi_{2d}-nondivisibility checks (conjectures 2 and 7, lemma 4) go
+Phi_{2d}-nondivisibility checks (conjectures 2 and 7, lemma 4 at n) go
 through `_phi_2d_nondivides`, the one place their route is chosen:
 engine "dp" decides each d by a certificate at a root of unity mod p
 and builds num only when three primes all fail; engine "both" also
-takes the full remainder for every d and compares the two.
+takes the full remainder for every d and compares the two.  Lemma 4
+decides its n mod d side by the full remainder under either engine.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -118,9 +119,7 @@ def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
 CERTIFICATE_PRIMES = 3
 
 
-def _phi_2d_nondivides(
-    n: int, pclass: PartitionClass, d: int, engine: str, top: int | None = None
-) -> tuple[bool, list[int] | None]:
+def _phi_2d_nondivides(n: int, pclass: PartitionClass, d: int, engine: str) -> tuple[bool, list[int] | None]:
     """Whether Phi_{2d} does not divide num(n), and the certificate [d, p, zeta, L] that shows it.
 
     The local route reads L = num(n)(zeta) up to a unit at a root of
@@ -131,12 +130,11 @@ def _phi_2d_nondivides(
     Engine "both" reads the first prime's L and also takes the full
     remainder, which decides; it raises EngineMismatchError when the
     certificate proves a nondivisibility that the remainder denies.
-    Every d is decided one way or the other.  top >= n sizes the L pass
-    (see `reduction.leading_coefficient`).
+    Every d is decided one way or the other.
     """
     certificate = None
     for k in range(1 if engine == "both" else CERTIFICATE_PRIMES):
-        p, zeta, lead = reduction.leading_coefficient(n, pclass, d, k, top)
+        p, zeta, lead = reduction.leading_coefficient(n, pclass, d, k)
         if lead:
             certificate = [d, p, zeta, lead]
             break
@@ -376,8 +374,12 @@ def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[li
 def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     """Whether Phi_{2d}-nondivisibility of num agrees between n and r = n mod d.
 
-    Each side is decided by `_phi_2d_nondivides`; under engine "dp" both
-    L values come from the same cached pass, the one sized for n.  r = 0 uses num(0,x) = 1,
+    The n side is decided by `_phi_2d_nondivides`.  The r side is
+    decided by the full remainder of num(r) mod Phi_{2d}: the
+    certificate at r reads the same cached block entry L(r) that
+    L(n) = c^floor(n/d) * L(r) is built from (see
+    `reduction.leading_coefficient`), so it could not disagree.  r < d,
+    and num(r) comes from the pair cache.  r = 0 uses num(0,x) = 1,
     which no Phi divides, so the check then degenerates to
     nondivisibility at n alone; the equivalence is still asserted as
     stated.
@@ -385,7 +387,7 @@ def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     nondiv_n, _ = _phi_2d_nondivides(n, ORDINARY, d, engine)
-    nondiv_r, _ = _phi_2d_nondivides(n % d, ORDINARY, d, engine, top=n)
+    nondiv_r = bool(cyclotomic.remainder_mod_phi_2d(_num(n % d, ORDINARY, engine), d))
     return nondiv_n == nondiv_r
 
 

@@ -339,3 +339,26 @@ def certificate_problems(num, certificate):
     if sum(c * pow(zeta, j, p) for j, c in enumerate(num)) % p == 0:
         problems.append(f"num(zeta) = 0 mod {p}")
     return problems
+
+
+def leading_pass(allows, d, upto, p, zeta):
+    """L(r) mod p for r = 0..upto, every cell filled; the reference for `reduction.leading_coefficient`.
+
+    The leading-order recurrence of the coin DP at x = zeta + t, run
+    over every allowed part i <= upto and every weight, with no block
+    structure or lemma 4 assumed: the pole i = d adds
+    L(r-d) / (d zeta^(d-1)); the other odd multiples of d add nothing;
+    every other part adds L(r-i) / (1+zeta^i) when (r-i)//d == r//d.
+    """
+    lead = [1] + [0] * upto
+    for i in range(1, upto + 1):
+        if not allows(i) or (i != d and i % (2 * d) == d):
+            continue
+        if i == d:
+            u = pow(d * pow(zeta, d - 1, p), -1, p)
+        else:
+            u = pow(1 + pow(zeta, i, p), -1, p)
+        for r in range(i, upto + 1):
+            if i == d or (r - i) // d == r // d:
+                lead[r] = (lead[r] + lead[r - i] * u) % p
+    return lead

@@ -489,7 +489,9 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
     try:
         code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
         assert code == 0
-        assert calls == []  # every d certified at a root of unity
+        # n is certified at a root of unity; n mod d = 0..3 is decided by the full remainder.
+        assert sorted(calls) == [(r, "dp") for r in range(0, 4)]
+        calls.clear()
         code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--engine", "both", "--format", "json"])
         assert code == 0
     finally:

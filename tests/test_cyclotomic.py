@@ -56,21 +56,39 @@ def test_binomial_cyclo_divides_matches_remainders():
                 assert intpoly.remainder_mod_monic(q, cyclotomic.phi(2 * d)) != ()
 
 
+def _prime_power_base(m):
+    """q when m = q^a for a prime q and a >= 1, else None."""
+    q = next(q for q in range(2, m + 1) if m % q == 0)
+    while m % q == 0:
+        m //= q
+    return q if m == 1 else None
+
+
 def test_phi_at_one_closed_form():
-    assert cyclotomic.phi_at_one(9) == 3
-    assert cyclotomic.phi_at_one(6) == 1
-    assert cyclotomic.phi_at_one(2) == 2
-    assert cyclotomic.phi_at_one(125) == 5
+    """Phi_m(1), m > 1, is q when m is a power of the prime q, else 1."""
+    assert intpoly.eval_at_int(cyclotomic.phi(9), 1) == 3
+    assert intpoly.eval_at_int(cyclotomic.phi(6), 1) == 1
+    assert intpoly.eval_at_int(cyclotomic.phi(2), 1) == 2
+    assert intpoly.eval_at_int(cyclotomic.phi(125), 1) == 5
     for m in range(2, 201):
-        assert cyclotomic.phi_at_one(m) == intpoly.eval_at_int(cyclotomic.phi(m), 1), m
+        q = _prime_power_base(m)
+        assert intpoly.eval_at_int(cyclotomic.phi(m), 1) == (q or 1), m
 
 
 def test_phi_at_minus_one():
-    assert cyclotomic.phi_at_minus_one(6) == 3
+    """Phi_m(-1), m > 2, is 2 when m is a power of 2, q when m = 2 q^a for
+    an odd prime q, else 1."""
+    assert intpoly.eval_at_int(cyclotomic.phi(6), -1) == 3
     for a in range(1, 4):
-        assert cyclotomic.phi_at_minus_one(2 * 3**a) == 3
+        assert intpoly.eval_at_int(cyclotomic.phi(2 * 3**a), -1) == 3
     for m in range(3, 201):
-        assert cyclotomic.phi_at_minus_one(m) == intpoly.eval_at_int(cyclotomic.phi(m), -1)
+        if _prime_power_base(m) == 2:
+            want = 2
+        elif m % 4 == 2:
+            want = _prime_power_base(m // 2) or 1
+        else:
+            want = 1
+        assert intpoly.eval_at_int(cyclotomic.phi(m), -1) == want, m
 
 
 def test_expand_binomials_examples():

@@ -338,13 +338,28 @@ def test_leading_coefficient_needs_an_allowed_part():
         reduction.leading_coefficient(-1, ORD, 1)
 
 
-def test_leading_pass_is_shared_across_n():
-    reduction._first_leading_pass.cache_clear()
-    for n in range(5, 9):
-        assert reduction.leading_coefficient(n % 3, ORD, 3, top=n) == reduction.leading_coefficient(n % 3, ORD, 3)
-    # upto is the next power of two >= max(top, d): (ordinary, 3, 8), and (ordinary, 3, 4) for top = n % 3.
-    assert reduction._first_leading_pass.cache_info().currsize == 2
-    assert reduction._first_leading_pass.cache_info().misses == 2
-    assert reduction._first_leading_pass.cache_info().maxsize == 512
+def test_leading_coefficient_needs_p_above_2n():
+    p = cyclotomic.root_of_unity(1)[0]
+    assert p == 1_000_003
+    assert reduction.leading_coefficient((p - 1) // 2, ORD, 1)[0] == p
     with pytest.raises(ValueError):
-        reduction.leading_coefficient(9, ORD, 3, top=8)
+        reduction.leading_coefficient(600_000, ORD, 1)
+
+
+def test_leading_coefficient_matches_the_full_recurrence():
+    """The cached block and lemma 4 against every cell of the full recurrence: n, d < 60, three primes."""
+    for pclass in CLASSES:
+        for d in allowed_parts(pclass, 59):
+            for k in range(3):
+                p, zeta = cyclotomic.root_of_unity(d, k)
+                want = [(p, zeta, lead) for lead in oracles.leading_pass(pclass.allows, d, 59, p, zeta)]
+                assert [reduction.leading_coefficient(n, pclass, d, k) for n in range(60)] == want, (pclass, d, k)
+
+
+def test_leading_block_is_cached_once_per_prime():
+    reduction._leading_block.cache_clear()
+    for k in range(3):
+        for n in range(40):
+            reduction.leading_coefficient(n, ORD, 7, k)
+    info = reduction._leading_block.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)

@@ -143,6 +143,23 @@ def test_remainder_reduction_range():
     assert report.verdict == verify.ALL_HOLD
 
 
+@pytest.mark.parametrize("engine", ["dp", "both"])
+def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
+    # A Phi_6 smuggled into num(2) shows at every n = 2 mod 3, d = 3: the n mod d side is a real remainder.
+    real = reduction.reduced_pair
+
+    def mutated(n, pclass, *engine):
+        rp = real(n, pclass, *engine)
+        if n == 2:
+            return reduction.ReducedPair(n, pclass, intpoly.mul(rp.num, cyclotomic.phi(6)))
+        return rp
+
+    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    report = run_one("lemma4", 8, engine=engine)
+    assert report.verdict == verify.FAILURES_FOUND
+    assert [(f["n"], f["d"]) for f in report.failures] == [(5, 3), (8, 3)]
+
+
 def test_irreducibility_witness_examples():
     rec2 = verify.irreducibility_witness(2)
     assert rec2["content"] == 2
@@ -291,8 +308,8 @@ def _vanishing(monkeypatch, ds, primes):
     """Make L vanish at the first `primes` primes for every d in ds."""
     real = reduction.leading_coefficient
 
-    def vanishing(n, pclass, d, k=0, top=None):
-        p, zeta, lead = real(n, pclass, d, k, top)
+    def vanishing(n, pclass, d, k=0):
+        p, zeta, lead = real(n, pclass, d, k)
         return p, zeta, 0 if d in ds and k < primes else lead
 
     monkeypatch.setattr(reduction, "leading_coefficient", vanishing)
