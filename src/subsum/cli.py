@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
 from . import cyclotomic, intpoly, reduction, verify
 from .partitions import PartitionClass, enumerate_partitions
 
-log = logging.getLogger("subsum")
+# The standard logging levels by name; SUBSUM_LOG names the threshold.
+_LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARNING": 30, "WARN": 30, "INFO": 20, "DEBUG": 10, "NOTSET": 0}
+DEBUG, INFO, WARNING = 10, 20, 30
 
 _CLASSES = [c.value for c in PartitionClass]
 _ENGINES = ["dp", "both"]
@@ -106,12 +107,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log(level: int, msg: str, *args, exc_info: bool = False) -> None:
+    """Log one record on the "subsum" logger to stderr if level reaches SUBSUM_LOG (default WARNING).
+
+    `logging` is imported, and configured, only here: importing it costs
+    every start-up several milliseconds, and most runs log nothing.
+    """
+    threshold = _LEVELS.get(os.environ.get("SUBSUM_LOG", "WARNING").upper(), WARNING)
+    if level < threshold:
+        return
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=threshold, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("subsum").log(level, msg, *args, exc_info=exc_info)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, os.environ.get("SUBSUM_LOG", "WARNING").upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.conjecture != "all":
@@ -134,7 +145,7 @@ def main(argv=None) -> int:
         # The parser has checked every flag, so these come from the
         # library's own consistency checks (inexact division, a signed
         # log-concavity input, a non-monic modulus, ...): a bug, not bad input.
-        log.debug("internal error", exc_info=True)
+        _log(DEBUG, "internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}; this is a pipeline bug", file=sys.stderr)
         return 1
 
@@ -274,10 +285,10 @@ def cmd_verify(args) -> int:
             continue
         lowest = verify.CONJECTURES[cid].lowest_n
         if args.max_n < lowest:
-            log.warning("skipping conjecture %s: needs max-n >= %d", cid, lowest)
+            _log(WARNING, "skipping conjecture %s: needs max-n >= %d", cid, lowest)
             continue
         for report in verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs):
-            log.info("conjecture %s: %s in %.2fs", report.conjecture_id, report.verdict, report.elapsed)
+            _log(INFO, "conjecture %s: %s in %.2fs", report.conjecture_id, report.verdict, report.elapsed)
             reports[report.conjecture_id] = report
 
     ordered = [reports[cid] for cid in verify.CONJECTURES if cid in reports]

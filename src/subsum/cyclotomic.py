@@ -8,7 +8,27 @@ Phi_{2d}, and two structured representations carry the pipeline:
 * a binomial product, a map i -> e_i standing for prod (1+x^i)^e_i;
 * a cyclotomic exponent vector, a map d -> exponent of Phi_{2d}.
 
-This module expands both; `reduction` reads both off (n, class) directly.
+Inverting that fact over the odd divisors gives, with d' the odd part
+of d,
+
+    Phi_{2d} = prod over e | d' of (1 + x^(d/e))^mu(e),
+
+so a cyclotomic exponent vector is a binomial product with signed
+exponents (`binomial_exponents`).  Expanding one, and dividing by one,
+are then shift-adds on a single packed integer.  At X = 2^w,
+multiplying by 1 + X^j is A + (A << w*j).  Modulo X^M, dividing by it
+is A <- A - (A << w*j) followed by A <- A + (A << w*j*2^k) for each
+k >= 1 with j*2^k < M, because
+
+    1/(1+y) = (1 - y) * prod over k >= 1 of (1 + y^(2^k))   (mod y^M).
+
+Reducing mod 2^(w*M) is a ring homomorphism from Z[X]/(X^M), where
+every 1 + X^j is a unit, so only the final value has to hold its
+coefficients digit by digit; it is read back as balanced digits.  No
+product of two large integers and no long division is involved: even
+the check that confirms a quotient's digit width multiplies back by
+shift-adds (`_divide`).
+
 Divisibility by Phi_{2d} is decided by exact integer remainders, or
 certified at a root of unity in a prime field (`root_of_unity` picks
 the field and the root), never by evaluating at complex points.
@@ -29,19 +49,40 @@ CycloExponents = Mapping[int, int]
 
 @lru_cache(maxsize=None)
 def phi(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial.
+    """The m-th cyclotomic polynomial, by Moebius products of binomials.
 
-    Built by exact division of x^m - 1 by Phi_d over the proper divisors
-    d of m.  Memoized per process; the cache is safe under concurrent
-    readers (lru_cache takes its own lock, and entries are immutable).
+    For m > 1, Phi_m = prod over e | m of (1 - x^(m/e))^mu(e): the
+    Moebius form with x^k - 1 = -(1 - x^k), whose signs cancel because
+    the mu(e) sum to 0.  Phi_m has degree totient(m), so the product is
+    taken among power series mod x^(totient(m) + 1): multiplying by
+    1 - x^k and dividing by it are one pass each over totient(m) + 1
+    coefficients.  Memoized per process; the cache is safe under
+    concurrent readers (lru_cache takes its own lock, and entries are
+    immutable).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    num = (-1,) + (0,) * (m - 1) + (1,)
-    for d in range(1, m):
-        if m % d == 0:
-            num = intpoly.exact_div(num, phi(d))
-    return num
+    if m == 1:
+        return (-1, 1)
+    top = _totient(m)
+    c = [1] + [0] * top
+    for e, mu in _moebius_divisors(m):
+        k = m // e
+        if mu > 0:
+            for j in range(top, k - 1, -1):
+                c[j] -= c[j - k]
+        else:
+            for j in range(k, top + 1):
+                c[j] += c[j - k]
+    return tuple(c)
+
+
+def _moebius_divisors(m: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for every squarefree divisor e of m."""
+    out = [(1, 1)]
+    for q in intpoly._prime_divisors(m):
+        out += [(e * q, -mu) for e, mu in out]
+    return out
 
 
 def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
@@ -97,34 +138,161 @@ def _is_prime(c: int) -> bool:
     return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
 
 
-@lru_cache(maxsize=None)
-def binomial_power(i: int, e: int) -> IntPoly:
-    """(1 + x^i)^e, cached; the expansion workhorse."""
-    return intpoly.power(intpoly.binomial(i), e)
+def binomial_exponents(c: CycloExponents) -> dict[int, int]:
+    """prod Phi_{2d}^c_d as a binomial product {j: E_j}, E_j signed, zeros dropped.
+
+    By the Moebius form in the module docstring, E_j is the sum of
+    mu(e) * c_d over the d and the divisors e of d's odd part with
+    d/e = j.
+    """
+    out: dict[int, int] = {}
+    for d, k in c.items():
+        if k < 0:
+            raise ValueError("negative exponent in cyclotomic product")
+        odd = d >> ((d & -d).bit_length() - 1)
+        for e, mu in _moebius_divisors(odd):
+            out[d // e] = out.get(d // e, 0) + mu * k
+    return {j: e for j, e in out.items() if e}
 
 
 def expand_binomials(f: BinomialProduct) -> IntPoly:
-    """Expand prod (1+x^i)^e_i; the empty product is 1."""
-    result = intpoly.ONE
+    """Expand prod (1+x^i)^e_i by shift-adds; the empty product is 1.
+
+    Its coefficients are nonnegative and sum to 2^(sum of e_i), so each
+    is one unsigned digit of a width that holds that sum.
+    """
+    if any(e < 0 for e in f.values()):
+        raise ValueError("negative exponent in binomial product")
+    width = intpoly.unpack_width(1 << sum(f.values()))
+    return intpoly.unpack(_shift_adds(1, f, 8 * width), width)
+
+
+def _shift_adds(value: int, f: BinomialProduct, shift: int) -> int:
+    """value * prod (1 + X^i)^f_i at X = 2^shift, every f_i >= 0."""
     for i in sorted(f):
-        e = f[i]
-        if e < 0:
-            raise ValueError("negative exponent in binomial product")
-        if e:
-            result = intpoly.mul(result, binomial_power(i, e))
-    return result
+        for _ in range(f[i]):
+            value += value << shift * i
+    return value
 
 
 def expand_cyclotomics(c: CycloExponents) -> IntPoly:
-    """Expand prod Phi_{2d}^e_d; the empty product is 1."""
-    result = intpoly.ONE
-    for d in sorted(c):
-        e = c[d]
-        if e < 0:
-            raise ValueError("negative exponent in cyclotomic product")
-        if e:
-            result = intpoly.mul(result, intpoly.power(phi(2 * d), e))
-    return result
+    """Expand prod Phi_{2d}^e_d; the empty product is 1.
+
+    The binomials with E_j > 0 are expanded (`expand_binomials`), and
+    those with E_j < 0, if any, divided out (see `divide_cyclotomics`).
+    den and G have none.  den's E_j (`binomial_exponents`) counts the
+    k <= n/j that are powers of 2 in the ordinary and odd classes, and
+    is floor(n/j) in the binary class and floor(n/j) - floor(n/3j) in
+    the ternary class: never more than den*'s floor(n/j), so G = den*/den
+    has E_j >= 0 too.
+    """
+    exps = binomial_exponents(c)
+    up = expand_binomials({j: e for j, e in exps.items() if e > 0})
+    return _divide(up, {j: -e for j, e in exps.items() if e < 0})
+
+
+def divide_cyclotomics(a: Sequence[int], c: CycloExponents) -> IntPoly:
+    """The q with q * prod Phi_{2d}^c_d == a, or NotDivisibleError; the pipeline's num = num*/G."""
+    return _divide(intpoly.normalize(a), binomial_exponents(c))
+
+
+def _divide(a: IntPoly, exps: BinomialProduct) -> IntPoly:
+    """a / prod (1+x^j)^exps[j], exps signed, or NotDivisibleError.
+
+    The quotient q has M = len(a) - (sum of j * exps[j]) coefficients,
+    computed mod X^M on packed integers (`_packed_quotient`).  Every
+    binomial is palindromic, so when a is, so is q, and only its low
+    ceil(M/2) coefficients are computed.  No useful bound on q's
+    coefficients is known in advance (num at odd n = 78 needs 301 bits
+    where num* needs 205), so a width is accepted only when
+    `_times_binomials` confirms q * divisor == a.  The first width is
+    the balanced digit of a's own coefficients, and each retry doubles
+    it.  The doubling stops at the Landau-Mignotte bound: the divisor
+    is monic, so a quotient in Z[x] has ||q||_inf <= 2^deg q * ||a||_2,
+    which a digit of that width holds.  A check that still fails there
+    proves that no quotient exists.
+    """
+    if not exps or not a:
+        return a
+    m = len(a) - sum(j * e for j, e in exps.items())
+    if m < 1:
+        raise intpoly.NotDivisibleError("divisor of higher degree")
+    mirror = a == a[::-1]
+    half = (m + 1) // 2 if mirror else m
+    top = max(max(a), -min(a))
+    width = intpoly.unpack_width(2 * top)  # a balanced digit holds [-top, top]
+    cap = intpoly.unpack_width(top << (m + len(a).bit_length()))
+    while True:
+        q = _packed_quotient(a[:half], exps, width)
+        if mirror:
+            q += q[: m - half][::-1]
+        q = intpoly.normalize(q)
+        # The divisor is 2^(sum of exps) at x = 1: a cheap test before the exact one.
+        if q and sum(q) << sum(exps.values()) == sum(a) and _times_binomials(q, exps, a):
+            return q
+        if width >= cap:
+            raise intpoly.NotDivisibleError("nonzero remainder")
+        width = min(2 * width, cap)
+
+
+def _times_binomials(q: IntPoly, exps: BinomialProduct, a: IntPoly) -> bool:
+    """Whether q * prod (1+x^j)^exps[j] == a, exps signed, by shift-adds.
+
+    Both q * prod over exps[j] > 0 and a * prod over exps[j] < 0 are
+    evaluated exactly at X = 2^w.  A product with a binomial product
+    of nonnegative exponents e_j has coefficients at most 2^(sum e_j)
+    times the factor's largest, so w is wide enough for both sides to
+    hold every coefficient as a balanced digit, and the two values are
+    equal exactly when the polynomials are.
+    """
+    up = {j: e for j, e in exps.items() if e > 0}
+    down = {j: -e for j, e in exps.items() if e < 0}
+    bound = max(max(max(q), -min(q)) << sum(up.values()), max(max(a), -min(a)) << sum(down.values()))
+    width = intpoly.unpack_width(2 * bound)
+    lhs = _shift_adds(intpoly._pack(q, width), up, 8 * width)
+    return lhs == _shift_adds(intpoly._pack(a, width), down, 8 * width)
+
+
+def _packed_quotient(a: Sequence[int], exps: BinomialProduct, width: int) -> list[int]:
+    """a / prod (1+X^j)^exps[j] mod X^len(a), exps signed, at X = 2^(8*width): len(a) balanced digits.
+
+    1/(1+X^j) = (1-X^j)/(1-X^(2j)) turns the divisor into
+    prod (1-X^t)^(-alpha_t) with alpha_t = exps[t] - exps[t/2], so each
+    alpha_t > 0 is alpha_t multiplications by 1 - X^t, and each
+    alpha_t < 0 is -alpha_t divisions by 1 - X^t, that is
+    multiplications by 1 + X^(t*2^k) for each k >= 0 with t*2^k < len(a)
+    (see the module docstring).
+    """
+    size = len(a)
+    alpha: dict[int, int] = {}
+    for j, e in exps.items():
+        alpha[j] = alpha.get(j, 0) + e
+        alpha[2 * j] = alpha.get(2 * j, 0) - e
+    times_minus = {t: e for t, e in alpha.items() if e > 0 and t < size}
+    times_plus: dict[int, int] = {}
+    for t, e in alpha.items():
+        while e < 0 and t < size:
+            times_plus[t] = times_plus.get(t, 0) - e
+            t *= 2
+    shift = 8 * width
+    modulus = 1 << shift * size
+    value = intpoly._pack(a, width)
+    if value < 0:
+        value += modulus
+    # value * (1 -/+ X^t) mod X^size: only the low size - t digits of value reach X^t's multiple.
+    for t, count in times_minus.items():
+        low = (1 << shift * (size - t)) - 1
+        for _ in range(count):
+            value -= (value & low) << shift * t
+            if value < 0:
+                value += modulus
+    for t, count in times_plus.items():
+        low = (1 << shift * (size - t)) - 1
+        for _ in range(count):
+            value += (value & low) << shift * t
+            if value >= modulus:
+                value -= modulus
+    return intpoly._unpack_signed(value, width, size)
 
 
 def cyclo_degree(c: CycloExponents) -> int:

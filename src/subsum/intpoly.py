@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 IntPoly = tuple[int, ...]
 
 ZERO: IntPoly = ()
-ONE: IntPoly = (1,)
 
 
 class NotDivisibleError(ArithmeticError):
@@ -64,13 +63,6 @@ def normalize(coeffs: Iterable[int]) -> IntPoly:
 def degree(a: Sequence[int]) -> int:
     """Degree of `a`; -1 marks the zero polynomial."""
     return len(a) - 1
-
-
-def binomial(i: int) -> IntPoly:
-    """The binomial 1 + x^i."""
-    if i < 1:
-        raise ValueError("exponent must be >= 1")
-    return (1,) + (0,) * (i - 1) + (1,)
 
 
 def add(a: Sequence[int], b: Sequence[int]) -> IntPoly:
@@ -110,12 +102,7 @@ def mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
     bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
     width = _word_width(bound.bit_length() + 1)
     n = len(a) + len(b) - 1
-    bias = _bias(width, n)
-    packed = _pack(a, width) * _pack(b, width)
-    # Adding the bias makes every digit c + radix/2, nonnegative; flipping
-    # each digit's top bit (xor with the same bias) then leaves c in two's
-    # complement, which a signed read of the digit returns.
-    return normalize(_digits(((packed + bias) ^ bias).to_bytes(width * n, _ORDER), width, signed=True))
+    return normalize(_unpack_signed(_pack(a, width) * _pack(b, width), width, n))
 
 
 def _word_width(bits: int) -> int:
@@ -152,6 +139,19 @@ def _pack(a: Sequence[int], width: int) -> int:
     return (int.from_bytes(raw, _ORDER) ^ bias) - bias
 
 
+def _unpack_signed(value: int, width: int, ncoeffs: int) -> list[int]:
+    """The `ncoeffs` balanced `width`-byte digits of value mod 2^(8*width*ncoeffs), lowest first.
+
+    Adding the bias makes every digit c + radix/2, nonnegative; flipping
+    each digit's top bit (xor with the same bias) then leaves c in two's
+    complement, which a signed read of the digit returns.  Reading value
+    mod the radix power lets a caller work modulo x^ncoeffs.
+    """
+    bias = _bias(width, ncoeffs)
+    low = ((value + bias) & ((1 << 8 * width * ncoeffs) - 1)) ^ bias
+    return _digits(low.to_bytes(width * ncoeffs, _ORDER), width, signed=True)
+
+
 def unpack_width(bound: int) -> int:
     """Bytes per digit that hold every integer in [0, bound], as `mul` rounds them."""
     return _word_width(bound.bit_length())
@@ -167,20 +167,6 @@ def unpack(value: int, width: int) -> IntPoly:
     return tuple(_digits(value.to_bytes(width * ncoeffs, _ORDER), width, signed=False))
 
 
-def power(a: Sequence[int], e: int) -> IntPoly:
-    """a**e by repeated squaring; a**0 is the constant 1."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    result = ONE
-    base = normalize(a)
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        e >>= 1
-    return result
-
-
 def eval_at_int(a: Sequence[int], x0: Rational) -> Rational:
     """Exact Horner evaluation; at an int x0 the value is an int, at a Fraction a Fraction."""
     acc = 0
@@ -189,52 +175,21 @@ def eval_at_int(a: Sequence[int], x0: Rational) -> Rational:
     return acc
 
 
-def exact_div(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    """Quotient q with q*b == a, or NotDivisibleError.
-
-    A nonzero remainder here always indicates a pipeline bug upstream:
-    the callers only divide by factors they know divide exactly.
-    """
-    b = normalize(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q, r = _divmod(a, b)
-    if r:
-        raise NotDivisibleError("nonzero remainder")
-    return q
-
-
 def remainder_mod_monic(a: Sequence[int], m: Sequence[int]) -> IntPoly:
-    """a mod m for monic m of degree >= 1, over the integers."""
+    """a mod m for monic m of degree >= 1, over the integers, by schoolbook elimination."""
     m = normalize(m)
     if len(m) < 2 or m[-1] != 1:
         raise NotMonicError("modulus must be monic of degree >= 1")
-    return _divmod(a, m)[1]
-
-
-def _divmod(a: Sequence[int], b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Schoolbook (q, r) with a == q*b + r and deg r < deg b, for normalized nonzero b.
-
-    Raises NotDivisibleError when a quotient coefficient is not an
-    integer, which cannot happen for monic b.
-    """
     r = list(normalize(a))
-    *low, lead = b
-    db = len(low)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db]
-        if c == 0:
-            continue
-        if lead != 1:  # every divisor in the pipeline is monic; skip the bignum division
-            if c % lead != 0:
-                raise NotDivisibleError(f"coefficient {c} not divisible by leading {lead}")
-            c //= lead
-        q[k] = c
-        # The r[k + db] term cancels; it is left unwritten because only r[:db] is returned.
-        for j, bj in enumerate(low):
-            r[k + j] -= c * bj
-    return normalize(q), normalize(r[:db])
+    *low, _ = m
+    dm = len(low)
+    for k in range(len(r) - dm - 1, -1, -1):
+        c = r[k + dm]
+        if c:
+            # The r[k + dm] term cancels; it is left unwritten because only r[:dm] is returned.
+            for j, mj in enumerate(low):
+                r[k + j] -= c * mj
+    return normalize(r[:dm])
 
 
 def content(a: Sequence[int]) -> int:

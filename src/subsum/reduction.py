@@ -40,16 +40,26 @@ bit-deterministic and must agree coefficient for coefficient.
 built: engine "dp" runs the dynamic program, and engine "both" runs
 both accumulations and raises EngineMismatchError unless they agree.
 
-The dynamic program needs only a ring with a step p -> p*(1+x^i), and it
-runs on Python ints, twice.  Over Z at x = 1 the step is a doubling and
-the result is num*(n,1).  Every coefficient of num* is nonnegative, a
-sum of products of binomial coefficients, so each is at most their sum
-num*(n,1).  With w = 8 * unpack_width(num*(n,1)) bits, num*(2^w) holds
-each coefficient as one base-2^w digit, and the second run computes it
-with the step p + (p << w*i).  Evaluation at 2^w is a ring
-homomorphism, so carries between digits in intermediate cells are
-harmless: only the final value has to hold its coefficients digit by
-digit, and it does.  One unpack reads num* back.
+The dynamic program needs only a ring with the step S: p -> p*(1+x^i),
+applied k times at a time, and it runs on Python ints, twice.  Over Z
+at x = 1, S^k is a shift by k and the result is num*(n,1).  Every
+coefficient of num* is nonnegative, a sum of products of binomial
+coefficients, so each is at most their sum num*(n,1).  With
+w = 8 * unpack_width(num*(n,1)) bits, num*(2^w) holds each coefficient
+as one base-2^w digit, and the second run computes it with S as
+p + (p << w*i).  Every cofactor h_lambda is a product of palindromic
+binomials, and all have the same degree, the sum of i*floor(n/i) over
+the allowed i minus n; so num* is palindromic, and the second run keeps
+only the digits of its low half: it works mod 2^(w*H), with
+H = floor(deg/2) + 1.
+Evaluation at 2^w and reduction mod 2^(w*H) are ring homomorphisms, so
+carries between digits in intermediate cells are harmless: only the
+final value has to hold its coefficients digit by digit, and it does.
+One unpack reads the low half back, and the mirror gives num*.
+
+num = num*/G is taken by `cyclotomic.divide_cyclotomics`, which reads G
+as a product of binomials 1 + x^j and divides by shift-adds on one
+packed integer; the digit width of num is confirmed, not assumed.
 
 Whether Phi_{2d} divides num needs no num at all when the answer is no:
 `leading_coefficient` runs the coin DP for sum of 1/sp(lambda) at a root
@@ -167,34 +177,47 @@ def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
 def _num_star_dp(n: int, pclass: PartitionClass) -> IntPoly:
     """num* by the dynamic program at x = 2^w, sized by its run at x = 1 (see the module docstring)."""
     parts = allowed_parts(pclass, n)
-    width = intpoly.unpack_width(_ring_dp(n, parts, _times_binomial_at_one))
+    width = intpoly.unpack_width(_ring_dp(n, parts, _times_binomials_at_one))
     shift = 8 * width
-    return intpoly.unpack(_ring_dp(n, parts, lambda p, i: p + (p << shift * i)), width)
+    degree = sum(i * (n // i) for i in parts) - n
+    half = degree // 2 + 1
+    mask = (1 << shift * half) - 1
+
+    def times_binomials(p: int, i: int, k: int) -> int:
+        for _ in range(k):
+            p += p << shift * i
+        return p & mask
+
+    low = intpoly.unpack(_ring_dp(n, parts, times_binomials), width)
+    low += (0,) * (half - len(low))
+    return low + low[: degree + 1 - half][::-1]
 
 
-def _times_binomial_at_one(p: int, i: int) -> int:
-    """p * (1 + x^i) at x = 1."""
-    return p << 1
+def _times_binomials_at_one(p: int, i: int, k: int) -> int:
+    """p * (1 + x^i)^k at x = 1."""
+    return p << k
 
 
-def _ring_dp(n: int, parts: list[int], times_binomial: Callable[[int, int], int]) -> int:
-    """num* in a ring where times_binomial(p, i) is p * (1 + x^i), from the parts up to n.
+def _ring_dp(n: int, parts: list[int], times_binomials: Callable[[int, int, int], int]) -> int:
+    """num* in a ring where times_binomials(p, i, k) is p * (1 + x^i)^k, from the parts up to n.
 
     Processing the parts one at a time, table[r] is the sum of
     prod (1+x^i)^(floor(n/i) - m_i) over the multiplicities m_i of the
     parts seen so far with total weight r; before the first part only
     weight 0 has a term, the empty product.  For a part i with
-    cap = floor(n/i) and powers[k] = (1+x^i)^k, the new cell at weight r,
-    with q = floor(r/i), is
+    cap = floor(n/i) and S the ring step p -> p * (1+x^i), the new cell
+    at weight r, with q = floor(r/i), is
 
-        sum over m <= q of powers[cap - m] * table[r - m*i] = powers[cap - q] * partial[r],
+        sum over m <= q of S^(cap - m)(table[r - m*i]) = S^(cap - q)(partial[r]),
 
-        partial[r] = sum over m <= q of powers[q - m] * table[r - m*i]
-                   = powers[q] * table[r] + partial[r - i],
+        partial[r] = sum over m <= q of S^(q - m)(table[r - m*i])
+                   = S^q(table[r]) + partial[r - i],
 
-    so each cell takes two products, not q + 1.  After all parts,
-    table[n] is num*, so after part i only the cells at weights n - s,
-    s a sum of the parts above i, are read again; the rest stay 0.
+    so a cell takes cap steps S and no product of two ring elements;
+    on packed integers each step is one shift and one add.  After all
+    parts, table[n] is num*, so after part i only the cells at weights
+    n - s, s a sum of the parts above i, are read again; the rest stay
+    0, and zero cells take no steps.
     """
     later = []  # later[k][s]: some multiset of parts[k+1:] sums to s
     sums = [True] + [False] * n
@@ -205,17 +228,16 @@ def _ring_dp(n: int, parts: list[int], times_binomial: Callable[[int, int], int]
     table = [1] + [0] * n
     for i, reach in zip(parts, reversed(later)):
         cap = n // i
-        powers = [1]
-        for _ in range(cap):
-            powers.append(times_binomial(powers[-1], i))
         partial = []
         for r, cell in enumerate(table):
             q = r // i
-            acc = powers[q] * cell
+            acc = times_binomials(cell, i, q) if cell else 0
             if q:
                 acc += partial[r - i]
             partial.append(acc)
-        table = [powers[cap - r // i] * acc if reach[n - r] else 0 for r, acc in enumerate(partial)]
+        table = [
+            times_binomials(acc, i, cap - r // i) if acc and reach[n - r] else 0 for r, acc in enumerate(partial)
+        ]
     return table[n]
 
 
@@ -249,8 +271,9 @@ _PAIR_CACHE_SIZE = 256
 def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
     """The numerator of the reduced pair, with the summand gcd G cancelled.
 
-    num = num*/expand(G) by exact division (a nonzero remainder would be
-    a pipeline bug and raises); n = 0 gives num 1.  den is `den(n, pclass)`.
+    num = num*/G by `cyclotomic.divide_cyclotomics` (a nonzero remainder
+    would be a pipeline bug and raises); n = 0 gives num 1.  den is
+    `den(n, pclass)`.
 
     Pairs are cached in an LRU cache of 256 entries keyed on
     (n, pclass, engine), so every call form shares one entry;
@@ -261,8 +284,7 @@ def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedP
 
 def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
     """`reduced_pair` without the cache."""
-    g = cyclotomic.expand_cyclotomics(big_g(n, pclass))
-    return ReducedPair(n, pclass, intpoly.exact_div(num_star(n, pclass, engine), g))
+    return ReducedPair(n, pclass, cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass)))
 
 
 _cached_pair = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_reduced_pair)

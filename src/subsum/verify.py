@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from . import cyclotomic, intpoly, reduction
@@ -379,7 +379,7 @@ def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     certificate at r reads the same cached block entry L(r) that
     L(n) = c^floor(n/d) * L(r) is built from (see
     `reduction.leading_coefficient`), so it could not disagree.  r < d,
-    and num(r) comes from the pair cache.  r = 0 uses num(0,x) = 1,
+    and each (r, d) is decided once per process.  r = 0 uses num(0,x) = 1,
     which no Phi divides, so the check then degenerates to
     nondivisibility at n alone; the equivalence is still asserted as
     stated.
@@ -387,8 +387,18 @@ def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
     nondiv_n, _ = _phi_2d_nondivides(n, ORDINARY, d, engine)
-    nondiv_r = bool(cyclotomic.remainder_mod_phi_2d(_num(n % d, ORDINARY, engine), d))
-    return nondiv_n == nondiv_r
+    return nondiv_n == _nondivides_at_remainder(n % d, d, engine)
+
+
+@lru_cache(maxsize=None)
+def _nondivides_at_remainder(r: int, d: int, engine: str) -> bool:
+    """Whether Phi_{2d} does not divide num(r), r < d, by the full remainder.
+
+    The pair (r, d) recurs for every n = r (mod d), so it is decided once
+    per process: a run up to n = N holds at most N(N+1)/2 booleans per
+    engine, keyed on r < d <= N.
+    """
+    return bool(cyclotomic.remainder_mod_phi_2d(_num(r, ORDINARY, engine), d))
 
 
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:

@@ -6,8 +6,10 @@ products from a dict-based convolution, enumeration from an
 ascending-composition algorithm, and mod-p irreducibility from brute
 trial division by all monic polynomials of low degree, gcds in Z[x]
 from pseudo-remainder Euclid on naively expanded products, G from
-the entrywise-minimum cyclotomic exponents of every cofactor, and the
-root-of-unity certificates from first principles.
+the entrywise-minimum cyclotomic exponents of every cofactor, the
+root-of-unity certificates from first principles, quotients by
+schoolbook long division, and Phi_m by dividing x^m - 1 by every Phi_d
+over the proper divisors d of m.
 """
 
 import math
@@ -69,6 +71,44 @@ def mul_schoolbook(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return _strip(out)
+
+
+def exact_div(a, b):
+    """Schoolbook long division: the q with q*b == a, or ArithmeticError when b does not divide a."""
+    a, b = _strip(a), _strip(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + db], b[-1])
+        if rest:
+            raise ArithmeticError(f"coefficient {r[k + db]} not divisible by leading {b[-1]}")
+        q[k] = c
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    if any(r):
+        raise ArithmeticError("nonzero remainder")
+    return _strip(q)
+
+
+@lru_cache(maxsize=None)
+def phi_by_division(m):
+    """Phi_m as x^m - 1 divided exactly by Phi_d for every proper divisor d of m."""
+    num = (-1,) + (0,) * (m - 1) + (1,)
+    for d in range(1, m):
+        if m % d == 0:
+            num = exact_div(num, phi_by_division(d))
+    return num
+
+
+def expand_phi_product(c):
+    """prod Phi_2d^e over {d: e}, by naive products of `phi_by_division`."""
+    out = (1,)
+    for d, e in sorted(c.items()):
+        out = naive_mul(out, naive_pow(phi_by_division(2 * d), e))
+    return out
 
 
 def naive_product(polys):

@@ -148,7 +148,7 @@ def test_criterion_10_cyclotomic_suite():
         factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 41):
             says = d in factors
-            rem = intpoly.remainder_mod_monic(intpoly.binomial(i), cyclotomic.phi(2 * d))
+            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), cyclotomic.phi(2 * d))
             assert says == (rem == ()), (d, i)
     assert intpoly.eval_at_int(cyclotomic.phi(9), 1) == 3
     assert intpoly.eval_at_int(cyclotomic.phi(6), -1) == 3

@@ -391,6 +391,23 @@ def test_import_loads_neither_the_process_pool_nor_fractions():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_logging():
+    # -I ignores PYTHONPATH, so the checkout's sources go on sys.path by hand.
+    src = str(Path(subsum.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import subsum.cli; print('logging' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_subsum_log_info_reports_each_conjecture_on_stderr(monkeypatch):
+    argv = ["-m", "subsum.cli", "verify", "--conjecture", "8", "--max-n", "3"]
+    assert _python(argv, capture_output=True).stderr == ""
+    monkeypatch.setenv("SUBSUM_LOG", "info")
+    proc = _python(argv, capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("INFO subsum: conjecture 8: AllHold in ")
+
+
 def test_json_round_trip(capsys):
     for argv in (
         ["compute", "--class", "ordinary", "--n", "4", "--what", "num", "--format", "json"],
@@ -486,6 +503,7 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
 
     monkeypatch.setattr(reduction, "num_star", counting)
     reduction.reduced_pair.cache_clear()
+    verify._nondivides_at_remainder.cache_clear()
     try:
         code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
         assert code == 0

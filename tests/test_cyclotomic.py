@@ -26,6 +26,11 @@ def test_phi_product_over_divisors_is_xm_minus_1():
         assert product == (-1,) + (0,) * (m - 1) + (1,), m
 
 
+def test_phi_by_moebius_products_matches_division_oracle():
+    for m in range(1, 401):
+        assert cyclotomic.phi(m) == oracles.phi_by_division(m), m
+
+
 def test_phi_monic_with_totient_degree():
     totients = oracles.totient_sieve(200)
     for m in range(1, 201):
@@ -47,12 +52,12 @@ def test_binomial_cyclo_divides_matches_remainders():
     for i in range(1, 21):
         factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 21):
-            rem = intpoly.remainder_mod_monic(intpoly.binomial(i), cyclotomic.phi(2 * d))
+            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), cyclotomic.phi(2 * d))
             assert (d in factors) == (rem == ()), (d, i)
             if d in factors:
                 assert factors[d] == 1, (d, i)
                 # multiplicity exactly one: the quotient is no longer divisible
-                q = intpoly.exact_div(intpoly.binomial(i), cyclotomic.phi(2 * d))
+                q = oracles.exact_div(oracles.binom_poly(i), cyclotomic.phi(2 * d))
                 assert intpoly.remainder_mod_monic(q, cyclotomic.phi(2 * d)) != ()
 
 
@@ -139,9 +144,75 @@ def test_cyclo_degree_matches_expansion():
         assert cyclotomic.cyclo_degree(c) == intpoly.degree(cyclotomic.expand_cyclotomics(c))
 
 
-def test_binomial_power_cache_consistency():
-    assert cyclotomic.binomial_power(3, 2) == oracles.naive_pow(oracles.binom_poly(3), 2)
-    assert cyclotomic.binomial_power(1, 0) == (1,)
+def test_expand_binomials_one_binomial_power():
+    assert cyclotomic.expand_binomials({3: 2}) == oracles.naive_pow(oracles.binom_poly(3), 2)
+    assert cyclotomic.expand_binomials({1: 0}) == (1,)
+    with pytest.raises(ValueError):
+        cyclotomic.expand_binomials({1: -1})
+
+
+def test_binomial_exponents_examples():
+    assert cyclotomic.binomial_exponents({}) == {}
+    assert cyclotomic.binomial_exponents({1: 2}) == {1: 2}  # Phi_2 = 1 + x
+    assert cyclotomic.binomial_exponents({3: 1}) == {3: 1, 1: -1}  # Phi_6 = (1+x^3)/(1+x)
+    assert cyclotomic.binomial_exponents({6: 1}) == {6: 1, 2: -1}  # Phi_12 = (1+x^6)/(1+x^2)
+    assert cyclotomic.binomial_exponents({15: 1}) == {15: 1, 5: -1, 3: -1, 1: 1}
+    assert cyclotomic.binomial_exponents({1: 1, 3: 1}) == {3: 1}  # Phi_2 Phi_6 = 1 + x^3
+    with pytest.raises(ValueError):
+        cyclotomic.binomial_exponents({1: -1})
+
+
+@pytest.mark.parametrize("pclass", list(PartitionClass))
+def test_den_and_g_expand_to_products_of_oracle_phi(pclass):
+    for n in range(0, 25):
+        for c in (reduction.den(n, pclass), reduction.big_g(n, pclass)):
+            assert all(e >= 0 for e in cyclotomic.binomial_exponents(c).values()), (pclass, n)
+            assert cyclotomic.expand_cyclotomics(c) == oracles.expand_phi_product(c), (pclass, n)
+
+
+cyclo_vectors = st.dictionaries(
+    st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=3), max_size=4
+)
+signed_polys = st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=12).filter(
+    lambda p: p[-1] != 0
+)
+
+
+@given(signed_polys, cyclo_vectors, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_packed_quotient_matches_schoolbook(q, c, palindromic):
+    # Random divisible inputs, palindromic or not.
+    if palindromic:
+        q = q + q[-2::-1]
+    q = intpoly.normalize(q)
+    divisor = cyclotomic.expand_cyclotomics(c)
+    a = intpoly.mul(q, divisor)
+    assert cyclotomic.divide_cyclotomics(a, c) == q == oracles.exact_div(a, divisor)
+    if intpoly.degree(divisor) > 0:
+        with pytest.raises(intpoly.NotDivisibleError):
+            cyclotomic.divide_cyclotomics(intpoly.add(a, (1,)), c)
+
+
+@pytest.mark.parametrize("length", [600, 601])
+def test_quotient_wider_than_dividend_takes_the_retry(monkeypatch, length):
+    # q = 1 - 2x + 3x^2 - ... rising to 300 and falling back to 1 (a
+    # palindrome when the length is odd) times 1 + x has coefficients in
+    # {-1, 0, 1}: the dividend fits one byte per digit, the quotient needs two.
+    widths = []
+    real = cyclotomic._packed_quotient
+    monkeypatch.setattr(cyclotomic, "_packed_quotient", lambda a, e, w: widths.append(w) or real(a, e, w))
+    q = tuple((-1) ** k * min(k + 1, length - k) for k in range(length))
+    a = intpoly.mul(q, (1, 1))
+    assert max(map(abs, a)) == 1
+    assert cyclotomic.divide_cyclotomics(a, {1: 1}) == q == oracles.exact_div(a, (1, 1))
+    assert widths == [1, 2]
+
+
+def test_divide_cyclotomics_edges():
+    assert cyclotomic.divide_cyclotomics((), {1: 3}) == ()
+    assert cyclotomic.divide_cyclotomics((1, 2, 3), {}) == (1, 2, 3)
+    with pytest.raises(intpoly.NotDivisibleError):
+        cyclotomic.divide_cyclotomics((1, 1), {1: 2})
 
 
 def test_remainder_mod_phi_2d_matches_direct_remainder():

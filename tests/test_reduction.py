@@ -115,15 +115,17 @@ def test_big_g_n4_matches_brute_force_polynomial_gcd():
 
 
 def test_num_star_engines_agree():
+    # The DP takes only ring steps S, p -> p * (1+x^i), on the low half of
+    # a palindrome; the streaming fold expands every cofactor in full.
     for pclass in CLASSES:
-        for n in range(0, 13):
+        for n in range(0, 15):
             assert reduction.num_star(n, pclass, "dp") == reduction._num_star_enumerate(
                 n, pclass
             ), (pclass, n)
 
 
 def _at_one(n, pclass):
-    return reduction._ring_dp(n, allowed_parts(pclass, n), reduction._times_binomial_at_one)
+    return reduction._ring_dp(n, allowed_parts(pclass, n), reduction._times_binomials_at_one)
 
 
 def test_ring_dp_at_one_is_num_star_at_one():
@@ -146,7 +148,7 @@ def test_num_star_n2():
 
 
 def test_num4_is_num_star_divided_by_1_plus_x():
-    assert intpoly.exact_div(reduction.num_star(4, ORD), (1, 1)) == NUM4
+    assert oracles.exact_div(reduction.num_star(4, ORD), (1, 1)) == NUM4
 
 
 def test_reduced_pair_golden_ordinary_n4():
@@ -286,6 +288,24 @@ def test_t_direct_matches_polynomial_eval():
     for n in range(0, 28):
         num_t = reduction.reduced_pair(n, TER).num
         assert reduction.t_direct(n) == intpoly.eval_at_int(num_t, 1), n
+
+
+@pytest.mark.parametrize("n, widths", [(17, [4]), (18, [4, 8])])
+def test_odd_18_takes_the_width_retry(monkeypatch, n, widths):
+    # At odd n = 18 num* still fits 31 bits, so the first digit is 4
+    # bytes, but num has a 32-bit coefficient and needs 33 with its sign.
+    seen = []
+    real = cyclotomic._packed_quotient
+
+    def spy(a, exps, width):
+        seen.append(width)
+        return real(a, exps, width)
+
+    monkeypatch.setattr(cyclotomic, "_packed_quotient", spy)
+    star, g = reduction.num_star(n, ODD), reduction.big_g(n, ODD)
+    num = cyclotomic.divide_cyclotomics(star, g)
+    assert seen == widths
+    assert num == oracles.exact_div(star, oracles.expand_phi_product(g))
 
 
 @given(st.integers(min_value=0, max_value=12), st.sampled_from(CLASSES))

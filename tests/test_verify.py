@@ -155,9 +155,33 @@ def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
-    report = run_one("lemma4", 8, engine=engine)
+    verify._nondivides_at_remainder.cache_clear()
+    try:
+        report = run_one("lemma4", 8, engine=engine)
+    finally:
+        verify._nondivides_at_remainder.cache_clear()  # decided on the mutated num
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f["d"]) for f in report.failures] == [(5, 3), (8, 3)]
+
+
+def test_lemma4_decides_each_remainder_pair_once(monkeypatch):
+    real = cyclotomic.remainder_mod_phi_2d
+    calls = []
+
+    def counting(a, d):
+        calls.append(d)
+        return real(a, d)
+
+    monkeypatch.setattr(cyclotomic, "remainder_mod_phi_2d", counting)
+    verify._nondivides_at_remainder.cache_clear()
+    max_n = 20
+    report = run_one("lemma4", max_n)
+    assert report.verdict == verify.ALL_HOLD
+    # Every n side is certified at a root of unity, so each call decides one (n mod d, d).
+    assert len(calls) == len({(n % d, d) for n in range(1, max_n + 1) for d in range(1, n + 1)})
+    calls.clear()
+    run_one("lemma4", max_n)
+    assert calls == []
 
 
 def test_irreducibility_witness_examples():
