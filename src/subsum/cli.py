@@ -61,10 +61,10 @@ def _int_at_least(lowest: int):
 
 
 def _out_path(text: str) -> str:
-    """argparse type for --out: a file in a writable directory, so a bad path exits 2."""
+    """argparse type for --out: a nonempty file path in a writable directory, so a bad path exits 2."""
     directory = os.path.dirname(os.path.abspath(text))
-    if os.path.isdir(text) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
-        raise argparse.ArgumentTypeError(f"{text!r} is a directory, or its directory is missing or not writable")
+    if not text or os.path.isdir(text) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{text!r} is empty, a directory, or in a missing or unwritable directory")
     return text
 
 

@@ -14,8 +14,9 @@ of d,
     Phi_{2d} = prod over e | d' of (1 + x^(d/e))^mu(e),
 
 so a cyclotomic exponent vector is a binomial product with signed
-exponents (`binomial_exponents`).  Expanding one, and dividing by one,
-are then shift-adds on a single packed integer.  At X = 2^w,
+exponents (`binomial_exponents`), the one place that codes Phi:
+`phi_2d(d)` is the expansion of {d: 1}.  Expanding one, and dividing by
+one, are then shift-adds on a single packed integer.  At X = 2^w,
 multiplying by 1 + X^j is A + (A << w*j).  Modulo X^M, dividing by it
 is A <- A - (A << w*j) followed by A <- A + (A << w*j*2^k) for each
 k >= 1 with j*2^k < M, because
@@ -48,41 +49,13 @@ CycloExponents = Mapping[int, int]
 
 
 @lru_cache(maxsize=None)
-def phi(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, by Moebius products of binomials.
+def phi_2d(d: int) -> IntPoly:
+    """The cyclotomic polynomial Phi_{2d}, for d >= 1: `expand_cyclotomics({d: 1})`.
 
-    For m > 1, Phi_m = prod over e | m of (1 - x^(m/e))^mu(e): the
-    Moebius form with x^k - 1 = -(1 - x^k), whose signs cancel because
-    the mu(e) sum to 0.  Phi_m has degree totient(m), so the product is
-    taken among power series mod x^(totient(m) + 1): multiplying by
-    1 - x^k and dividing by it are one pass each over totient(m) + 1
-    coefficients.  Memoized per process; the cache is safe under
-    concurrent readers (lru_cache takes its own lock, and entries are
-    immutable).
+    Memoized per process; the cache is safe under concurrent readers
+    (lru_cache takes its own lock, and entries are immutable).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    top = _totient(m)
-    c = [1] + [0] * top
-    for e, mu in _moebius_divisors(m):
-        k = m // e
-        if mu > 0:
-            for j in range(top, k - 1, -1):
-                c[j] -= c[j - k]
-        else:
-            for j in range(k, top + 1):
-                c[j] += c[j - k]
-    return tuple(c)
-
-
-def _moebius_divisors(m: int) -> list[tuple[int, int]]:
-    """(e, mu(e)) for every squarefree divisor e of m."""
-    out = [(1, 1)]
-    for q in intpoly._prime_divisors(m):
-        out += [(e * q, -mu) for e, mu in out]
-    return out
+    return expand_cyclotomics({d: 1})
 
 
 def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
@@ -94,7 +67,7 @@ def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
     """
     step = 2 * d
     folded = [sum(a[j::step]) - sum(a[j + d :: step]) for j in range(d)]
-    return intpoly.remainder_mod_monic(folded, phi(step))
+    return intpoly.remainder_mod_monic(folded, phi_2d(d))
 
 
 # Certificate primes lie above this floor, far above twice any n a run
@@ -149,8 +122,10 @@ def binomial_exponents(c: CycloExponents) -> dict[int, int]:
     for d, k in c.items():
         if k < 0:
             raise ValueError("negative exponent in cyclotomic product")
-        odd = d >> ((d & -d).bit_length() - 1)
-        for e, mu in _moebius_divisors(odd):
+        divisors = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of d's odd part
+        for q in intpoly._prime_divisors(d >> ((d & -d).bit_length() - 1)):
+            divisors += [(e * q, -mu) for e, mu in divisors]
+        for e, mu in divisors:
             out[d // e] = out.get(d // e, 0) + mu * k
     return {j: e for j, e in out.items() if e}
 
@@ -180,11 +155,12 @@ def expand_cyclotomics(c: CycloExponents) -> IntPoly:
 
     The binomials with E_j > 0 are expanded (`expand_binomials`), and
     those with E_j < 0, if any, divided out (see `divide_cyclotomics`).
-    den and G have none.  den's E_j (`binomial_exponents`) counts the
-    k <= n/j that are powers of 2 in the ordinary and odd classes, and
-    is floor(n/j) in the binary class and floor(n/j) - floor(n/3j) in
-    the ternary class: never more than den*'s floor(n/j), so G = den*/den
-    has E_j >= 0 too.
+    Phi_{2d} alone has some whenever d has an odd prime factor
+    (Phi_6 = (1+x^3)/(1+x)).  den and G have none.  den's E_j
+    (`binomial_exponents`) counts the k <= n/j that are powers of 2 in
+    the ordinary and odd classes, and is floor(n/j) in the binary class
+    and floor(n/j) - floor(n/3j) in the ternary class: never more than
+    den*'s floor(n/j), so G = den*/den has E_j >= 0 too.
     """
     exps = binomial_exponents(c)
     up = expand_binomials({j: e for j, e in exps.items() if e > 0})
@@ -296,13 +272,6 @@ def _packed_quotient(a: Sequence[int], exps: BinomialProduct, width: int) -> lis
 
 
 def cyclo_degree(c: CycloExponents) -> int:
-    """Degree of the expansion, via deg Phi_{2d} = totient(2d)."""
-    return sum(e * _totient(2 * d) for d, e in c.items())
-
-
-def _totient(m: int) -> int:
-    out = m
-    for p in intpoly._prime_divisors(m):
-        out -= out // p
-    return out
+    """Degree of the expansion: prod (1+x^j)^E_j has degree sum of j * E_j."""
+    return sum(j * e for j, e in binomial_exponents(c).items())
 

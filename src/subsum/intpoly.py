@@ -2,15 +2,15 @@
 
 A polynomial is a tuple of coefficients, index k holding the coefficient
 of x^k, with no trailing zero; the zero polynomial is the empty tuple.
-All operations are pure and exact.  Multiplication uses Kronecker
-substitution: the coefficients become whole-byte balanced digits of one
-big integer (1, 2, 4 or 8 bytes each, or wider when the product needs
-it), Python multiplies the two integers, and the digits are read back.
-Packing and unpacking are single `int.from_bytes`/`int.to_bytes` calls
-plus a bias fix-up, so both are linear in the packed size, and the
-result is bit-identical to schoolbook convolution.  `unpack` reads back,
-with the same digit reader, a polynomial with nonnegative coefficients
-that its caller packed itself.
+All operations are pure and exact.  Products are not taken here: every
+polynomial the pipeline builds is a product of binomials 1 + x^i,
+expanded or divided by shift-adds on one packed integer (`cyclotomic`).
+This module supplies that packing.  A coefficient becomes one
+whole-byte digit of a big integer (1, 2, 4 or 8 bytes each, or wider
+when the values need it): `_pack` and `_unpack_signed` write and read
+balanced digits, `unpack` reads back nonnegative ones.  Each is a single
+`int.from_bytes`/`int.to_bytes` call plus a bias fix-up, so linear in
+the packed size.
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
@@ -28,12 +28,10 @@ import operator
 import sys
 from array import array
 from enum import Enum
-from numbers import Rational
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 IntPoly = tuple[int, ...]
-
-ZERO: IntPoly = ()
 
 
 class NotDivisibleError(ArithmeticError):
@@ -60,49 +58,10 @@ def normalize(coeffs: Iterable[int]) -> IntPoly:
     return tuple(out)
 
 
-def degree(a: Sequence[int]) -> int:
-    """Degree of `a`; -1 marks the zero polynomial."""
-    return len(a) - 1
-
-
-def add(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return normalize(out)
-
-
-def neg(a: Sequence[int]) -> IntPoly:
-    return tuple(-c for c in a)
-
-
-def sub(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    return add(a, neg(b))
-
-
 # memoryview.cast and array read and write machine words in native order.
 _ORDER = sys.byteorder
 _SIGNED_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
 _WORD_WIDTH = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # byte width 0..8 rounded up to a machine word
-
-
-def mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    """Exact product of two coefficient sequences."""
-    if not a or not b:
-        return ZERO
-    if len(a) == 1:
-        return normalize(a[0] * c for c in b)
-    if len(b) == 1:
-        return normalize(b[0] * c for c in a)
-    # Kronecker substitution at radix 2^(8*width): every coefficient of
-    # the product is below half the radix in absolute value, so it is one
-    # balanced digit.
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
-    width = _word_width(bound.bit_length() + 1)
-    n = len(a) + len(b) - 1
-    return normalize(_unpack_signed(_pack(a, width) * _pack(b, width), width, n))
 
 
 def _word_width(bits: int) -> int:
@@ -153,7 +112,7 @@ def _unpack_signed(value: int, width: int, ncoeffs: int) -> list[int]:
 
 
 def unpack_width(bound: int) -> int:
-    """Bytes per digit that hold every integer in [0, bound], as `mul` rounds them."""
+    """Bytes per digit that hold every integer in [0, bound], rounded up to a machine word up to 8."""
     return _word_width(bound.bit_length())
 
 
@@ -167,7 +126,7 @@ def unpack(value: int, width: int) -> IntPoly:
     return tuple(_digits(value.to_bytes(width * ncoeffs, _ORDER), width, signed=False))
 
 
-def eval_at_int(a: Sequence[int], x0: Rational) -> Rational:
+def eval_at_int(a: Sequence[int], x0):
     """Exact Horner evaluation; at an int x0 the value is an int, at a Fraction a Fraction."""
     acc = 0
     for c in reversed(a):
@@ -204,7 +163,7 @@ def primitive_part(a: Sequence[int]) -> IntPoly:
     """a divided by its content, leading coefficient made positive."""
     a = normalize(a)
     if not a:
-        return ZERO
+        return a
     g = content(a)
     if a[-1] < 0:
         g = -g
@@ -264,7 +223,8 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
         return IrreducibilityStatus.REDUCIBLE
     for q in _prime_divisors(k):
         # `_gf_gcd` reduces the integer difference mod p.
-        if len(_gf_gcd(sub(chain[k // q], chain[0]), f, p)) != 1:
+        diff = [c - x for c, x in zip_longest(chain[k // q], chain[0], fillvalue=0)]
+        if len(_gf_gcd(diff, f, p)) != 1:
             return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.IRREDUCIBLE
 

@@ -242,12 +242,17 @@ def _ring_dp(n: int, parts: list[int], times_binomials: Callable[[int, int, int]
 
 
 def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
-    """Streaming fold over the partition stream; the oracle behind engine "both"."""
-    total = intpoly.ZERO
+    """Streaming fold over the partition stream; the oracle behind engine "both".
+
+    The cofactors are summed at X = 2^w and unpacked once.  Each has
+    coefficients summing to at most 2^S, S = sum of floor(n/i), and there
+    are at most 2^(n-1) partitions, so a digit holding 2^(S+n) suffices.
+    """
+    width = intpoly.unpack_width(1 << (sum(den_star(n, pclass).values()) + n))
+    total = 0
     for p in enumerate_partitions(n, pclass):
-        h = h_factored(n, pclass, multiplicities(p))
-        total = intpoly.add(total, cyclotomic.expand_binomials(h))
-    return total
+        total += cyclotomic._shift_adds(1, h_factored(n, pclass, multiplicities(p)), 8 * width)
+    return intpoly.unpack(total, width)
 
 
 class ReducedPair(NamedTuple):

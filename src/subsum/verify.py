@@ -184,7 +184,7 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
     ]
     constant_term = 1
     for d in d_checked:
-        factor = cyclotomic.phi(2 * d)
+        factor = cyclotomic.phi_2d(d)
         if factor[-1] != 1:
             failures.append({"n": n, "d": d, "detail": f"Phi_{2 * d} is not monic, so den({n},x) may have content > 1"})
         constant_term *= factor[0] ** den[d]
@@ -427,7 +427,7 @@ def irreducibility_witness(n: int, engine: str = "dp") -> dict:
     """
     num = _num(n, ORDINARY, engine)
     record: dict = {"n": n, "content": intpoly.content(num), "tried": []}
-    if intpoly.degree(num) <= 0:
+    if len(num) <= 1:
         record["verdict"] = "Inconclusive"
         record["detail"] = "degree <= 0"
         return record

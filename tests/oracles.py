@@ -60,17 +60,9 @@ def _strip(coeffs):
     return tuple(out)
 
 
-def mul_schoolbook(a, b):
-    """Reference O(n*m) convolution; `intpoly.mul` must agree with it bit for bit."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _strip(out)
+def naive_add(a, b):
+    """Coefficientwise sum, trailing zeros stripped."""
+    return _strip([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(max(len(a), len(b)))])
 
 
 def exact_div(a, b):

@@ -138,21 +138,22 @@ def test_criterion_09_rational_cross_check():
 
 def test_criterion_10_cyclotomic_suite():
     started = time.perf_counter()
+    # 1 + x^m is the product of the Phi_2d over the d with m/d odd.
     for m in range(1, 201):
         product = (1,)
         for d in range(1, m + 1):
-            if m % d == 0:
-                product = intpoly.mul(product, cyclotomic.phi(d))
-        assert product == (-1,) + (0,) * (m - 1) + (1,), m
+            if m % d == 0 and (m // d) % 2:
+                product = oracles.naive_mul(product, cyclotomic.phi_2d(d))
+        assert product == oracles.binom_poly(m), m
     for i in range(1, 41):
         factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 41):
             says = d in factors
-            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), cyclotomic.phi(2 * d))
+            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), cyclotomic.phi_2d(d))
             assert says == (rem == ()), (d, i)
-    assert intpoly.eval_at_int(cyclotomic.phi(9), 1) == 3
-    assert intpoly.eval_at_int(cyclotomic.phi(6), -1) == 3
-    assert intpoly.eval_at_int(cyclotomic.phi(6), 1) == 1
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(9), -1) == 3  # Phi_18(-1) = Phi_9(1)
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), -1) == 3
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), 1) == 1
     _stamp(10, "divisor products, Lemma-1 predicate, closed values", started, 30.0)
 
 

@@ -9,34 +9,35 @@ import oracles
 
 
 def test_phi_small_values():
-    assert cyclotomic.phi(1) == (-1, 1)
-    assert cyclotomic.phi(2) == (1, 1)
-    assert cyclotomic.phi(3) == (1, 1, 1)
-    assert cyclotomic.phi(4) == (1, 0, 1)
-    assert cyclotomic.phi(6) == (1, -1, 1)
-    assert cyclotomic.phi(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic.phi_2d(1) == (1, 1)
+    assert cyclotomic.phi_2d(2) == (1, 0, 1)
+    assert cyclotomic.phi_2d(3) == (1, -1, 1)
+    assert cyclotomic.phi_2d(6) == (1, 0, -1, 0, 1)
+    assert cyclotomic.phi_2d(15) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
 
 
 def test_phi_product_over_divisors_is_xm_minus_1():
+    # x^(2m) - 1 = (x^m - 1)(x^m + 1), and 1 + x^m is the product of the
+    # Phi_2d over the d with m/d odd.
     for m in range(1, 61):
         product = (1,)
         for d in range(1, m + 1):
-            if m % d == 0:
-                product = intpoly.mul(product, cyclotomic.phi(d))
-        assert product == (-1,) + (0,) * (m - 1) + (1,), m
+            if m % d == 0 and (m // d) % 2:
+                product = oracles.naive_mul(product, cyclotomic.phi_2d(d))
+        assert product == oracles.binom_poly(m), m
 
 
 def test_phi_by_moebius_products_matches_division_oracle():
-    for m in range(1, 401):
-        assert cyclotomic.phi(m) == oracles.phi_by_division(m), m
+    for d in range(1, 401):
+        assert cyclotomic.phi_2d(d) == oracles.phi_by_division(2 * d), d
 
 
 def test_phi_monic_with_totient_degree():
     totients = oracles.totient_sieve(200)
-    for m in range(1, 201):
-        p = cyclotomic.phi(m)
+    for d in range(1, 101):
+        p = cyclotomic.phi_2d(d)
         assert p[-1] == 1
-        assert intpoly.degree(p) == totients[m]
+        assert len(p) - 1 == totients[2 * d]
 
 
 @pytest.mark.parametrize(
@@ -52,13 +53,13 @@ def test_binomial_cyclo_divides_matches_remainders():
     for i in range(1, 21):
         factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 21):
-            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), cyclotomic.phi(2 * d))
+            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), oracles.phi_by_division(2 * d))
             assert (d in factors) == (rem == ()), (d, i)
             if d in factors:
                 assert factors[d] == 1, (d, i)
                 # multiplicity exactly one: the quotient is no longer divisible
-                q = oracles.exact_div(oracles.binom_poly(i), cyclotomic.phi(2 * d))
-                assert intpoly.remainder_mod_monic(q, cyclotomic.phi(2 * d)) != ()
+                q = oracles.exact_div(oracles.binom_poly(i), oracles.phi_by_division(2 * d))
+                assert intpoly.remainder_mod_monic(q, oracles.phi_by_division(2 * d)) != ()
 
 
 def _prime_power_base(m):
@@ -70,35 +71,36 @@ def _prime_power_base(m):
 
 
 def test_phi_at_one_closed_form():
-    """Phi_m(1), m > 1, is q when m is a power of the prime q, else 1."""
-    assert intpoly.eval_at_int(cyclotomic.phi(9), 1) == 3
-    assert intpoly.eval_at_int(cyclotomic.phi(6), 1) == 1
-    assert intpoly.eval_at_int(cyclotomic.phi(2), 1) == 2
-    assert intpoly.eval_at_int(cyclotomic.phi(125), 1) == 5
-    for m in range(2, 201):
-        q = _prime_power_base(m)
-        assert intpoly.eval_at_int(cyclotomic.phi(m), 1) == (q or 1), m
+    """Phi_m(1), m > 1, is q when m is a power of the prime q, else 1; for m = 2d, 2 or 1."""
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), 1) == 1
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(1), 1) == 2
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(64), 1) == 2
+    for d in range(1, 101):
+        q = _prime_power_base(2 * d)
+        assert intpoly.eval_at_int(cyclotomic.phi_2d(d), 1) == (q or 1), d
 
 
 def test_phi_at_minus_one():
     """Phi_m(-1), m > 2, is 2 when m is a power of 2, q when m = 2 q^a for
     an odd prime q, else 1."""
-    assert intpoly.eval_at_int(cyclotomic.phi(6), -1) == 3
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), -1) == 3
+    assert intpoly.eval_at_int(cyclotomic.phi_2d(125), -1) == 5
     for a in range(1, 4):
-        assert intpoly.eval_at_int(cyclotomic.phi(2 * 3**a), -1) == 3
-    for m in range(3, 201):
+        assert intpoly.eval_at_int(cyclotomic.phi_2d(3**a), -1) == 3
+    for d in range(2, 101):
+        m = 2 * d
         if _prime_power_base(m) == 2:
             want = 2
         elif m % 4 == 2:
             want = _prime_power_base(m // 2) or 1
         else:
             want = 1
-        assert intpoly.eval_at_int(cyclotomic.phi(m), -1) == want, m
+        assert intpoly.eval_at_int(cyclotomic.phi_2d(d), -1) == want, d
 
 
 def test_expand_binomials_examples():
     den4 = cyclotomic.expand_binomials({1: 4, 2: 2, 3: 1, 4: 1})
-    assert intpoly.degree(den4) == 15
+    assert len(den4) - 1 == 15
     assert den4 == oracles.expand_factor_map({1: 4, 2: 2, 3: 1, 4: 1})
     assert cyclotomic.expand_binomials({}) == (1,)
     assert cyclotomic.expand_binomials({2: 1, 1: 2}) == (1, 2, 2, 2, 1)
@@ -141,7 +143,7 @@ def test_min_exponents_examples():
 
 def test_cyclo_degree_matches_expansion():
     for c in ({}, {1: 1}, {1: 4, 2: 2, 3: 1, 4: 1}, {2: 3, 6: 1}):
-        assert cyclotomic.cyclo_degree(c) == intpoly.degree(cyclotomic.expand_cyclotomics(c))
+        assert cyclotomic.cyclo_degree(c) == len(cyclotomic.expand_cyclotomics(c)) - 1
 
 
 def test_expand_binomials_one_binomial_power():
@@ -186,11 +188,11 @@ def test_packed_quotient_matches_schoolbook(q, c, palindromic):
         q = q + q[-2::-1]
     q = intpoly.normalize(q)
     divisor = cyclotomic.expand_cyclotomics(c)
-    a = intpoly.mul(q, divisor)
+    a = oracles.naive_mul(q, divisor)
     assert cyclotomic.divide_cyclotomics(a, c) == q == oracles.exact_div(a, divisor)
-    if intpoly.degree(divisor) > 0:
+    if len(divisor) > 1:
         with pytest.raises(intpoly.NotDivisibleError):
-            cyclotomic.divide_cyclotomics(intpoly.add(a, (1,)), c)
+            cyclotomic.divide_cyclotomics(oracles.naive_add(a, (1,)), c)
 
 
 @pytest.mark.parametrize("length", [600, 601])
@@ -202,7 +204,7 @@ def test_quotient_wider_than_dividend_takes_the_retry(monkeypatch, length):
     real = cyclotomic._packed_quotient
     monkeypatch.setattr(cyclotomic, "_packed_quotient", lambda a, e, w: widths.append(w) or real(a, e, w))
     q = tuple((-1) ** k * min(k + 1, length - k) for k in range(length))
-    a = intpoly.mul(q, (1, 1))
+    a = oracles.naive_mul(q, (1, 1))
     assert max(map(abs, a)) == 1
     assert cyclotomic.divide_cyclotomics(a, {1: 1}) == q == oracles.exact_div(a, (1, 1))
     assert widths == [1, 2]
@@ -221,7 +223,7 @@ def test_remainder_mod_phi_2d_matches_direct_remainder():
         for n in range(1, 17):
             num = reduction.reduced_pair(n, pclass).num
             for d in range(1, n + 1):
-                want = intpoly.remainder_mod_monic(num, cyclotomic.phi(2 * d))
+                want = intpoly.remainder_mod_monic(num, oracles.phi_by_division(2 * d))
                 assert cyclotomic.remainder_mod_phi_2d(num, d) == want, (pclass, n, d)
 
 

@@ -25,21 +25,23 @@ big_polys = st.lists(
 
 
 def test_add_examples():
-    assert intpoly.add((1, 1), (1, 0, 1)) == (2, 1, 1)
-    assert intpoly.add((3, 1), ()) == (3, 1)
+    # Sums and products are the naive oracles' (src/ takes neither; it expands by shift-adds).
+    assert oracles.naive_add((1, 1), (1, 0, 1)) == (2, 1, 1)
+    assert oracles.naive_add((3, 1), ()) == (3, 1)
+    assert oracles.naive_add((1, 2), (0, -2)) == (1,)
     # (1+x)^2 + (1+x^2) is the unreduced numerator for n=2
-    assert intpoly.add((1, 2, 1), (1, 0, 1)) == (2, 2, 2)
+    assert oracles.naive_add((1, 2, 1), (1, 0, 1)) == (2, 2, 2)
 
 
 def test_mul_examples():
-    assert intpoly.mul((1, 1), (1, 0, 0, 1)) == (1, 1, 0, 1, 1)
-    assert intpoly.mul((4, 0, 2), (1,)) == (4, 0, 2)
-    assert intpoly.mul((1, 0, 1), (1, 0, 1)) == (1, 0, 2, 0, 1)
+    assert oracles.naive_mul((1, 1), (1, 0, 0, 1)) == (1, 1, 0, 1, 1)
+    assert oracles.naive_mul((4, 0, 2), (1,)) == (4, 0, 2)
+    assert oracles.naive_mul((1, 0, 1), (1, 0, 1)) == (1, 0, 2, 0, 1)
+    assert oracles.naive_mul((1, 1), ()) == ()
 
 
 def test_power_examples():
-    # Powers are the naive oracle's (intpoly has no caller for its own).
-    assert oracles.naive_pow((1, 1), 4) == (1, 4, 6, 4, 1) == intpoly.mul((1, 2, 1), (1, 2, 1))
+    assert oracles.naive_pow((1, 1), 4) == (1, 4, 6, 4, 1) == oracles.naive_mul((1, 2, 1), (1, 2, 1))
     assert oracles.naive_pow((7, -2, 3), 0) == (1,)
     assert oracles.naive_pow((1, 0, 1), 0) == (1,)
 
@@ -47,64 +49,6 @@ def test_power_examples():
 def test_normalization_strips_trailing_zeros():
     assert intpoly.normalize([0, 1, 0, 0]) == (0, 1)
     assert intpoly.normalize([0, 0]) == ()
-    assert intpoly.degree(()) == -1
-    assert intpoly.degree((5,)) == 0
-
-
-@given(polys, polys)
-@settings(max_examples=200)
-def test_mul_matches_naive_convolution(a, b):
-    assert intpoly.mul(a, b) == oracles.naive_mul(a, b)
-    assert intpoly.mul(a, b) == oracles.mul_schoolbook(a, b)
-
-
-@st.composite
-def straddling_pairs(draw):
-    """Signed factors whose Kronecker bound max|a| * max|b| * min(len) has a chosen bit length.
-
-    The bit lengths straddle the byte widths 1/2, 2/4, 4/8 and 8/9; 65 and 100
-    bits need digits wider than a machine word.  With `extreme`, every
-    coefficient has the largest magnitude, so a product coefficient
-    reaches the bound itself.
-    """
-    bits = draw(st.sampled_from([7, 8, 15, 16, 31, 32, 63, 64, 65, 100]))
-    la, lb = draw(st.integers(2, 40)), draw(st.integers(2, 40))
-    m = min(la, lb)
-    top_b = draw(st.integers(1, (1 << (bits - 1)) // m))
-    step = top_b * m  # top_a * step must land in [2^(bits-1), 2^bits)
-    top_a = draw(st.integers(-(-(1 << (bits - 1)) // step), ((1 << bits) - 1) // step))
-    extreme = draw(st.booleans())
-
-    def factor(top, length):
-        if extreme:
-            sign = draw(st.sampled_from([1, -1]))
-            return (sign * top,) * length
-        coeffs = draw(st.lists(st.integers(-top, top), min_size=length, max_size=length))
-        coeffs[draw(st.integers(0, length - 1))] = draw(st.sampled_from([top, -top]))
-        if coeffs[-1] == 0:
-            coeffs[-1] = top
-        return tuple(coeffs)
-
-    a, b = factor(top_a, la), factor(top_b, lb)
-    assert (max(map(abs, a)) * max(map(abs, b)) * m).bit_length() == bits
-    return a, b
-
-
-@given(straddling_pairs())
-@settings(max_examples=300)
-def test_mul_matches_schoolbook_at_digit_width_edges(pair):
-    a, b = pair
-    assert intpoly.mul(a, b) == oracles.mul_schoolbook(a, b)
-
-
-@given(polys, polys, polys)
-@settings(max_examples=100)
-def test_ring_axioms(a, b, c):
-    assert intpoly.add(a, b) == intpoly.add(b, a)
-    assert intpoly.mul(a, b) == intpoly.mul(b, a)
-    assert intpoly.add(intpoly.add(a, b), c) == intpoly.add(a, intpoly.add(b, c))
-    assert intpoly.mul(intpoly.mul(a, b), c) == intpoly.mul(a, intpoly.mul(b, c))
-    assert intpoly.mul(a, intpoly.add(b, c)) == intpoly.add(intpoly.mul(a, b), intpoly.mul(a, c))
 
 
 def test_exact_div_examples():
@@ -119,12 +63,12 @@ def test_exact_div_examples():
 @given(big_polys, big_polys.filter(lambda p: p != ()))
 @settings(max_examples=150)
 def test_exact_div_inverts_mul(a, b):
-    assert oracles.exact_div(intpoly.mul(a, b), b) == a
+    assert oracles.exact_div(oracles.naive_mul(a, b), b) == a
 
 
 def test_remainder_examples():
     assert intpoly.remainder_mod_monic((1, 0, 1), (1, 1)) == (2,)
-    product = intpoly.mul((1, 0, 1), (3, 1))
+    product = oracles.naive_mul((1, 0, 1), (3, 1))
     assert intpoly.remainder_mod_monic(product, (1, 0, 1)) == ()
     assert intpoly.remainder_mod_monic(NUM4, (1, 1)) == (24,)
 
@@ -140,16 +84,16 @@ def test_remainder_requires_monic():
 @settings(max_examples=150)
 def test_remainder_reconstruction(a, m):
     m = intpoly.normalize(list(m[:-1]) + [1])  # force monic
-    if intpoly.degree(m) < 1:
+    if len(m) < 2:
         m = (0, 1)
     r = intpoly.remainder_mod_monic(a, m)
-    assert intpoly.degree(r) < intpoly.degree(m)
-    q = oracles.exact_div(intpoly.sub(a, r), m)
-    assert intpoly.add(intpoly.mul(q, m), r) == intpoly.normalize(a)
+    assert len(r) < len(m)
+    q = oracles.exact_div(oracles.naive_add(a, [-c for c in r]), m)
+    assert oracles.naive_add(oracles.naive_mul(q, m), r) == intpoly.normalize(a)
 
 
 def test_gcd_examples():
-    assert oracles.gcd_primitive((1, 2, 1), intpoly.mul((1, 1), (1, 0, 1))) == (1, 1)
+    assert oracles.gcd_primitive((1, 2, 1), oracles.naive_mul((1, 1), (1, 0, 1))) == (1, 1)
     assert oracles.gcd_primitive((2, 4), ()) == (2, 4)
     assert oracles.gcd_primitive((), (-3, -6)) == (3, 6)
     with pytest.raises(ValueError):
@@ -288,7 +232,7 @@ def test_irreducible_mod_p_bad_prime():
 @settings(max_examples=150, deadline=None)
 def test_irreducible_mod_p_matches_bruteforce(coeffs, p):
     f = intpoly.normalize(coeffs[:-1] + [1])  # monic, so p never divides the lead
-    if intpoly.degree(f) < 1:
+    if len(f) < 2:
         return
     got = intpoly.irreducible_mod_p(f, p)
     want = oracles.gfp_irreducible_bruteforce(tuple(c % p for c in f), p)

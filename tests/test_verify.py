@@ -151,7 +151,7 @@ def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
     def mutated(n, pclass, *engine):
         rp = real(n, pclass, *engine)
         if n == 2:
-            return reduction.ReducedPair(n, pclass, intpoly.mul(rp.num, cyclotomic.phi(6)))
+            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, oracles.phi_by_division(6)))
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
@@ -236,7 +236,7 @@ def test_engine_mismatch_recorded(monkeypatch):
         # G(3,x) = 1 + x does not divide the corrupted num*; the engines
         # are compared before that division, so the mismatch is what is seen.
         star = real(n, pclass)
-        return intpoly.add(star, (1,)) if n == 3 else star
+        return oracles.naive_add(star, (1,)) if n == 3 else star
 
     monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
     reduction.reduced_pair.cache_clear()
@@ -254,7 +254,7 @@ def test_mutated_numerator_detected(monkeypatch):
     def mutated(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
         if n == 4 and pclass is ORD:
-            bad_num = intpoly.mul(rp.num, (1, 1))  # smuggle a Phi_2 factor in
+            bad_num = oracles.naive_mul(rp.num, (1, 1))  # smuggle a Phi_2 factor in
             return reduction.ReducedPair(n, pclass, bad_num)
         return rp
 
@@ -325,7 +325,7 @@ def test_checker_rejects_a_bad_certificate():
     assert oracles.certificate_problems(num, good) == []
     assert oracles.certificate_problems(num, [d, 7 * p, zeta, lead])  # composite, though = 1 mod 6
     assert oracles.certificate_problems(num, [d, p, zeta * zeta % p, lead])  # order 3, not 6
-    assert oracles.certificate_problems(intpoly.mul(num, cyclotomic.phi(6)), good)
+    assert oracles.certificate_problems(oracles.naive_mul(num, oracles.phi_by_division(6)), good)
 
 
 def _vanishing(monkeypatch, ds, primes):
@@ -391,7 +391,7 @@ def test_full_route_reports_a_divisor(monkeypatch):
     def mutated(n, pclass, engine="dp"):
         rp = real(n, pclass, engine)
         if n == 4 and pclass is ORD:
-            return reduction.ReducedPair(n, pclass, intpoly.mul(rp.num, cyclotomic.phi(4)))
+            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, oracles.phi_by_division(4)))
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
@@ -409,8 +409,8 @@ def test_den_side_by_gauss_lemma_matches_the_expanded_den():
 
 
 def test_non_monic_den_factor_is_a_failure(monkeypatch):
-    real = cyclotomic.phi
-    monkeypatch.setattr(cyclotomic, "phi", lambda m: tuple(2 * c for c in real(m)) if m == 4 else real(m))
+    real = cyclotomic.phi_2d
+    monkeypatch.setattr(cyclotomic, "phi_2d", lambda d: tuple(2 * c for c in real(d)) if d == 2 else real(d))
     report = run_one("2", 3)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f["d"]) for f in report.failures] == [(2, 2), (3, 2)]
