@@ -11,12 +11,12 @@ from subsum import intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
 print("Even part of num(n,x): unimodal for n <= 25?")
-[report] = verify.run("3", 25)
+report = verify.run("3", 25)
 print(f"  verdict: {report.verdict}, findings: {len(report.failures)}")
 
 print()
 print("Log-concavity of den(n,x) for n <= 20 (expected exceptions 3, 5, 6, 7):")
-[report] = verify.run("4", 20)
+report = verify.run("4", 20)
 failures = sorted(w["n"] for w in report.witnesses if w.get("log_concave") is False)
 print(f"  observed failure set: {failures}")
 for w in report.witnesses:
@@ -25,7 +25,7 @@ for w in report.witnesses:
 
 print()
 print("Binary numerator shape for n <= 24:")
-[report] = verify.run("6", 24)
+report = verify.run("6", 24)
 num4 = reduction.reduced_pair(4, PartitionClass.BINARY).num
 print(f"  num_B(4,x) coefficients: {list(num4)}")
 ok, idx = intpoly.is_log_concave(num4)

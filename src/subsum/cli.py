@@ -4,10 +4,11 @@
 each through `verify.run`.  Both commands pass `--engine` (`dp` or
 `both`) straight through to `reduction.num_star`, the one place it is
 applied, wherever num* is built; den and G are read from (n, class)
-and build no num*.  For the Phi_2d-divisibility checks (conjectures 2
-and 7, lemma 4) `--engine` also selects the route in `verify`: "dp"
+and build no num*.  For the Phi_2d-divisibility checks (conjectures 2,
+5 and 7, lemma 4) `--engine` also selects the route in `verify`: "dp"
 certifies at a root of unity mod p, "both" compares that certificate
-with the full remainder.
+with the full remainder.  `verify --conjecture <id>` prints the one
+report asked for.
 
 Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the
@@ -62,7 +63,7 @@ def _int_at_least(lowest: int):
 
 def _out_path(text: str) -> str:
     """argparse type for --out: a nonempty file path in a writable directory, so a bad path exits 2."""
-    directory = os.path.dirname(os.path.abspath(text))
+    directory = os.path.dirname(text) or os.curdir
     if not text or os.path.isdir(text) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
         raise argparse.ArgumentTypeError(f"{text!r} is empty, a directory, or in a missing or unwritable directory")
     return text
@@ -279,27 +280,24 @@ def _compute_text(record) -> str:
 
 def cmd_verify(args) -> int:
     ids = list(verify.CONJECTURES) if args.conjecture == "all" else [args.conjecture]
-    reports: dict[str, verify.ConjectureReport] = {}
+    reports = []
     for cid in ids:
-        if cid in reports:  # derived along with its source (5 with 7)
-            continue
         lowest = verify.CONJECTURES[cid].lowest_n
         if args.max_n < lowest:
             _log(WARNING, "skipping conjecture %s: needs max-n >= %d", cid, lowest)
             continue
-        for report in verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs):
-            _log(INFO, "conjecture %s: %s in %.2fs", report.conjecture_id, report.verdict, report.elapsed)
-            reports[report.conjecture_id] = report
+        report = verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs)
+        _log(INFO, "conjecture %s: %s in %.2fs", cid, report.verdict, report.elapsed)
+        reports.append(report)
 
-    ordered = [reports[cid] for cid in verify.CONJECTURES if cid in reports]
     if args.format == "json":
-        payload = [_report_json(r) for r in ordered]
+        payload = [_report_json(r) for r in reports]
         _emit(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2), args.out)
     else:
-        _emit("\n".join(_report_text(r) for r in ordered), args.out)
+        _emit("\n".join(_report_text(r) for r in reports), args.out)
 
-    bad = any(verify.CONJECTURES[r.conjecture_id].proved and r.failures for r in ordered)
-    mismatch = any(r.has_engine_mismatch() for r in ordered)
+    bad = any(verify.CONJECTURES[r.conjecture_id].proved and r.failures for r in reports)
+    mismatch = any(r.has_engine_mismatch() for r in reports)
     return 1 if bad or mismatch else 0
 
 

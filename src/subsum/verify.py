@@ -2,12 +2,13 @@
 
 `CONJECTURES` is the registry: one entry per report id, holding the
 partition class, the lowest n, the per-n check, whether the statement
-is proved, and an optional post-pass over the whole sweep.  `run` is
-the one runner.  It validates the range, maps the check over n, turns
-engine disagreements into failure records and collects a
-ConjectureReport with enough witness data to re-check any verdict by
-hand.  Proved statements (coprimality, binary nondivisibility, the odd
-and ternary special values, the ternary recurrence, lemma 4) report
+is proved, and an optional post-pass over the whole sweep's witnesses.
+`run` is the one runner.  It validates the range, maps the check over
+n, turns engine disagreements into failure records, adds the post-pass
+failures and builds one ConjectureReport with enough witness data to
+re-check any verdict by hand.  Proved statements (coprimality in the
+ordinary and binary classes, binary nondivisibility, the odd and
+ternary special values, the ternary recurrence, lemma 4) report
 AllHold or FailuresFound; the open problems (irreducibility,
 unimodality and log-concavity shapes) always report WitnessOnly.  A
 pass on an open conjecture is bounded empirical evidence, while an
@@ -19,8 +20,8 @@ Every check that builds num* passes its engine straight to
 `reduction.reduced_pair`, so `reduction.num_star` is the one place the
 accumulation engine is applied; under engine "both" it raises
 EngineMismatchError, which `run` records as a failure.  Checks that read
-only den (conjecture 4 and the den side of 2) build no num*.  The
-Phi_{2d}-nondivisibility checks (conjectures 2 and 7, lemma 4 at n) go
+only den (conjecture 4, and the den side of 2 and 5) build no num*.  The
+Phi_{2d}-nondivisibility checks (conjectures 2, 5 and 7, lemma 4 at n) go
 through `_phi_2d_nondivides`, the one place their route is chosen:
 engine "dp" decides each d by a certificate at a root of unity mod p
 and builds num only when three primes all fail; engine "both" also
@@ -51,35 +52,15 @@ WITNESS_ONLY = "WitnessOnly"
 ORDINARY = PartitionClass.ORDINARY
 
 
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Machine-readable verdict for one conjecture over an n-range."""
 
-    __slots__ = ("conjecture_id", "n_range", "verdict", "failures", "witnesses", "elapsed")
-
-    def __init__(
-        self,
-        conjecture_id: str,
-        n_range: tuple[int, int],
-        verdict: str,
-        failures: list[dict] | None = None,
-        witnesses: list[dict] | None = None,
-        elapsed: float = 0.0,
-    ):
-        self.conjecture_id = conjecture_id
-        self.n_range = n_range
-        self.verdict = verdict
-        self.failures = [] if failures is None else failures
-        self.witnesses = [] if witnesses is None else witnesses
-        self.elapsed = elapsed
-
-    def __eq__(self, other):
-        if not isinstance(other, ConjectureReport):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"ConjectureReport({fields})"
+    conjecture_id: str
+    n_range: tuple[int, int]
+    verdict: str
+    failures: list[dict]
+    witnesses: list[dict]
+    elapsed: float
 
     def has_engine_mismatch(self) -> bool:
         return any(f.get("kind") == "engine-mismatch" for f in self.failures)
@@ -165,34 +146,28 @@ def _decide(n: int, pclass: PartitionClass, ds: list[int], engine: str) -> tuple
 # Per-n checks: check(n, pclass, engine) -> (failures, witnesses).  They
 # stay module-level so that `run` can send them to worker processes.
 
-# --- Conjecture 2: ordinary coprimality ---
+# --- Conjectures 2 and 5: coprimality, ordinary and binary ---
 
 
 def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """gcd(num, den) = 1: no Phi_{2d} from den divides num, and den has content 1.
+    """gcd(num, den) = 1: no Phi_{2d} from den divides num.
 
-    den is a product of factors Phi_{2d}; once each is checked monic,
-    Gauss's lemma gives den content 1, and its constant term is the
-    product of the factors' constant terms.  den is never expanded.
+    den is a product of factors Phi_{2d}, each irreducible, monic and of
+    constant term 1 (`cyclotomic.phi_2d` divides monic binomials by
+    monic binomials).  By Gauss's lemma den then has content 1, so num
+    and den are coprime exactly when none of its Phi_{2d} divides num.
+    den is never expanded, and no Phi_{2d} is built.
     """
-    den = reduction.den(n, pclass)
-    d_checked = sorted(den)
+    d_checked = sorted(reduction.den(n, pclass))
     divides, decided = _decide(n, pclass, d_checked, engine)
     failures = [
         {"n": n, "d": d, "detail": f"Phi_{2 * d} divides num({n},x) but occurs in den({n},x)"}
         for d in divides
     ]
-    constant_term = 1
-    for d in d_checked:
-        factor = cyclotomic.phi_2d(d)
-        if factor[-1] != 1:
-            failures.append({"n": n, "d": d, "detail": f"Phi_{2 * d} is not monic, so den({n},x) may have content > 1"})
-        constant_term *= factor[0] ** den[d]
-    witness = {"n": n, "d_checked": d_checked, "den_constant_term": constant_term, **decided}
-    return failures, [witness]
+    return failures, [{"n": n, "d_checked": d_checked, **decided}]
 
 
-# --- Conjectures 7 and 5: binary nondivisibility ---
+# --- Conjecture 7: binary nondivisibility ---
 
 
 def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
@@ -201,19 +176,6 @@ def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[l
     divides, decided = _decide(n, pclass, ds, engine)
     failures = [{"n": n, "s": d.bit_length() - 1, "detail": f"(1+x^{d}) divides num_B({n},x)"} for d in divides]
     return failures, [{"n": n, "s_checked": [d.bit_length() - 1 for d in ds], **decided}]
-
-
-def derive_binary_coprimality(nondiv: ConjectureReport) -> ConjectureReport:
-    """Conjecture 5 from the Conjecture 7 pass.
-
-    The binary denominator factors into the pairwise-coprime
-    irreducibles 1+x^(2^s) = Phi_(2^(s+1)), so coprimality holds exactly
-    when none of them divides the numerator; no separate gcd run needed.
-    """
-    failures = [dict(f, derived_from="7") for f in nondiv.failures]
-    witnesses = [{"derived_from": "7", "detail": "coprime iff no 1+x^(2^s) divides num_B"}]
-    verdict = ALL_HOLD if not failures else FAILURES_FOUND
-    return ConjectureReport("5", nondiv.n_range, verdict, failures, witnesses, nondiv.elapsed)
 
 
 # --- Conjecture 8: odd partitions at x = -1 ---
@@ -240,18 +202,20 @@ def _ternary_minus_check(n: int, pclass: PartitionClass, engine: str) -> tuple[l
     return [], [{"n": n, "value": str(got)}]
 
 
-def _ternary_triples(report: ConjectureReport, max_n: int) -> None:
+def _ternary_triples(witnesses: list[dict], max_n: int) -> list[dict]:
     """Post-pass: num_T(n,-1) is constant across each triple 3m, 3m+1, 3m+2."""
-    values = {w["n"]: int(w["value"]) for w in report.witnesses}
+    values = {w["n"]: int(w["value"]) for w in witnesses}
+    failures = []
     for m in range(1, (max_n - 2) // 3 + 1):
         triple = [values.get(3 * m + k) for k in range(3)]
         if None not in triple and len(set(triple)) != 1:
-            report.failures.append(
+            failures.append(
                 {
                     "n": 3 * m,
                     "detail": f"s({3 * m}),s({3 * m + 1}),s({3 * m + 2}) = {triple} not constant",
                 }
             )
+    return failures
 
 
 # --- Conjecture 10: ternary partitions at x = 1 ---
@@ -269,27 +233,25 @@ def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[di
     return [], [{"n": m, "value": str(direct)}]
 
 
-def _ternary_blocks(report: ConjectureReport, max_n: int) -> None:
+def _ternary_blocks(witnesses: list[dict], max_n: int) -> list[dict]:
     """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n)."""
-    t = {w["n"]: int(w["value"]) for w in report.witnesses}
+    t = {w["n"]: int(w["value"]) for w in witnesses}
     for m in range(0, 3 * max_n + 3):
         if m not in t:  # the per-n check failed at m
             t[m] = reduction.t_direct(m)
+    failures = []
     for m in range(0, max_n + 1):
         triple = [t[3 * m], t[3 * m + 1], t[3 * m + 2]]
         if len(set(triple)) != 1:
-            report.failures.append(
-                {"n": 3 * m, "detail": f"t block at {3 * m} not constant: {triple}"}
-            )
+            failures.append({"n": 3 * m, "detail": f"t block at {3 * m} not constant: {triple}"})
     for m in range(1, max_n + 1):
         lhs = t[3 * m] - t[3 * m - 2]
         rhs = 4**m * t[m]
         if lhs != rhs:
-            report.failures.append(
-                {"n": m, "detail": f"t({3 * m})-t({3 * m - 2}) = {lhs} != 4^{m}*t({m}) = {rhs}"}
-            )
+            failures.append({"n": m, "detail": f"t({3 * m})-t({3 * m - 2}) = {lhs} != 4^{m}*t({m}) = {rhs}"})
     if t[1] != 1 or t[2] != 1:
-        report.failures.append({"n": 1, "detail": f"t(1),t(2) = {t[1]},{t[2]} != 1,1"})
+        failures.append({"n": 1, "detail": f"t(1),t(2) = {t[1]},{t[2]} != 1,1"})
+    return failures
 
 
 # --- Conjecture 3 (open): unimodality of the even part ---
@@ -458,12 +420,9 @@ class Conjecture(NamedTuple):
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, or
     up to span*(max_n+1) - 1 when the post-pass needs more values than
-    the reported range.  `post(report, max_n)` then runs once on the
-    merged report and may add failures.  An entry with `source` set has
-    no sweep of its own: whenever the source entry runs, this entry's
-    report is derived from the source's report as `check(report)`.
-    `builds_num` is false for a check that reads only den, so that no
-    engine applies to it.
+    the reported range.  `post(witnesses, max_n)` then runs once on the
+    merged witnesses and returns more failures.  `builds_num` is false
+    for a check that reads only den, so that no engine applies to it.
     """
 
     cid: str
@@ -471,9 +430,8 @@ class Conjecture(NamedTuple):
     lowest_n: int
     check: Callable
     proved: bool
-    post: Callable[[ConjectureReport, int], None] | None = None
+    post: Callable[[list[dict], int], list[dict]] | None = None
     span: int = 1
-    source: str | None = None
     builds_num: bool = True
 
 
@@ -484,7 +442,7 @@ CONJECTURES: dict[str, Conjecture] = {
         Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
         Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
         Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, builds_num=False),
-        Conjecture("5", PartitionClass.BINARY, 2, derive_binary_coprimality, proved=True, source="7"),
+        Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True),
         Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
         Conjecture("8", PartitionClass.ODD, 1, _odd_value_check, proved=True),
@@ -495,16 +453,13 @@ CONJECTURES: dict[str, Conjecture] = {
 }
 
 
-def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> list[ConjectureReport]:
-    """Run conjecture `cid` up to max_n: its report, then any derived from it.
+def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
+    """Run conjecture `cid` up to max_n and return its report.
 
-    A derived id (5) runs its source (7), so both reports come back.
     Engine disagreements become "engine-mismatch" failure records.  At
     most min(jobs, CPU count, number of n) worker processes are used.
     """
     entry = CONJECTURES[cid]
-    if entry.source is not None:
-        return run(entry.source, max_n, engine=engine, jobs=jobs)
     lowest = max(entry.lowest_n, 1)
     if max_n < lowest:
         raise ValueError(f"max_n must be >= {lowest}")
@@ -525,14 +480,11 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> list[Conj
             results = list(pool.map(check, ns, chunksize=max(1, len(ns) // (4 * workers))))
     failures = [f for fs, _ in results for f in fs]
     witnesses = [w for _, ws in results for w in ws]
-    report = ConjectureReport(entry.cid, (entry.lowest_n, max_n), WITNESS_ONLY, failures, witnesses)
     if entry.post is not None:
-        entry.post(report, max_n)
-    if entry.proved:
-        report.verdict = FAILURES_FOUND if report.failures else ALL_HOLD
-    report.elapsed = time.perf_counter() - start
-    derived = [c.check(report) for c in CONJECTURES.values() if c.source == cid]
-    return [report, *derived]
+        failures += entry.post(witnesses, max_n)
+    verdict = (FAILURES_FOUND if failures else ALL_HOLD) if entry.proved else WITNESS_ONLY
+    elapsed = time.perf_counter() - start
+    return ConjectureReport(entry.cid, (entry.lowest_n, max_n), verdict, failures, witnesses, elapsed)
 
 
 def _guarded(check, pclass: PartitionClass, engine: str, n: int) -> tuple[list[dict], list[dict]]:

@@ -110,12 +110,14 @@ def test_verify_conjecture6_witness(capsys):
     assert n4["log_concave"] is False and n4["index"] == 3
 
 
-def test_verify_conjecture7_emits_conjecture5_too(capsys):
-    code, out = run(capsys, ["verify", "--conjecture", "7", "--max-n", "8", "--format", "json"])
-    assert code == 0
-    records = json.loads(out)
-    assert [r["conjecture"] for r in records] == ["5", "7"]
-    assert all(r["verdict"] == "AllHold" for r in records)
+def test_verify_conjecture5_and_7_print_one_report_each(capsys):
+    for cid in ("5", "7"):
+        code, out = run(capsys, ["verify", "--conjecture", cid, "--max-n", "8", "--format", "json"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["conjecture"] == cid
+        assert record["verdict"] == "AllHold"
+        assert [w["n"] for w in record["witnesses"]] == list(range(2, 9))
 
 
 def test_verify_all_small(capsys):
@@ -344,8 +346,20 @@ def _cli_process(argv, stdout):
     return _python(["-m", "subsum.cli", *argv], stdout=stdout, stderr=subprocess.PIPE)
 
 
+# Paths under a directory that is not there, written as strings: a Path
+# would drop the trailing separator.  "afile" is a regular file.
+MISSING_DIRECTORIES = [
+    os.path.join("missing", "x"),
+    "missing" + os.sep,
+    "afile" + os.sep,
+    os.path.join("afile", os.curdir),
+    os.path.join("missing", os.curdir),
+    os.path.join("missing", os.pardir),
+]
+
+
 @pytest.mark.parametrize("command", ["compute", "verify", "table"])
-@pytest.mark.parametrize("out", ["missing/x", ".", ""])
+@pytest.mark.parametrize("out", [*MISSING_DIRECTORIES, os.curdir, ""])
 def test_bad_out_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, out):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
@@ -358,18 +372,28 @@ def test_bad_out_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, com
         "verify": ["verify", "--conjecture", "9", "--max-n", "3"],
         "table": ["table", "--sequence", "t", "--max-n", "3"],
     }[command]
+    (tmp_path / "afile").write_text("")
     # An empty path is passed as it is: under tmp_path it would name the directory.
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--out", str(tmp_path / out) if out else out])
+        cli.main([*argv, "--out", str(tmp_path) + os.sep + out if out else out])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--out" in captured.err
 
 
+def test_out_path_resolved_through_a_parent_directory_writes(tmp_path, capsys, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for out in ["ok.txt", str(tmp_path / "ok2.txt"), os.path.join("sub", os.pardir, "ok3.txt")]:
+        code, _ = run(capsys, ["table", "--sequence", "t", "--max-n", "2", "--out", out])
+        assert code == 0
+        assert (tmp_path / os.path.basename(out)).read_text() == "n,t\n0,1\n1,1\n2,1\n"
+
+
 # sha256 of `subsum verify --conjecture all --max-n 12 --format json` with
 # the elapsed_seconds lines dropped; the same on Python 3.10 to 3.13.
-ALL_12_REPORT_SHA256 = "ecf53d803de7c79c07834d058aa825d0b923614ee8ebe0864315dc20a4ec29ad"
+ALL_12_REPORT_SHA256 = "5389a932f50cc292c2b37e4b07299a358539110d060517b507f275eaa2f5c7df"
 
 
 def test_verify_all_report_is_pinned():

@@ -12,11 +12,6 @@ ORD = PartitionClass.ORDINARY
 BIN = PartitionClass.BINARY
 
 
-def run_one(cid, max_n, **kw):
-    [report] = verify.run(cid, max_n, **kw)
-    return report
-
-
 @pytest.mark.parametrize("m,expected", [(24, 3), (1, 1), (40, 5), (7, 7), (64, 1)])
 def test_odd_part(m, expected):
     assert verify.odd_part(m) == expected
@@ -37,17 +32,16 @@ def test_odd_factorial_part_two_ways():
 
 
 def test_coprimality_small_range():
-    report = run_one("2", 6)
+    report = verify.run("2", 6)
     assert report.verdict == verify.ALL_HOLD
     assert report.failures == []
     assert report.n_range == (1, 6)
     by_n = {w["n"]: w for w in report.witnesses}
     assert by_n[4]["d_checked"] == [1, 2, 3, 4]
-    assert by_n[4]["den_constant_term"] == 1
 
 
 def test_coprimality_d_set_is_exactly_den_support():
-    report = run_one("2", 15)
+    report = verify.run("2", 15)
     for w in report.witnesses:
         den = reduction.den(w["n"], ORD)
         assert w["d_checked"] == sorted(den)
@@ -55,7 +49,7 @@ def test_coprimality_d_set_is_exactly_den_support():
 
 
 def test_binary_nondivisibility():
-    report, _ = verify.run("7", 12)
+    report = verify.run("7", 12)
     assert report.verdict == verify.ALL_HOLD
     by_n = {w["n"]: w for w in report.witnesses}
     assert by_n[4]["s_checked"] == [0, 1, 2]
@@ -63,17 +57,8 @@ def test_binary_nondivisibility():
     assert intpoly.eval_at_int(reduction.reduced_pair(2, PartitionClass.BINARY).num, -1) == 2
 
 
-def test_derive_binary_coprimality():
-    nondiv, cop = verify.run("5", 8)
-    assert nondiv.conjecture_id == "7"
-    assert cop == verify.derive_binary_coprimality(nondiv)
-    assert cop.conjecture_id == "5"
-    assert cop.verdict == verify.ALL_HOLD
-    assert cop.n_range == nondiv.n_range
-
-
 def test_odd_special_value():
-    report = run_one("8", 14)
+    report = verify.run("8", 14)
     assert report.verdict == verify.ALL_HOLD
     values = {w["n"]: int(w["value"]) for w in report.witnesses}
     assert values[1] == 1
@@ -81,7 +66,7 @@ def test_odd_special_value():
 
 
 def test_ternary_minus_one():
-    report = run_one("9", 14)
+    report = verify.run("9", 14)
     assert report.verdict == verify.ALL_HOLD
     values = {w["n"]: int(w["value"]) for w in report.witnesses}
     assert values[1] == 1 and values[2] == 1
@@ -90,7 +75,7 @@ def test_ternary_minus_one():
 
 
 def test_ternary_one():
-    report = run_one("10", 8)
+    report = verify.run("10", 8)
     assert report.verdict == verify.ALL_HOLD
     t = {w["n"]: int(w["value"]) for w in report.witnesses}
     assert t[1] == 1 and t[2] == 1 and t[4] == 5
@@ -98,14 +83,14 @@ def test_ternary_one():
 
 
 def test_unimodal_even_part():
-    report = run_one("3", 12)
+    report = verify.run("3", 12)
     assert report.verdict == verify.WITNESS_ONLY
     assert report.failures == []
     assert {w["n"] for w in report.witnesses} == set(range(1, 13))
 
 
 def test_den_log_concave_failure_set():
-    report = run_one("4", 12)
+    report = verify.run("4", 12)
     assert report.verdict == verify.WITNESS_ONLY
     assert report.failures == []
     not_lc = {w["n"] for w in report.witnesses if w.get("log_concave") is False}
@@ -116,7 +101,7 @@ def test_den_log_concave_failure_set():
 
 
 def test_binary_shape():
-    report = run_one("6", 12)
+    report = verify.run("6", 12)
     assert report.verdict == verify.WITNESS_ONLY
     assert report.failures == []
     by_n = {w["n"]: w for w in report.witnesses}
@@ -138,7 +123,7 @@ def test_remainder_reduction_check_examples():
 
 
 def test_remainder_reduction_range():
-    report = run_one("lemma4", 10)
+    report = verify.run("lemma4", 10)
     assert report.conjecture_id == "lemma4"
     assert report.verdict == verify.ALL_HOLD
 
@@ -157,7 +142,7 @@ def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
     verify._nondivides_at_remainder.cache_clear()
     try:
-        report = run_one("lemma4", 8, engine=engine)
+        report = verify.run("lemma4", 8, engine=engine)
     finally:
         verify._nondivides_at_remainder.cache_clear()  # decided on the mutated num
     assert report.verdict == verify.FAILURES_FOUND
@@ -175,12 +160,12 @@ def test_lemma4_decides_each_remainder_pair_once(monkeypatch):
     monkeypatch.setattr(cyclotomic, "remainder_mod_phi_2d", counting)
     verify._nondivides_at_remainder.cache_clear()
     max_n = 20
-    report = run_one("lemma4", max_n)
+    report = verify.run("lemma4", max_n)
     assert report.verdict == verify.ALL_HOLD
     # Every n side is certified at a root of unity, so each call decides one (n mod d, d).
     assert len(calls) == len({(n % d, d) for n in range(1, max_n + 1) for d in range(1, n + 1)})
     calls.clear()
-    run_one("lemma4", max_n)
+    verify.run("lemma4", max_n)
     assert calls == []
 
 
@@ -199,14 +184,14 @@ def test_irreducibility_witness_examples():
 
 
 def test_irreducibility_report():
-    report = run_one("1", 6)
+    report = verify.run("1", 6)
     assert report.verdict == verify.WITNESS_ONLY
     assert len(report.witnesses) == 6
 
 
 def test_reports_reproducible():
-    a = run_one("2", 8)
-    b = run_one("2", 8)
+    a = verify.run("2", 8)
+    b = verify.run("2", 8)
     assert (a.verdict, a.failures, a.witnesses, a.n_range) == (
         b.verdict,
         b.failures,
@@ -216,15 +201,15 @@ def test_reports_reproducible():
 
 
 def test_jobs_parallel_matches_serial():
-    serial = run_one("8", 10, jobs=1)
-    parallel = run_one("8", 10, jobs=2)
+    serial = verify.run("8", 10, jobs=1)
+    parallel = verify.run("8", 10, jobs=2)
     assert serial.witnesses == parallel.witnesses
     assert serial.failures == parallel.failures
     assert serial.verdict == parallel.verdict
 
 
 def test_engine_both_agreement():
-    report = run_one("2", 6, engine="both")
+    report = verify.run("2", 6, engine="both")
     assert report.verdict == verify.ALL_HOLD
     assert not report.has_engine_mismatch()
 
@@ -241,7 +226,7 @@ def test_engine_mismatch_recorded(monkeypatch):
     monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
     reduction.reduced_pair.cache_clear()
     try:
-        report = run_one("2", 4, engine="both")
+        report = verify.run("2", 4, engine="both")
     finally:
         reduction.reduced_pair.cache_clear()
     assert report.has_engine_mismatch()
@@ -260,7 +245,7 @@ def test_mutated_numerator_detected(monkeypatch):
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
     # Only engine "both" reads num here; its certificate then contradicts the remainder.
-    report = run_one("2", 5, engine="both")
+    report = verify.run("2", 5, engine="both")
     assert report.verdict == verify.FAILURES_FOUND
     assert any(f.get("n") == 4 and f.get("d") == 1 for f in report.failures)
     assert report.has_engine_mismatch()
@@ -295,10 +280,10 @@ def test_jobs_capped_at_cpus_and_values(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
-    serial = run_one("8", 10)
-    capped = run_one("8", 10, jobs=10**6)  # 4 CPUs
-    run_one("8", 3, jobs=10**6)  # 3 values of n
-    run_one("8", 10, jobs=2)
+    serial = verify.run("8", 10)
+    capped = verify.run("8", 10, jobs=10**6)  # 4 CPUs
+    verify.run("8", 3, jobs=10**6)  # 3 values of n
+    verify.run("8", 10, jobs=2)
     assert sizes == [4, 3, 2]
     assert capped.witnesses == serial.witnesses
 
@@ -313,14 +298,14 @@ def _assert_certified(report, pclass, ds_of):
 
 
 def test_every_certificate_passes_the_independent_checker():
-    _assert_certified(run_one("2", 16), ORD, lambda w: w["d_checked"])
-    nondiv, _ = verify.run("7", 24)
-    _assert_certified(nondiv, BIN, lambda w: [1 << s for s in w["s_checked"]])
+    _assert_certified(verify.run("2", 16), ORD, lambda w: w["d_checked"])
+    _assert_certified(verify.run("5", 24), BIN, lambda w: w["d_checked"])
+    _assert_certified(verify.run("7", 24), BIN, lambda w: [1 << s for s in w["s_checked"]])
 
 
 def test_checker_rejects_a_bad_certificate():
     num = reduction.reduced_pair(4, ORD).num
-    [good] = [c for c in run_one("2", 4).witnesses[-1]["certificates"] if c[0] == 3]
+    [good] = [c for c in verify.run("2", 4).witnesses[-1]["certificates"] if c[0] == 3]
     d, p, zeta, lead = good
     assert oracles.certificate_problems(num, good) == []
     assert oracles.certificate_problems(num, [d, 7 * p, zeta, lead])  # composite, though = 1 mod 6
@@ -355,7 +340,7 @@ def _counting_num_star(monkeypatch):
 def test_vanishing_first_prime_falls_back_to_the_next(monkeypatch):
     _vanishing(monkeypatch, {2}, 1)
     calls = _counting_num_star(monkeypatch)
-    report = run_one("2", 6)
+    report = verify.run("2", 6)
     assert report.verdict == verify.ALL_HOLD
     second = cyclotomic.root_of_unity(2, 1)
     for w in report.witnesses:
@@ -368,13 +353,13 @@ def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
     _vanishing(monkeypatch, {2}, verify.CERTIFICATE_PRIMES)
     calls = _counting_num_star(monkeypatch)
     try:
-        report = run_one("2", 6)
+        report = verify.run("2", 6)
         assert report.verdict == verify.ALL_HOLD
         for w in report.witnesses:
             assert w["full_route"] == ([2] if w["n"] >= 2 else [])
             assert [c[0] for c in w["certificates"]] == [d for d in w["d_checked"] if d != 2]
         assert calls == [2, 3, 4, 5, 6]
-        both = run_one("2", 6, engine="both")
+        both = verify.run("2", 6, engine="both")
         assert [w["full_route"] for w in both.witnesses] == [w["full_route"] for w in report.witnesses]
         assert verify.remainder_reduction_check(6, 2)
         assert verify.remainder_reduction_check(6, 4)
@@ -395,23 +380,86 @@ def test_full_route_reports_a_divisor(monkeypatch):
         return rp
 
     monkeypatch.setattr(reduction, "reduced_pair", mutated)
-    report = run_one("2", 5)
+    report = verify.run("2", 5)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f["d"]) for f in report.failures] == [(4, 2)]
     assert not report.has_engine_mismatch()
 
 
 def test_den_side_by_gauss_lemma_matches_the_expanded_den():
-    for w in run_one("2", 20).witnesses:
-        expanded = cyclotomic.expand_cyclotomics(reduction.den(w["n"], ORD))
-        assert intpoly.content(expanded) == 1
-        assert w["den_constant_term"] == expanded[0]
+    # The coprimality check never expands den: it takes content 1 from
+    # Gauss's lemma, as every Phi_{2d} is monic with constant term 1.
+    for pclass in PartitionClass:
+        for n in range(0, 21):
+            expanded = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
+            assert intpoly.content(expanded) == 1, (pclass, n)
+            assert expanded[0] == 1, (pclass, n)
 
 
-def test_non_monic_den_factor_is_a_failure(monkeypatch):
-    real = cyclotomic.phi_2d
-    monkeypatch.setattr(cyclotomic, "phi_2d", lambda d: tuple(2 * c for c in real(d)) if d == 2 else real(d))
-    report = run_one("2", 3)
-    assert report.verdict == verify.FAILURES_FOUND
-    assert [(f["n"], f["d"]) for f in report.failures] == [(2, 2), (3, 2)]
-    assert all("not monic" in f["detail"] for f in report.failures)
+# Every function that builds a polynomial on the way to a Phi_{2d} remainder.
+SPIED = [
+    (cyclotomic, "phi_2d"),
+    (cyclotomic, "expand_cyclotomics"),
+    (cyclotomic, "expand_binomials"),
+    (reduction, "num_star"),
+    (reduction, "reduced_pair"),
+]
+
+
+def test_certificate_route_builds_no_polynomial(monkeypatch):
+    calls = []
+
+    def spy(mp, module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+
+        mp.setattr(module, name, counting)
+
+    for cid in ("2", "5", "7"):
+        reduction.reduced_pair.cache_clear()
+        reduction._leading_block.cache_clear()
+        cyclotomic.root_of_unity.cache_clear()
+        cyclotomic.phi_2d.cache_clear()
+        with monkeypatch.context() as mp:
+            for module, name in SPIED:
+                spy(mp, module, name)
+            assert verify.run(cid, 40).verdict == verify.ALL_HOLD
+        assert calls == [], cid
+
+
+def test_binary_coprimality_matches_binary_nondivisibility():
+    coprime, nondiv = verify.run("5", 200), verify.run("7", 200)
+    assert len(coprime.witnesses) == len(nondiv.witnesses) == 199
+    for c, b in zip(coprime.witnesses, nondiv.witnesses):
+        assert c["n"] == b["n"]
+        assert c["d_checked"] == [1 << s for s in b["s_checked"]]
+        assert (c["certificates"], c["full_route"]) == (b["certificates"], b["full_route"])
+
+
+@pytest.mark.parametrize("engine", ["both", "dp"])
+def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
+    # Under "both" the certificate contradicts the remainder; under "dp",
+    # with no certificate at all, the full remainder finds 1 + x^2.
+    if engine == "dp":
+        _vanishing(monkeypatch, {1, 2, 4}, verify.CERTIFICATE_PRIMES)
+    real = reduction._reduced_pair
+
+    def mutated(n, pclass, engine="dp"):
+        rp = real(n, pclass, engine)
+        if n == 4 and pclass is BIN:
+            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, (1, 0, 1)))
+        return rp
+
+    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    coprime, nondiv = verify.run("5", 6, engine=engine), verify.run("7", 6, engine=engine)
+    assert coprime.verdict == nondiv.verdict == verify.FAILURES_FOUND
+    if engine == "both":
+        assert [(f["n"], f["d"], f["kind"]) for f in coprime.failures] == [(4, 2, "engine-mismatch")]
+        assert [(f["n"], f["d"], f["kind"]) for f in nondiv.failures] == [(4, 2, "engine-mismatch")]
+    else:
+        assert [(f["n"], f["d"]) for f in coprime.failures] == [(4, 2)]
+        assert [(f["n"], f["s"]) for f in nondiv.failures] == [(4, 1)]
+        assert not coprime.has_engine_mismatch() and not nondiv.has_engine_mismatch()
