@@ -11,7 +11,7 @@ from subsum.partitions import PartitionClass
 
 TOP = 18
 
-t = [reduction.t_direct(n) for n in range(3 * TOP + 1)]
+t = reduction.t_values(3 * TOP)
 s = [None] + [
     intpoly.eval_at_int(reduction.reduced_pair(n, PartitionClass.TERNARY).num, -1)
     for n in range(1, TOP + 1)

@@ -24,7 +24,7 @@ from .reduction import (
     num_star,
     reduced_pair,
     spol,
-    t_direct,
+    t_values,
 )
 from .verify import ConjectureReport, legendre_valuation, odd_part
 
@@ -49,6 +49,6 @@ __all__ = [
     "odd_part",
     "reduced_pair",
     "spol",
-    "t_direct",
+    "t_values",
     "__version__",
 ]

@@ -332,7 +332,7 @@ def cmd_table(args) -> int:
     seq = args.sequence
     rows: list[tuple[int, int]] = []
     if seq == "t":
-        rows = [(n, reduction.t_direct(n)) for n in range(0, args.max_n + 1)]
+        rows = list(enumerate(reduction.t_values(args.max_n)))
     elif seq == "s":
         rows = [
             (n, intpoly.eval_at_int(reduction.reduced_pair(n, PartitionClass.TERNARY).num, -1))

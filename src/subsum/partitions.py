@@ -41,7 +41,17 @@ def allowed_parts(pclass: PartitionClass, n: int) -> list[int]:
     """All parts of `pclass` that are <= n, ascending; none for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [part for part in range(1, n + 1) if pclass.allows(part)]
+    if pclass is PartitionClass.ORDINARY:
+        return list(range(1, n + 1))
+    if pclass is PartitionClass.ODD:
+        return list(range(1, n + 1, 2))
+    base = 2 if pclass is PartitionClass.BINARY else 3
+    parts = []
+    part = 1
+    while part <= n:
+        parts.append(part)
+        part *= base
+    return parts
 
 
 def enumerate_partitions(n: int, pclass: PartitionClass) -> Iterator[Partition]:

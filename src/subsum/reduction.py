@@ -61,6 +61,13 @@ num = num*/G is taken by `cyclotomic.divide_cyclotomics`, which reads G
 as a product of binomials 1 + x^j and divides by shift-adds on one
 packed integer; the digit width of num is confirmed, not assumed.
 
+num(n, 1) needs neither: `num_at_one` divides the DP's run at x = 1 by
+G(1), a power of 2, and under engine "both" compares the result with
+the full path's num (built with both engines) at 1.  For the ternary
+class num(n, 1) is t(n), the sum of 2^(n - length) over the partitions
+of n, which `t_values` also computes by a coin DP over the parts 3^k
+alone, for every n up to a bound at once.
+
 Whether Phi_{2d} divides num needs no num at all when the answer is no:
 `leading_coefficient` runs the coin DP for sum of 1/sp(lambda) at a root
 of unity of order 2d in a prime field, keeping one coefficient per
@@ -364,9 +371,46 @@ def _leading_block(pclass: PartitionClass, d: int, k: int) -> tuple[int, int, in
     return p, zeta, pow(d * pow(zeta, d - 1, p), -1, p), array("q", block)
 
 
-def t_direct(n: int) -> int:
-    """Ternary numerator at x=1 as the direct sum of 2^(n - length).
+def num_at_one(n: int, pclass: PartitionClass, engine: str = "dp") -> int:
+    """num(n, 1) by the num* DP at x = 1, divided by G(1); no polynomial is built.
 
-    t(0) = 1 by the empty-partition convention.
+    Evaluation at 1 is a ring homomorphism, so num(n, 1) = num*(n, 1) / G(1).
+    G is a product of binomials (1 + x^j)^E_j
+    (`cyclotomic.binomial_exponents`), so G(1) = 2^(sum of E_j): the
+    division is a shift, and a nonzero bit shifted out raises
+    NotDivisibleError.  engine is "dp" or "both"; "both" also evaluates
+    the full path's num at 1 and raises EngineMismatchError unless the
+    two agree.
     """
-    return sum(1 << (n - len(p)) for p in enumerate_partitions(n, PartitionClass.TERNARY))
+    value = _num_at_one(n, pclass)
+    if engine == "both":
+        full = intpoly.eval_at_int(reduced_pair(n, pclass, engine).num, 1)
+        if full != value:
+            raise EngineMismatchError(f"num({n},1) = {full} by the full path != {value} by the DP at x = 1")
+    elif engine != "dp":
+        raise ValueError(f"unknown engine {engine!r}")
+    return value
+
+
+def _num_at_one(n: int, pclass: PartitionClass) -> int:
+    """`num_at_one` without the full-path comparison."""
+    star = _ring_dp(n, allowed_parts(pclass, n), _times_binomials_at_one)
+    shift = sum(cyclotomic.binomial_exponents(big_g(n, pclass)).values())
+    if star & ((1 << shift) - 1):
+        raise intpoly.NotDivisibleError(f"num*({n},1) = {star} is not divisible by G({n},1) = 2^{shift}")
+    return star >> shift
+
+
+def t_values(top: int) -> list[int]:
+    """[t(0), ..., t(top)], t(m) = num_T(m,1) = sum over ternary partitions of m of 2^(m - length).
+
+    2^(m - length) = prod_j 2^(lambda_j - 1), so t is the coefficient
+    sequence of prod over k of 1/(1 - 2^(3^k - 1) y^(3^k)): one coin DP
+    pass per part 3^k <= top.  t(0) = 1 by the empty-partition
+    convention.
+    """
+    t = [1] + [0] * top
+    for part in allowed_parts(PartitionClass.TERNARY, top):
+        for w in range(part, top + 1):
+            t[w] += t[w - part] << (part - 1)
+    return t

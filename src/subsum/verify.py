@@ -20,9 +20,15 @@ Every check that builds num* passes its engine straight to
 `reduction.reduced_pair`, so `reduction.num_star` is the one place the
 accumulation engine is applied; under engine "both" it raises
 EngineMismatchError, which `run` records as a failure.  Checks that read
-only den (conjecture 4, and the den side of 2 and 5) build no num*.  The
-Phi_{2d}-nondivisibility checks (conjectures 2, 5 and 7, lemma 4 at n) go
-through `_phi_2d_nondivides`, the one place their route is chosen:
+only den (conjecture 4, and the den side of 2 and 5) build no num*.
+Conjecture 10 builds no num either: it compares t(m) by a coin DP over
+2^(m - length) with num_T(m,1) by the num* DP over the cofactors at
+x = 1 (`reduction.num_at_one`), which under engine "both" also reads
+the full path's num_T(m) at 1 and raises EngineMismatchError unless it
+agrees.
+
+The Phi_{2d}-nondivisibility checks (conjectures 2, 5 and 7, lemma 4 at
+n) go through `_phi_2d_nondivides`, the one place their route is chosen:
 engine "dp" decides each d by a certificate at a root of unity mod p
 and builds num only when three primes all fail; engine "both" also
 takes the full remainder for every d and compares the two.  Lemma 4
@@ -222,23 +228,23 @@ def _ternary_triples(witnesses: list[dict], max_n: int) -> list[dict]:
 
 
 def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """t(m) by the direct power sum over ternary partitions equals num_T(m,1)."""
-    direct = reduction.t_direct(m)
-    via_poly = intpoly.eval_at_int(_num(m, pclass, engine), 1)
-    if direct != via_poly:
-        return (
-            [{"n": m, "detail": f"t_direct({m}) = {direct} != num_T({m},1) = {via_poly}"}],
-            [],
-        )
-    return [], [{"n": m, "value": str(direct)}]
+    """t(m) by the coin DP over 2^(m - length) equals num_T(m,1) by the num* DP over the cofactors at x = 1.
+
+    Neither side builds num; under engine "both" `reduction.num_at_one`
+    also evaluates the full path's num_T(m) at 1 and compares.
+    """
+    t = reduction.t_values(m)[m]
+    at_one = reduction.num_at_one(m, pclass, engine)
+    if t != at_one:
+        return [{"n": m, "detail": f"t({m}) = {t} by the coin DP != num_T({m},1) = {at_one}"}], []
+    return [], [{"n": m, "value": str(t)}]
 
 
 def _ternary_blocks(witnesses: list[dict], max_n: int) -> list[dict]:
     """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n)."""
     t = {w["n"]: int(w["value"]) for w in witnesses}
-    for m in range(0, 3 * max_n + 3):
-        if m not in t:  # the per-n check failed at m
-            t[m] = reduction.t_direct(m)
+    if len(t) < 3 * max_n + 3:  # the per-m check failed at some m
+        t = dict(enumerate(reduction.t_values(3 * max_n + 2))) | t
     failures = []
     for m in range(0, max_n + 1):
         triple = [t[3 * m], t[3 * m + 1], t[3 * m + 2]]

@@ -7,9 +7,10 @@ ascending-composition algorithm, and mod-p irreducibility from brute
 trial division by all monic polynomials of low degree, gcds in Z[x]
 from pseudo-remainder Euclid on naively expanded products, G from
 the entrywise-minimum cyclotomic exponents of every cofactor, the
-root-of-unity certificates from first principles, quotients by
-schoolbook long division, and Phi_m by dividing x^m - 1 by every Phi_d
-over the proper divisors d of m.
+root-of-unity certificates from first principles, t(n) from a
+listing of the ternary partitions, quotients by schoolbook long
+division, and Phi_m by dividing x^m - 1 by every Phi_d over the proper
+divisors d of m.
 """
 
 import math
@@ -163,6 +164,26 @@ def filtered_partitions(n, predicate):
         if all(predicate(part) for part in p):
             out.append(tuple(sorted(p, reverse=True)))
     return sorted(out, reverse=True)
+
+
+def t_direct(n):
+    """t(n): 2^(n - length) summed over the ternary partitions of n, listed by their largest part."""
+
+    def lengths(remaining, largest):
+        if remaining == 0:
+            yield 0
+            return
+        part = largest
+        while part:
+            if part <= remaining:
+                for length in lengths(remaining - part, part):
+                    yield length + 1
+            part //= 3
+
+    largest = 1
+    while 3 * largest <= n:
+        largest *= 3
+    return sum(1 << (n - length) for length in lengths(n, largest))
 
 
 def is_prime(n):

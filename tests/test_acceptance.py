@@ -98,7 +98,7 @@ def test_criterion_07_ternary_one():
     report = verify.run("10", 27)
     assert report.verdict == verify.ALL_HOLD
     t = {w["n"]: int(w["value"]) for w in report.witnesses}
-    # every table entry was built by t_direct AND polynomial eval agreeing
+    # every table entry was built by the coin DP AND the num* DP at x = 1 agreeing
     assert t[1] == 1 and t[2] == 1 and t[4] == 5
     for n in range(0, 28):
         assert t[3 * n] == t[3 * n + 1] == t[3 * n + 2]

@@ -364,7 +364,7 @@ def test_bad_out_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, com
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("reduced_pair", "t_direct", "big_g"):
+    for name in ("reduced_pair", "t_values", "big_g"):
         monkeypatch.setattr(reduction, name, no_work)
     monkeypatch.setattr(verify, "run", no_work)
     argv = {

@@ -55,6 +55,12 @@ def test_allowed_parts(pclass, n, expected):
     assert allowed_parts(pclass, n) == expected
 
 
+def test_allowed_parts_equal_the_allows_filter():
+    for pclass in CLASSES:
+        for n in range(301):
+            assert allowed_parts(pclass, n) == [part for part in range(1, n + 1) if pclass.allows(part)], (pclass, n)
+
+
 def test_multiplicities_examples():
     assert multiplicities((2, 1, 1)) == {2: 1, 1: 2}
     assert multiplicities(()) == {}

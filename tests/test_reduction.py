@@ -93,7 +93,8 @@ def test_n0_is_the_empty_partition_in_every_layer():
         for engine in ("dp", "both"):
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
             assert reduction.reduced_pair(0, pclass, engine).num == (1,), (pclass, engine)
-    assert reduction.t_direct(0) == 1
+            assert reduction.num_at_one(0, pclass, engine) == 1, (pclass, engine)
+    assert reduction.t_values(0) == [1]
 
 
 def test_den_is_floor_n_over_d_at_every_allowed_d():
@@ -277,17 +278,29 @@ def test_sr_eval_pole():
 
 
 def test_t_direct_values():
-    assert reduction.t_direct(0) == 1
-    assert reduction.t_direct(1) == 1
-    assert reduction.t_direct(2) == 1
-    assert reduction.t_direct(3) == 5  # (3) -> 4, (1,1,1) -> 1
-    assert reduction.t_direct(4) == 5
+    assert [oracles.t_direct(n) for n in range(5)] == [1, 1, 1, 5, 5]  # t(3): (3) -> 4, (1,1,1) -> 1
+    assert reduction.t_values(4) == [1, 1, 1, 5, 5]
 
 
 def test_t_direct_matches_polynomial_eval():
     for n in range(0, 28):
         num_t = reduction.reduced_pair(n, TER).num
-        assert reduction.t_direct(n) == intpoly.eval_at_int(num_t, 1), n
+        assert oracles.t_direct(n) == intpoly.eval_at_int(num_t, 1), n
+
+
+def test_t_values_match_the_enumeration_oracle():
+    assert reduction.t_values(60) == [oracles.t_direct(m) for m in range(61)]
+    with pytest.raises(ValueError):
+        reduction.t_values(-1)
+
+
+def test_num_at_one_matches_the_full_path():
+    for pclass, top in ((TER, 40), (ORD, 16), (ODD, 20), (BIN, 32)):
+        for n in range(top + 1):
+            want = intpoly.eval_at_int(reduction.reduced_pair(n, pclass).num, 1)
+            assert reduction.num_at_one(n, pclass) == want, (pclass, n)
+    with pytest.raises(ValueError):
+        reduction.num_at_one(3, TER, "fast")
 
 
 @pytest.mark.parametrize("n, widths", [(17, [4]), (18, [4, 8])])

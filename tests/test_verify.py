@@ -463,3 +463,51 @@ def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
         assert [(f["n"], f["d"]) for f in coprime.failures] == [(4, 2)]
         assert [(f["n"], f["s"]) for f in nondiv.failures] == [(4, 1)]
         assert not coprime.has_engine_mismatch() and not nondiv.has_engine_mismatch()
+
+
+def test_conjecture_10_builds_no_polynomial(monkeypatch):
+    def no_polynomial(*args, **kwargs):
+        raise AssertionError("conjecture 10 built a polynomial under engine dp")
+
+    for name in ("reduced_pair", "num_star", "enumerate_partitions"):
+        monkeypatch.setattr(reduction, name, no_polynomial)
+    monkeypatch.setattr(cyclotomic, "divide_cyclotomics", no_polynomial)
+    assert verify.run("10", 20).verdict == verify.ALL_HOLD
+
+
+@pytest.mark.parametrize("mutation", ["shift+1", "shift-1", "low-bit"])
+def test_x1_route_mutation_fails_conjecture_10(monkeypatch, mutation):
+    # t(7) is odd (every ternary partition of 7 but 1^7 is shorter than 7),
+    # so num*(7,1) = G(7,1) * t(7) = 2^2 * t(7) ends in exactly two zero bits:
+    # a wider shift or a set low bit leaves a remainder, a narrower one doubles t.
+    real_g, real_dp = reduction.big_g, reduction._ring_dp
+    if mutation == "low-bit":
+        monkeypatch.setattr(reduction, "_ring_dp", lambda n, parts, step: real_dp(n, parts, step) + (n == 7))
+    else:
+        extra = 1 if mutation == "shift+1" else -1
+
+        def big_g(n, pclass):
+            g = real_g(n, pclass)
+            return {**g, 1: g[1] + extra} if n == 7 else g
+
+        monkeypatch.setattr(reduction, "big_g", big_g)
+    if mutation == "shift-1":
+        report = verify.run("10", 3)
+        assert report.verdict == verify.FAILURES_FOUND
+        assert [f["n"] for f in report.failures] == [7]
+        assert "coin DP" in report.failures[0]["detail"]
+    else:
+        with pytest.raises(intpoly.NotDivisibleError):
+            verify.run("10", 3)
+
+
+@pytest.mark.parametrize("engine, kind", [("both", "engine-mismatch"), ("dp", None)])
+def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
+    # Under "both" the full path's num_T(5,1) catches the patched route
+    # before the coin DP does; under "dp" the coin DP catches it.
+    real = reduction._num_at_one
+    monkeypatch.setattr(reduction, "_num_at_one", lambda n, pclass: real(n, pclass) + 2 * (n == 5))
+    report = verify.run("10", 3, engine=engine)
+    assert report.verdict == verify.FAILURES_FOUND
+    assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
+    assert report.has_engine_mismatch() == (engine == "both")
