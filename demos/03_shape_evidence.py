@@ -26,7 +26,7 @@ for w in report.witnesses:
 print()
 print("Binary numerator shape for n <= 24:")
 report = verify.run("6", 24)
-num4 = reduction.reduced_pair(4, PartitionClass.BINARY).num
+num4 = reduction.num(4, PartitionClass.BINARY, "dp")
 print(f"  num_B(4,x) coefficients: {list(num4)}")
 ok, idx = intpoly.is_log_concave(num4)
 print(f"  log-concave: {ok}; first violated index {idx}: "

@@ -13,7 +13,7 @@ TOP = 18
 
 t = reduction.t_values(3 * TOP)
 s = [None] + [
-    intpoly.eval_at_int(reduction.reduced_pair(n, PartitionClass.TERNARY).num, -1)
+    intpoly.eval_at_int(reduction.num(n, PartitionClass.TERNARY, "dp"), -1)
     for n in range(1, TOP + 1)
 ]
 

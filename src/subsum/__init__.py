@@ -16,13 +16,12 @@ from .partitions import (
     multiplicities,
 )
 from .reduction import (
-    ReducedPair,
     big_g,
     den,
     den_star,
     h_factored,
+    num,
     num_star,
-    reduced_pair,
     spol,
     t_values,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "IrreducibilityStatus",
     "Partition",
     "PartitionClass",
-    "ReducedPair",
     "allowed_parts",
     "big_g",
     "den",
@@ -45,9 +43,9 @@ __all__ = [
     "h_factored",
     "legendre_valuation",
     "multiplicities",
+    "num",
     "num_star",
     "odd_part",
-    "reduced_pair",
     "spol",
     "t_values",
     "__version__",

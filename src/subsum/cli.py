@@ -42,7 +42,6 @@ _LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARNING": 30, "WARN": 30, 
 DEBUG, INFO, WARNING = 10, 20, 30
 
 _CLASSES = [c.value for c in PartitionClass]
-_ENGINES = ["dp", "both"]
 _BUILDS_NUM = ["num", "num-star"]  # the --what values that --engine applies to
 
 
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compute.add_argument("--format", choices=["json", "text"], default="text")
     p_compute.add_argument("--expand", action="store_true", help="expand factored outputs")
-    p_compute.add_argument("--engine", choices=_ENGINES, default="dp")
+    p_compute.add_argument("--engine", choices=reduction.ENGINES, default="dp")
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run conjecture checks over 1..max-n")
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", dest="max_n", type=_int_at_least(1), required=True)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p_verify.add_argument("--engine", choices=_ENGINES, default="dp")
+    p_verify.add_argument("--engine", choices=reduction.ENGINES, default="dp")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a sequence, one row per n")
@@ -124,6 +123,11 @@ def _log(level: int, msg: str, *args, exc_info: bool = False) -> None:
 
 
 def main(argv=None) -> int:
+    # Reports carry big integers as decimal strings; Python >= 3.10.7
+    # refuses str() of an int past 4300 digits unless the limit is lifted.
+    # Workers forked by --jobs inherit the setting.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.conjecture != "all":
@@ -234,7 +238,7 @@ def cmd_compute(args) -> int:
         }
 
     if what == "num":
-        record = poly_record(reduction.reduced_pair(n, pclass, args.engine).num, "num")
+        record = poly_record(reduction.num(n, pclass, args.engine), "num")
     elif what == "num-star":
         record = poly_record(reduction.num_star(n, pclass, args.engine), "num-star")
     elif what in ("den", "g"):
@@ -335,7 +339,7 @@ def cmd_table(args) -> int:
         rows = list(enumerate(reduction.t_values(args.max_n)))
     elif seq == "s":
         rows = [
-            (n, intpoly.eval_at_int(reduction.reduced_pair(n, PartitionClass.TERNARY).num, -1))
+            (n, intpoly.eval_at_int(reduction.num(n, PartitionClass.TERNARY, "dp"), -1))
             for n in range(1, args.max_n + 1)
         ]
     elif seq == "o-part":

@@ -57,9 +57,10 @@ carries between digits in intermediate cells are harmless: only the
 final value has to hold its coefficients digit by digit, and it does.
 One unpack reads the low half back, and the mirror gives num*.
 
-num = num*/G is taken by `cyclotomic.divide_cyclotomics`, which reads G
-as a product of binomials 1 + x^j and divides by shift-adds on one
-packed integer; the digit width of num is confirmed, not assumed.
+`num(n, pclass, engine)` returns num = num*/G, taken by
+`cyclotomic.divide_cyclotomics`, which reads G as a product of binomials
+1 + x^j and divides by shift-adds on one packed integer; the digit width
+of num is confirmed, not assumed.  It is the one cached route to num.
 
 num(n, 1) needs neither: `num_at_one` divides the DP's run at x = 1 by
 G(1), a power of 2, and under engine "both" compares the result with
@@ -79,7 +80,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from . import cyclotomic, intpoly
 from .intpoly import IntPoly
@@ -162,6 +163,10 @@ def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
         if g:
             out[d] = g
     return out
+
+
+# The accumulation engines of num* (see `num_star`).
+ENGINES = ("dp", "both")
 
 
 def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
@@ -262,46 +267,22 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
     return intpoly.unpack(total, width)
 
 
-class ReducedPair(NamedTuple):
-    """num for one (n, class); den and G come from `den` and `big_g`.
+# Lemma 4 at n reads num at n and at every n mod d, all at most n:
+# n + 1 entries per class and engine.  256 entries hold that working set
+# up to n = 127 for two engines, far beyond the n num can be built at.
+@lru_cache(maxsize=256)
+def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
+    """The reduced numerator num = num*/G, with the summand gcd G cancelled.
 
-    Invariant: expand(big_g(n, pclass)) * num == num*.  Instances are
-    shared through a cache.
-    """
-
-    n: int
-    pclass: PartitionClass
-    num: IntPoly
-
-
-# Lemma 4 at n reads the pairs at n and at every n mod d, all at most n:
-# n + 1 pairs per class and engine.  256 entries hold that working set up
-# to n = 127 for two engines, far beyond the n a pair can be built at.
-_PAIR_CACHE_SIZE = 256
-
-
-def reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
-    """The numerator of the reduced pair, with the summand gcd G cancelled.
-
-    num = num*/G by `cyclotomic.divide_cyclotomics` (a nonzero remainder
+    The division is `cyclotomic.divide_cyclotomics` (a nonzero remainder
     would be a pipeline bug and raises); n = 0 gives num 1.  den is
-    `den(n, pclass)`.
+    `den(n, pclass)`.  engine is "dp" or "both", as for `num_star`.
 
-    Pairs are cached in an LRU cache of 256 entries keyed on
-    (n, pclass, engine), so every call form shares one entry;
-    `reduced_pair.cache_info()` and `.cache_clear()` reach that cache.
+    Results are cached in an LRU cache of 256 entries keyed on
+    (n, pclass, engine).  The parameters are positional-only and have no
+    default, so there is one call form and one entry per key.
     """
-    return _cached_pair(n, pclass, engine)
-
-
-def _reduced_pair(n: int, pclass: PartitionClass, engine: str = "dp") -> ReducedPair:
-    """`reduced_pair` without the cache."""
-    return ReducedPair(n, pclass, cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass)))
-
-
-_cached_pair = lru_cache(maxsize=_PAIR_CACHE_SIZE)(_reduced_pair)
-reduced_pair.cache_info = _cached_pair.cache_info
-reduced_pair.cache_clear = _cached_pair.cache_clear
+    return cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass))
 
 
 def leading_coefficient(n: int, pclass: PartitionClass, d: int, k: int = 0) -> tuple[int, int, int]:
@@ -382,13 +363,13 @@ def num_at_one(n: int, pclass: PartitionClass, engine: str = "dp") -> int:
     the full path's num at 1 and raises EngineMismatchError unless the
     two agree.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     value = _num_at_one(n, pclass)
     if engine == "both":
-        full = intpoly.eval_at_int(reduced_pair(n, pclass, engine).num, 1)
+        full = intpoly.eval_at_int(num(n, pclass, engine), 1)
         if full != value:
             raise EngineMismatchError(f"num({n},1) = {full} by the full path != {value} by the DP at x = 1")
-    elif engine != "dp":
-        raise ValueError(f"unknown engine {engine!r}")
     return value
 
 

@@ -17,10 +17,11 @@ failures list with full reproduction data; neither outcome gates the
 build.
 
 Every check that builds num* passes its engine straight to
-`reduction.reduced_pair`, so `reduction.num_star` is the one place the
-accumulation engine is applied; under engine "both" it raises
-EngineMismatchError, which `run` records as a failure.  Checks that read
-only den (conjecture 4, and the den side of 2 and 5) build no num*.
+`reduction.num`, the one cached route to num = num*/G, so
+`reduction.num_star` is the one place the accumulation engine is
+applied; under engine "both" it raises EngineMismatchError, which `run`
+records as a failure.  Checks that read only den (conjecture 4, and
+the den side of 2 and 5) build no num*.
 Conjecture 10 builds no num either: it compares t(m) by a coin DP over
 2^(m - length) with num_T(m,1) by the num* DP over the cofactors at
 x = 1 (`reduction.num_at_one`), which under engine "both" also reads
@@ -96,10 +97,6 @@ def odd_factorial_part(n: int) -> int:
     return odd_part(math.factorial(n))
 
 
-def _num(n: int, pclass: PartitionClass, engine: str) -> intpoly.IntPoly:
-    return reduction.reduced_pair(n, pclass, engine).num
-
-
 # --- Phi_{2d} nondivisibility: the one place the route is chosen ---
 
 # Primes tried per d under engine "dp" before the full remainder decides.
@@ -127,7 +124,7 @@ def _phi_2d_nondivides(n: int, pclass: PartitionClass, d: int, engine: str) -> t
             break
     if certificate is not None and engine == "dp":
         return True, certificate
-    nondiv = bool(cyclotomic.remainder_mod_phi_2d(_num(n, pclass, engine), d))
+    nondiv = bool(cyclotomic.remainder_mod_phi_2d(reduction.num(n, pclass, engine), d))
     if certificate is not None and not nondiv:
         raise reduction.EngineMismatchError(
             f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
@@ -189,7 +186,7 @@ def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[l
 
 def _odd_value_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """num_O(n,-1) equals the odd part of n!."""
-    got = intpoly.eval_at_int(_num(n, pclass, engine), -1)
+    got = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
     want = odd_factorial_part(n)
     if got != want:
         return [{"n": n, "detail": f"num_O({n},-1) = {got} != o({n}!) = {want}"}], []
@@ -201,7 +198,7 @@ def _odd_value_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[
 
 def _ternary_minus_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """num_T(n,-1) = 3^v3(n!)."""
-    got = intpoly.eval_at_int(_num(n, pclass, engine), -1)
+    got = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
     want = 3 ** legendre_valuation(3, n)
     if got != want:
         return [{"n": n, "detail": f"num_T({n},-1) = {got} != 3^v3({n}!) = {want}"}], []
@@ -241,10 +238,12 @@ def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[di
 
 
 def _ternary_blocks(witnesses: list[dict], max_n: int) -> list[dict]:
-    """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n)."""
-    t = {w["n"]: int(w["value"]) for w in witnesses}
-    if len(t) < 3 * max_n + 3:  # the per-m check failed at some m
-        t = dict(enumerate(reduction.t_values(3 * max_n + 2))) | t
+    """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n).
+
+    t is read from `reduction.t_values`, the coin DP that the per-m check
+    also reads, not parsed back from the witnesses.
+    """
+    t = reduction.t_values(3 * max_n + 2)
     failures = []
     for m in range(0, max_n + 1):
         triple = [t[3 * m], t[3 * m + 1], t[3 * m + 2]]
@@ -265,7 +264,7 @@ def _ternary_blocks(witnesses: list[dict], max_n: int) -> list[dict]:
 
 def _even_part_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: the even-exponent part of num stays unimodal."""
-    compressed = intpoly.normalize(_num(n, pclass, engine)[::2])
+    compressed = intpoly.normalize(reduction.num(n, pclass, engine)[::2])
     if intpoly.is_unimodal(compressed):
         return [], [{"n": n, "unimodal": True}]
     return (
@@ -312,7 +311,7 @@ BINARY_LOG_CONCAVE_EXCEPTIONS = frozenset({4, 5})
 
 def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: binary numerator unimodal; log-concavity fails only at n = 4, 5."""
-    num = _num(n, pclass, engine)
+    num = reduction.num(n, pclass, engine)
     unimodal = intpoly.is_unimodal(num)
     lc_ok, idx = intpoly.is_log_concave(num)
     failures = []
@@ -366,7 +365,7 @@ def _nondivides_at_remainder(r: int, d: int, engine: str) -> bool:
     per process: a run up to n = N holds at most N(N+1)/2 booleans per
     engine, keyed on r < d <= N.
     """
-    return bool(cyclotomic.remainder_mod_phi_2d(_num(r, ORDINARY, engine), d))
+    return bool(cyclotomic.remainder_mod_phi_2d(reduction.num(r, ORDINARY, engine), d))
 
 
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
@@ -393,7 +392,7 @@ def irreducibility_witness(n: int, engine: str = "dp") -> dict:
     reducible reduction proves nothing over the integers, so it never
     produces a negative verdict, only Inconclusive.
     """
-    num = _num(n, ORDINARY, engine)
+    num = reduction.num(n, ORDINARY, engine)
     record: dict = {"n": n, "content": intpoly.content(num), "tried": []}
     if len(num) <= 1:
         record["verdict"] = "Inconclusive"
@@ -463,7 +462,9 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
     """Run conjecture `cid` up to max_n and return its report.
 
     Engine disagreements become "engine-mismatch" failure records.  At
-    most min(jobs, CPU count, number of n) worker processes are used.
+    most min(jobs, CPU count, number of n) worker processes are used.  A
+    max_n below the lowest n, jobs < 1 or an engine outside
+    `reduction.ENGINES` raises ValueError before any work.
     """
     entry = CONJECTURES[cid]
     lowest = max(entry.lowest_n, 1)
@@ -471,6 +472,8 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
         raise ValueError(f"max_n must be >= {lowest}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if engine not in reduction.ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
     check = partial(_guarded, entry.check, entry.pclass, engine)
     ns = range(entry.lowest_n, entry.span * (max_n + 1))

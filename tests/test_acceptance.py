@@ -31,18 +31,18 @@ def _stamp(k, detail, started, budget):
 
 def test_criterion_01_golden_ordinary_n4():
     started = time.perf_counter()
-    assert list(reduction.reduced_pair(4, ORD).num) == [5, 8, 15, 14, 24, 20, 24, 14, 15, 8, 5]
+    assert list(reduction.num(4, ORD, "dp")) == [5, 8, 15, 14, 24, 20, 24, 14, 15, 8, 5]
     assert cyclotomic.expand_cyclotomics(reduction.big_g(4, ORD)) == (1, 1)
     _stamp(1, "num(4,x) and G(4,x)=1+x exact", started, 1.0)
 
 
 def test_criterion_02_golden_binary_n4():
     started = time.perf_counter()
-    rp = reduction.reduced_pair(4, BIN)
-    assert list(rp.num) == [4, 10, 18, 18, 20, 18, 18, 10, 4]
-    ok, idx = intpoly.is_log_concave(rp.num)
+    num = reduction.num(4, BIN, "dp")
+    assert list(num) == [4, 10, 18, 18, 20, 18, 18, 10, 4]
+    ok, idx = intpoly.is_log_concave(num)
     assert not ok and idx == 3
-    assert rp.num[3] ** 2 == 324 and rp.num[2] * rp.num[4] == 360  # 18^2 < 18*20
+    assert num[3] ** 2 == 324 and num[2] * num[4] == 360  # 18^2 < 18*20
     _stamp(2, "num_B(4,x) exact, log-concavity fails at index 3", started, 1.0)
 
 
@@ -127,7 +127,7 @@ def test_criterion_09_rational_cross_check():
     points = (Fraction(2), Fraction(-2), Fraction(1, 2))
     for pclass in CLASSES:
         for n in range(0, 13):
-            num = reduction.reduced_pair(n, pclass).num
+            num = reduction.num(n, pclass, "dp")
             den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
             parts = list(enumerate_partitions(n, pclass))
             for x0 in points:

@@ -168,6 +168,22 @@ def test_table_o_part(capsys):
     assert [(r["n"], r["value"]) for r in rows] == [(1, "1"), (2, "1"), (3, "3"), (4, "3")]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit in this Python")
+def test_table_prints_integers_past_the_str_digit_limit(capsys):
+    # o(400!) has 750 digits; at the lowest limit, 640, str() of it raises
+    # unless the CLI lifts the limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run(capsys, ["table", "--sequence", "o-part", "--max-n", "400"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert last == f"400,{verify.odd_factorial_part(400)}"
+    assert len(last) == len("400,") + 750
+
+
 def test_table_g_degree(capsys):
     code, out = run(capsys, ["table", "--sequence", "g-degree", "--max-n", "4"])
     assert code == 0
@@ -217,15 +233,13 @@ def test_engine_both_on_all_skips_no_conjecture(capsys):
 
 
 def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
-    real = reduction._reduced_pair
+    real = reduction.num
 
-    def mutated(n, pclass, engine="dp"):
-        rp = real(n, pclass, engine)
-        if n == 3 and pclass is PartitionClass.ORDINARY:
-            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, (1, 1)))
-        return rp
+    def mutated(n, pclass, engine):
+        num = real(n, pclass, engine)
+        return oracles.naive_mul(num, (1, 1)) if n == 3 and pclass is PartitionClass.ORDINARY else num
 
-    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    monkeypatch.setattr(reduction, "num", mutated)
     # Engine "dp" certifies at a root of unity and reads no num; "both"
     # also takes the full remainder of the corrupted num.
     code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
@@ -235,16 +249,15 @@ def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
 
 
 def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
-    real = reduction._reduced_pair
+    real = reduction.num
 
-    def mutated(n, pclass, engine="dp"):
-        rp = real(n, pclass, engine)
+    def mutated(n, pclass, engine):
         if n == 2 and pclass is PartitionClass.ORDINARY:
             # force a fake non-unimodal even part: 1 + 0x^2 + x^4
-            return reduction.ReducedPair(n, pclass, (1, 0, 0, 0, 1))
-        return rp
+            return (1, 0, 0, 0, 1)
+        return real(n, pclass, engine)
 
-    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    monkeypatch.setattr(reduction, "num", mutated)
     code, out = run(capsys, ["verify", "--conjecture", "3", "--max-n", "3", "--format", "json"])
     assert code == 0  # open conjectures never gate
     record = json.loads(out)
@@ -260,11 +273,11 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
         return oracles.naive_add(star, (1,)) if n == 2 else star
 
     monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     try:
         code = cli.main(["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     captured = capsys.readouterr()
     assert code == 1
     assert "internal error" not in captured.err
@@ -284,11 +297,11 @@ def test_compute_engine_disagreement_exits_1(capsys, monkeypatch, what, engine):
         return oracles.naive_add(star, (1,)) if n == 3 else star
 
     monkeypatch.setattr(reduction, engine, corrupted)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     try:
         code = cli.main(["compute", "--class", "ordinary", "--n", "3", "--what", what, "--engine", "both"])
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -296,7 +309,7 @@ def test_compute_engine_disagreement_exits_1(capsys, monkeypatch, what, engine):
 
 
 def test_engine_both_clean_run(capsys):
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "8", "--engine", "both", "--format", "json"])
     assert code == 0
 
@@ -364,7 +377,7 @@ def test_bad_out_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, com
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("reduced_pair", "t_values", "big_g"):
+    for name in ("num", "t_values", "big_g"):
         monkeypatch.setattr(reduction, name, no_work)
     monkeypatch.setattr(verify, "run", no_work)
     argv = {
@@ -466,10 +479,10 @@ def test_json_round_trip(capsys):
 def test_mutated_numerator_breaks_division_exit_1(capsys, monkeypatch):
     # A numerator that is not divisible by G must surface as exit 1 with
     # a diagnostic, not a traceback.
-    def corrupted(n, pclass, engine="dp"):
+    def corrupted(n, pclass, engine):
         raise intpoly.NotDivisibleError("injected")
 
-    monkeypatch.setattr(reduction, "reduced_pair", corrupted)
+    monkeypatch.setattr(reduction, "num", corrupted)
     code = cli.main(["compute", "--class", "ordinary", "--n", "4", "--what", "num"])
     err = capsys.readouterr().err
     assert code == 1
@@ -503,14 +516,14 @@ def test_conjecture_choices_come_from_registry():
 
 
 def test_engine_enumerate_reaches_every_pair(capsys, monkeypatch):
-    real = reduction.reduced_pair
+    real = reduction.num
     engines = set()
 
-    def recording(n, pclass, engine="dp"):
+    def recording(n, pclass, engine):
         engines.add(engine)
         return real(n, pclass, engine)
 
-    monkeypatch.setattr(reduction, "reduced_pair", recording)
+    monkeypatch.setattr(reduction, "num", recording)
     # Engine "both" runs the streaming fold beside the DP at every pair.
     for cid in ("1", "lemma4"):
         code, _ = run(capsys, ["verify", "--conjecture", cid, "--max-n", "6", "--engine", "both", "--format", "json"])
@@ -526,11 +539,11 @@ def test_engine_both_checks_conjecture1(capsys, monkeypatch):
         return oracles.naive_add(star, (1,)) if n == 2 else star
 
     monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     try:
         code, out = run(capsys, ["verify", "--conjecture", "1", "--max-n", "4", "--engine", "both", "--format", "json"])
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     assert code == 1
     record = json.loads(out)
     assert [f["n"] for f in record["failures"] if f.get("kind") == "engine-mismatch"] == [2]
@@ -545,7 +558,7 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
         return real(n, pclass, engine)
 
     monkeypatch.setattr(reduction, "num_star", counting)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     verify._nondivides_at_remainder.cache_clear()
     try:
         code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
@@ -556,7 +569,7 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
         code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--engine", "both", "--format", "json"])
         assert code == 0
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     assert sorted(calls) == [(n, "both") for n in range(0, 9)]
 
 
@@ -570,7 +583,7 @@ def test_den_readers_build_no_num_star(capsys, monkeypatch):
         return real(n, pclass, engine)
 
     monkeypatch.setattr(reduction, "num_star", counting)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     try:
         code, out = run(capsys, ["verify", "--conjecture", "4", "--max-n", "8", "--format", "json"])
         assert code == 0
@@ -581,5 +594,5 @@ def test_den_readers_build_no_num_star(capsys, monkeypatch):
                     argv = ["compute", "--class", pclass.value, "--n", "9", "--what", what, *expand]
                     assert run(capsys, argv)[0] == 0, argv
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     assert calls == []

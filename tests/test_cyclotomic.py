@@ -221,7 +221,7 @@ def test_remainder_mod_phi_2d_matches_direct_remainder():
     # Folding through x^d + 1 must leave the remainder mod Phi_2d unchanged.
     for pclass in (PartitionClass.ORDINARY, PartitionClass.BINARY):
         for n in range(1, 17):
-            num = reduction.reduced_pair(n, pclass).num
+            num = reduction.num(n, pclass, "dp")
             for d in range(1, n + 1):
                 want = intpoly.remainder_mod_monic(num, oracles.phi_by_division(2 * d))
                 assert cyclotomic.remainder_mod_phi_2d(num, d) == want, (pclass, n, d)

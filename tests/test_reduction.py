@@ -92,7 +92,7 @@ def test_n0_is_the_empty_partition_in_every_layer():
         assert reduction._num_star_enumerate(0, pclass) == (1,), pclass
         for engine in ("dp", "both"):
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
-            assert reduction.reduced_pair(0, pclass, engine).num == (1,), (pclass, engine)
+            assert reduction.num(0, pclass, engine) == (1,), (pclass, engine)
             assert reduction.num_at_one(0, pclass, engine) == 1, (pclass, engine)
     assert reduction.t_values(0) == [1]
 
@@ -152,8 +152,8 @@ def test_num4_is_num_star_divided_by_1_plus_x():
     assert oracles.exact_div(reduction.num_star(4, ORD), (1, 1)) == NUM4
 
 
-def test_reduced_pair_golden_ordinary_n4():
-    assert reduction.reduced_pair(4, ORD).num == NUM4
+def test_num_golden_ordinary_n4():
+    assert reduction.num(4, ORD, "dp") == NUM4
     g = reduction.big_g(4, ORD)
     assert g == {1: 1}
     assert cyclotomic.expand_cyclotomics(g) == (1, 1)
@@ -163,21 +163,20 @@ def test_reduced_pair_golden_ordinary_n4():
     assert cyclotomic.expand_cyclotomics(den) == oracles.expand_factor_map({1: 3, 2: 2, 3: 1, 4: 1})
 
 
-def test_reduced_pair_golden_binary_n4():
-    assert reduction.reduced_pair(4, BIN).num == NUMB4
+def test_num_golden_binary_n4():
+    assert reduction.num(4, BIN, "dp") == NUMB4
     assert reduction.big_g(4, BIN) == {}
 
 
-def test_reduced_pair_small_and_conventions():
-    assert reduction.reduced_pair(0, ORD).num == (1,)
+def test_num_small_and_conventions():
+    assert reduction.num(0, ORD, "dp") == (1,)
     assert reduction.den(0, ORD) == {} and reduction.big_g(0, ORD) == {}
-    assert reduction.reduced_pair(1, ORD).num == (1,)
+    assert reduction.num(1, ORD, "dp") == (1,)
     assert reduction.den(1, ORD) == {1: 1}
-    rp2 = reduction.reduced_pair(2, ORD)
-    assert rp2.num == (2, 2, 2)
+    assert reduction.num(2, ORD, "dp") == (2, 2, 2)
 
 
-def test_reduced_pair_one_entry_per_key_whatever_the_call_form(monkeypatch):
+def test_num_has_one_call_form_and_one_entry_per_key(monkeypatch):
     real = reduction._num_star_dp
     calls = []
 
@@ -186,21 +185,25 @@ def test_reduced_pair_one_entry_per_key_whatever_the_call_form(monkeypatch):
         return real(n, pclass)
 
     monkeypatch.setattr(reduction, "_num_star_dp", counting)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     try:
-        first = reduction.reduced_pair(7, ORD)
-        assert reduction.reduced_pair(7, ORD, "dp") is first
-        assert reduction.reduced_pair(7, ORD, engine="dp") is first
-        assert reduction.reduced_pair(n=7, pclass=ORD) is first
+        first = reduction.num(7, ORD, "dp")
+        assert reduction.num(7, ORD, "dp") is first
+        with pytest.raises(TypeError):
+            reduction.num(7, ORD, engine="dp")
+        with pytest.raises(TypeError):
+            reduction.num(n=7, pclass=ORD, engine="dp")
+        with pytest.raises(TypeError):
+            reduction.num(7, ORD)
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     assert calls == [7]
 
 
-def test_reduced_pair_cache_holds_lemma4_working_set():
-    # Lemma 4 at n reads n and every n mod d, so at most n + 1 pairs per
+def test_num_cache_holds_lemma4_working_set():
+    # Lemma 4 at n reads n and every n mod d, so at most n + 1 entries per
     # class and engine; the bound must hold them with both engines.
-    maxsize = reduction.reduced_pair.cache_info().maxsize
+    maxsize = reduction.num.cache_info().maxsize
     assert maxsize is not None and maxsize >= 2 * (40 + 1)
 
 
@@ -208,7 +211,7 @@ def test_reconstruction_identities():
     for pclass in CLASSES:
         for n in range(0, 26):
             g = reduction.big_g(n, pclass)
-            num = reduction.reduced_pair(n, pclass).num
+            num = reduction.num(n, pclass, "dp")
             assert oracles.naive_mul(cyclotomic.expand_cyclotomics(g), num) == reduction.num_star(n, pclass)
             den_star_cyclo = oracles.cyclo_exponents(reduction.den_star(n, pclass))
             merged = dict(reduction.den(n, pclass))
@@ -220,7 +223,7 @@ def test_reconstruction_identities():
 def test_num_positive_ends():
     for pclass in CLASSES:
         for n in range(1, 31):
-            num = reduction.reduced_pair(n, pclass).num
+            num = reduction.num(n, pclass, "dp")
             assert num[0] > 0 and num[-1] > 0
 
 
@@ -229,7 +232,7 @@ def test_degree_drop_and_palindrome_regressions():
     # and num reads the same in both directions.
     findings = []
     for n in range(1, 21):
-        num = reduction.reduced_pair(n, ORD).num
+        num = reduction.num(n, ORD, "dp")
         if len(num) - 1 != cyclotomic.cyclo_degree(reduction.den(n, ORD)) - n:
             findings.append(f"degree drop violated at n={n}")
         if num != num[::-1]:
@@ -241,7 +244,7 @@ def test_degree_drop_and_palindrome_regressions():
 
 def _pair_at(n, pclass, x0):
     x0 = Fraction(x0)
-    num = reduction.reduced_pair(n, pclass).num
+    num = reduction.num(n, pclass, "dp")
     den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
     return intpoly.eval_at_int(num, x0) / intpoly.eval_at_int(den, x0)
 
@@ -252,7 +255,7 @@ def test_sr_eval_rational_examples():
     assert _pair_at(0, ORD, 7) == 1
 
 
-def test_sr_eval_matches_reduced_pair():
+def test_sr_eval_matches_num_over_den():
     for pclass in CLASSES:
         for n in range(0, 16):
             parts = list(enumerate_partitions(n, pclass))
@@ -274,7 +277,7 @@ def test_sr_eval_pole():
         oracles.reciprocal_sum(list(enumerate_partitions(3, ORD)), -1)
     den = cyclotomic.expand_cyclotomics(reduction.den(3, ORD))
     assert intpoly.eval_at_int(den, -1) == 0
-    assert intpoly.eval_at_int(reduction.reduced_pair(3, ORD).num, -1) != 0
+    assert intpoly.eval_at_int(reduction.num(3, ORD, "dp"), -1) != 0
 
 
 def test_t_direct_values():
@@ -284,7 +287,7 @@ def test_t_direct_values():
 
 def test_t_direct_matches_polynomial_eval():
     for n in range(0, 28):
-        num_t = reduction.reduced_pair(n, TER).num
+        num_t = reduction.num(n, TER, "dp")
         assert oracles.t_direct(n) == intpoly.eval_at_int(num_t, 1), n
 
 
@@ -294,12 +297,14 @@ def test_t_values_match_the_enumeration_oracle():
         reduction.t_values(-1)
 
 
-def test_num_at_one_matches_the_full_path():
+def test_num_at_one_matches_the_full_path(monkeypatch):
     for pclass, top in ((TER, 40), (ORD, 16), (ODD, 20), (BIN, 32)):
         for n in range(top + 1):
-            want = intpoly.eval_at_int(reduction.reduced_pair(n, pclass).num, 1)
+            want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), 1)
             assert reduction.num_at_one(n, pclass) == want, (pclass, n)
-    with pytest.raises(ValueError):
+    # An unknown engine is rejected before the DP runs.
+    monkeypatch.setattr(reduction, "_num_at_one", None)
+    with pytest.raises(ValueError, match="unknown engine"):
         reduction.num_at_one(3, TER, "fast")
 
 
@@ -324,10 +329,9 @@ def test_odd_18_takes_the_width_retry(monkeypatch, n, widths):
 @given(st.integers(min_value=0, max_value=12), st.sampled_from(CLASSES))
 @settings(max_examples=40, deadline=None)
 def test_exact_division_by_g_always_clean(n, pclass):
-    # reduced_pair raises NotDivisibleError on any pipeline bug; reaching
-    # the assert means the division was exact.
-    rp = reduction.reduced_pair(n, pclass)
-    assert rp.n == n
+    # num raises NotDivisibleError on any pipeline bug; reaching the
+    # assert means the division was exact.
+    assert reduction.num(n, pclass, "dp")
 
 
 def _at_mod(f, z, p):
@@ -359,7 +363,7 @@ def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
                 assert big_d
                 got_p, got_zeta, lead = reduction.leading_coefficient(n, pclass, d, k)
                 assert (got_p, got_zeta) == (p, zeta)
-                num = reduction.reduced_pair(n, pclass).num
+                num = reduction.num(n, pclass, "dp")
                 assert lead * big_d % p == _at_mod(num, zeta, p), (n, d, k)
                 # Lemma 4 inside the DP, which the pass computes but does not assume.
                 assert lead == pow(lc, n // d, p) * reduction.leading_coefficient(n % d, pclass, d, k)[2] % p

@@ -54,7 +54,7 @@ def test_binary_nondivisibility():
     by_n = {w["n"]: w for w in report.witnesses}
     assert by_n[4]["s_checked"] == [0, 1, 2]
     # n=2, s=0: num_B(2,-1) = 2
-    assert intpoly.eval_at_int(reduction.reduced_pair(2, PartitionClass.BINARY).num, -1) == 2
+    assert intpoly.eval_at_int(reduction.num(2, PartitionClass.BINARY, "dp"), -1) == 2
 
 
 def test_odd_special_value():
@@ -131,15 +131,13 @@ def test_remainder_reduction_range():
 @pytest.mark.parametrize("engine", ["dp", "both"])
 def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
     # A Phi_6 smuggled into num(2) shows at every n = 2 mod 3, d = 3: the n mod d side is a real remainder.
-    real = reduction.reduced_pair
+    real = reduction.num
 
-    def mutated(n, pclass, *engine):
-        rp = real(n, pclass, *engine)
-        if n == 2:
-            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, oracles.phi_by_division(6)))
-        return rp
+    def mutated(n, pclass, engine):
+        num = real(n, pclass, engine)
+        return oracles.naive_mul(num, oracles.phi_by_division(6)) if n == 2 else num
 
-    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    monkeypatch.setattr(reduction, "num", mutated)
     verify._nondivides_at_remainder.cache_clear()
     try:
         report = verify.run("lemma4", 8, engine=engine)
@@ -224,26 +222,25 @@ def test_engine_mismatch_recorded(monkeypatch):
         return oracles.naive_add(star, (1,)) if n == 3 else star
 
     monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     try:
         report = verify.run("2", 4, engine="both")
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
     assert report.has_engine_mismatch()
     assert any(f.get("n") == 3 for f in report.failures)
 
 
 def test_mutated_numerator_detected(monkeypatch):
-    real = reduction._reduced_pair
+    real = reduction.num
 
-    def mutated(n, pclass, engine="dp"):
-        rp = real(n, pclass, engine)
+    def mutated(n, pclass, engine):
+        num = real(n, pclass, engine)
         if n == 4 and pclass is ORD:
-            bad_num = oracles.naive_mul(rp.num, (1, 1))  # smuggle a Phi_2 factor in
-            return reduction.ReducedPair(n, pclass, bad_num)
-        return rp
+            return oracles.naive_mul(num, (1, 1))  # smuggle a Phi_2 factor in
+        return num
 
-    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    monkeypatch.setattr(reduction, "num", mutated)
     # Only engine "both" reads num here; its certificate then contradicts the remainder.
     report = verify.run("2", 5, engine="both")
     assert report.verdict == verify.FAILURES_FOUND
@@ -258,6 +255,16 @@ def test_run_validates_range_and_jobs():
         verify.run("2", 0)
     with pytest.raises(ValueError):
         verify.run("2", 3, jobs=0)
+
+
+@pytest.mark.parametrize("cid", list(verify.CONJECTURES))
+def test_run_rejects_an_unknown_engine_before_any_work(monkeypatch, cid):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran under an unknown engine")
+
+    monkeypatch.setattr(verify, "_guarded", no_work)
+    with pytest.raises(ValueError, match="unknown engine 'fast'"):
+        verify.run(cid, 6, engine="fast")
 
 
 def test_jobs_capped_at_cpus_and_values(monkeypatch):
@@ -290,7 +297,7 @@ def test_jobs_capped_at_cpus_and_values(monkeypatch):
 
 def _assert_certified(report, pclass, ds_of):
     for w in report.witnesses:
-        num = reduction.reduced_pair(w["n"], pclass).num
+        num = reduction.num(w["n"], pclass, "dp")
         assert w["full_route"] == []
         assert [c[0] for c in w["certificates"]] == ds_of(w)
         for certificate in w["certificates"]:
@@ -304,7 +311,7 @@ def test_every_certificate_passes_the_independent_checker():
 
 
 def test_checker_rejects_a_bad_certificate():
-    num = reduction.reduced_pair(4, ORD).num
+    num = reduction.num(4, ORD, "dp")
     [good] = [c for c in verify.run("2", 4).witnesses[-1]["certificates"] if c[0] == 3]
     d, p, zeta, lead = good
     assert oracles.certificate_problems(num, good) == []
@@ -333,7 +340,7 @@ def _counting_num_star(monkeypatch):
         return real(n, pclass, engine)
 
     monkeypatch.setattr(reduction, "num_star", counting)
-    reduction.reduced_pair.cache_clear()
+    reduction.num.cache_clear()
     return calls
 
 
@@ -364,22 +371,20 @@ def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
         assert verify.remainder_reduction_check(6, 2)
         assert verify.remainder_reduction_check(6, 4)
     finally:
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
 
 
 def test_full_route_reports_a_divisor(monkeypatch):
     # With no certificate for d = 2, the full remainder decides, and finds
     # the Phi_4 smuggled into num(4).
     _vanishing(monkeypatch, {2}, verify.CERTIFICATE_PRIMES)
-    real = reduction._reduced_pair
+    real = reduction.num
 
-    def mutated(n, pclass, engine="dp"):
-        rp = real(n, pclass, engine)
-        if n == 4 and pclass is ORD:
-            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, oracles.phi_by_division(4)))
-        return rp
+    def mutated(n, pclass, engine):
+        num = real(n, pclass, engine)
+        return oracles.naive_mul(num, oracles.phi_by_division(4)) if n == 4 and pclass is ORD else num
 
-    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    monkeypatch.setattr(reduction, "num", mutated)
     report = verify.run("2", 5)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f["d"]) for f in report.failures] == [(4, 2)]
@@ -402,7 +407,7 @@ SPIED = [
     (cyclotomic, "expand_cyclotomics"),
     (cyclotomic, "expand_binomials"),
     (reduction, "num_star"),
-    (reduction, "reduced_pair"),
+    (reduction, "num"),
 ]
 
 
@@ -419,7 +424,7 @@ def test_certificate_route_builds_no_polynomial(monkeypatch):
         mp.setattr(module, name, counting)
 
     for cid in ("2", "5", "7"):
-        reduction.reduced_pair.cache_clear()
+        reduction.num.cache_clear()
         reduction._leading_block.cache_clear()
         cyclotomic.root_of_unity.cache_clear()
         cyclotomic.phi_2d.cache_clear()
@@ -445,15 +450,13 @@ def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
     # with no certificate at all, the full remainder finds 1 + x^2.
     if engine == "dp":
         _vanishing(monkeypatch, {1, 2, 4}, verify.CERTIFICATE_PRIMES)
-    real = reduction._reduced_pair
+    real = reduction.num
 
-    def mutated(n, pclass, engine="dp"):
-        rp = real(n, pclass, engine)
-        if n == 4 and pclass is BIN:
-            return reduction.ReducedPair(n, pclass, oracles.naive_mul(rp.num, (1, 0, 1)))
-        return rp
+    def mutated(n, pclass, engine):
+        num = real(n, pclass, engine)
+        return oracles.naive_mul(num, (1, 0, 1)) if n == 4 and pclass is BIN else num
 
-    monkeypatch.setattr(reduction, "reduced_pair", mutated)
+    monkeypatch.setattr(reduction, "num", mutated)
     coprime, nondiv = verify.run("5", 6, engine=engine), verify.run("7", 6, engine=engine)
     assert coprime.verdict == nondiv.verdict == verify.FAILURES_FOUND
     if engine == "both":
@@ -469,7 +472,7 @@ def test_conjecture_10_builds_no_polynomial(monkeypatch):
     def no_polynomial(*args, **kwargs):
         raise AssertionError("conjecture 10 built a polynomial under engine dp")
 
-    for name in ("reduced_pair", "num_star", "enumerate_partitions"):
+    for name in ("num", "num_star", "enumerate_partitions"):
         monkeypatch.setattr(reduction, name, no_polynomial)
     monkeypatch.setattr(cyclotomic, "divide_cyclotomics", no_polynomial)
     assert verify.run("10", 20).verdict == verify.ALL_HOLD
