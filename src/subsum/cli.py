@@ -1,13 +1,13 @@
 """Command-line front end: compute objects, run verifications, emit tables.
 
-`verify` takes its conjecture ids from `verify.CONJECTURES` and runs
-each through `verify.run`.  Both commands pass `--engine` (`dp` or
-`both`) straight through to `reduction.num_star`, the one place it is
-applied, wherever num* is built; den and G are read from (n, class)
-and build no num*.  For the Phi_2d-divisibility checks (conjectures 2,
-5 and 7, lemma 4) `--engine` also selects the route in `verify`: "dp"
-certifies at a root of unity mod p, "both" compares that certificate
-with the full remainder.  `verify --conjecture <id>` prints the one
+`compute` and `table` dispatch through one table each: `_WHAT` maps a
+`--what` to its builder and its form, and the parser's flag rules read
+the form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
+its conjecture ids from `verify.CONJECTURES` and runs each through
+`verify.run`.  `--engine` (`dp` or `both`) is passed straight through:
+`reduction.num_star` is the one place it is applied, wherever num* is
+built, and `verify` picks every route from it; den and G are read from
+(n, class) and build no num*.  `verify --conjecture <id>` prints the one
 report asked for.
 
 Exit codes: 0 success; 1 any failure record in a report whose registry
@@ -42,7 +42,35 @@ _LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARNING": 30, "WARN": 30, 
 DEBUG, INFO, WARNING = 10, 20, 30
 
 _CLASSES = [c.value for c in PartitionClass]
-_BUILDS_NUM = ["num", "num-star"]  # the --what values that --engine applies to
+
+# Each --what, in choice order: (builder(n, pclass, engine), form).  The
+# form says what the flags apply to: --engine both only to a
+# "polynomial" (the num* engines), --expand only to the factored forms
+# "cyclotomic" and "binomial".  Builders look their function up at call
+# time, so a patched module attribute reaches them.
+_WHAT = {
+    "num": (lambda n, c, e: reduction.num(n, c, e), "polynomial"),
+    "den": (lambda n, c, e: reduction.den(n, c), "cyclotomic"),
+    "g": (lambda n, c, e: reduction.big_g(n, c), "cyclotomic"),
+    "num-star": (lambda n, c, e: reduction.num_star(n, c, e), "polynomial"),
+    "den-star": (lambda n, c, e: reduction.den_star(n, c), "binomial"),
+    "spol-list": (lambda n, c, e: [(p, reduction.spol(p)) for p in enumerate_partitions(n, c)], "list"),
+}
+
+
+def _per_n(value):
+    """Rows (n, value(n)) for n = 1 .. top."""
+    return lambda top: [(n, value(n)) for n in range(1, top + 1)]
+
+
+# Each --sequence, in choice order: its rows up to a top n.  t comes
+# from one coin DP and starts at n = 0.
+_SEQUENCES = {
+    "t": lambda top: list(enumerate(reduction.t_values(top))),
+    "s": _per_n(lambda n: intpoly.eval_at_int(reduction.num(n, PartitionClass.TERNARY, "dp"), -1)),
+    "o-part": _per_n(lambda n: verify.odd_factorial_part(n)),
+    "g-degree": _per_n(lambda n: cyclotomic.cyclo_degree(reduction.big_g(n, PartitionClass.ORDINARY))),
+}
 
 
 def _int_at_least(lowest: int):
@@ -78,11 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute num/den/G and friends for one n")
     p_compute.add_argument("--class", dest="pclass", choices=_CLASSES, required=True)
     p_compute.add_argument("--n", type=_int_at_least(0), required=True)
-    p_compute.add_argument(
-        "--what",
-        choices=["num", "den", "g", "num-star", "den-star", "spol-list"],
-        required=True,
-    )
+    p_compute.add_argument("--what", choices=list(_WHAT), required=True)
     p_compute.add_argument("--format", choices=["json", "text"], default="text")
     p_compute.add_argument("--expand", action="store_true", help="expand factored outputs")
     p_compute.add_argument("--engine", choices=reduction.ENGINES, default="dp")
@@ -97,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit a sequence, one row per n")
-    p_table.add_argument("--sequence", choices=["t", "s", "o-part", "g-degree"], required=True)
+    p_table.add_argument("--sequence", choices=list(_SEQUENCES), required=True)
     p_table.add_argument("--max-n", dest="max_n", type=_int_at_least(0), required=True)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.set_defaults(func=cmd_table)
@@ -137,9 +161,10 @@ def main(argv=None) -> int:
         if args.engine == "both" and not entry.builds_num:
             parser.error(f"--engine both: conjecture {args.conjecture} builds no num*")
     if args.command == "compute":
-        if args.engine == "both" and args.what not in _BUILDS_NUM:
+        form = _WHAT[args.what][1]
+        if args.engine == "both" and form != "polynomial":
             parser.error(f"--engine both: --what {args.what} builds no num*")
-        if args.expand and args.what in _BUILDS_NUM + ["spol-list"]:
+        if args.expand and form not in ("cyclotomic", "binomial"):
             parser.error(f"--expand: --what {args.what} has no factored form")
     try:
         return args.func(args)
@@ -172,10 +197,6 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 # --- compute ---
-
-
-def _coeff_strings(poly) -> list[str]:
-    return [str(c) for c in poly]
 
 
 def format_poly(coeffs) -> str:
@@ -211,73 +232,27 @@ def _format_factored(base: str, factors: list[tuple[int, int]]) -> str:
 
 def cmd_compute(args) -> int:
     pclass = PartitionClass(args.pclass)
-    n = args.n
-    what = args.what
-
-    def poly_record(poly, what_name):
-        return {
-            "kind": "polynomial",
-            "class": pclass.value,
-            "n": n,
-            "what": what_name,
-            "coeffs": _coeff_strings(poly),
-        }
-
-    def factored_record(base, exps, what_name):
-        if base == "cyclotomic":
-            factors = [(2 * d, e) for d, e in sorted(exps.items())]
-        else:
-            factors = sorted(exps.items())
-        return {
-            "kind": "factored",
-            "class": pclass.value,
-            "n": n,
-            "what": what_name,
-            "base": base,
-            "factors": [[i, e] for i, e in factors],
-        }
-
-    if what == "num":
-        record = poly_record(reduction.num(n, pclass, args.engine), "num")
-    elif what == "num-star":
-        record = poly_record(reduction.num_star(n, pclass, args.engine), "num-star")
-    elif what in ("den", "g"):
-        exps = reduction.den(n, pclass) if what == "den" else reduction.big_g(n, pclass)
-        if args.expand:
-            record = poly_record(cyclotomic.expand_cyclotomics(exps), what)
-        else:
-            record = factored_record("cyclotomic", exps, what)
-    elif what == "den-star":
-        exps = reduction.den_star(n, pclass)
-        if args.expand:
-            record = poly_record(cyclotomic.expand_binomials(exps), "den-star")
-        else:
-            record = factored_record("binomial", exps, "den-star")
-    else:  # spol-list
-        items = [
-            {"partition": list(p), "coeffs": _coeff_strings(reduction.spol(p))}
-            for p in enumerate_partitions(n, pclass)
-        ]
-        record = {"kind": "polynomial-list", "class": pclass.value, "n": n, "items": items}
-
-    if args.format == "json":
-        _emit(json.dumps(record, indent=2), args.out)
+    n, what = args.n, args.what
+    build, form = _WHAT[what]
+    value = build(n, pclass, args.engine)
+    if args.expand:
+        expand = cyclotomic.expand_cyclotomics if form == "cyclotomic" else cyclotomic.expand_binomials
+        value, form = expand(value), "polynomial"
+    head = {"class": pclass.value, "n": n}
+    label = f"{what}({n}, {pclass.value}) = "
+    if form == "polynomial":
+        record = {"kind": "polynomial", **head, "what": what, "coeffs": [str(c) for c in value]}
+        text = label + format_poly(value)
+    elif form == "list":
+        items = [{"partition": list(p), "coeffs": [str(c) for c in s]} for p, s in value]
+        record = {"kind": "polynomial-list", **head, "items": items}
+        text = "\n".join(f"({','.join(map(str, p))}): {format_poly(s)}" for p, s in value) or "(no partitions)"
     else:
-        _emit(_compute_text(record), args.out)
+        factors = sorted((2 * d if form == "cyclotomic" else d, e) for d, e in value.items())
+        record = {"kind": "factored", **head, "what": what, "base": form, "factors": [list(f) for f in factors]}
+        text = label + _format_factored(form, factors)
+    _emit(json.dumps(record, indent=2) if args.format == "json" else text, args.out)
     return 0
-
-
-def _compute_text(record) -> str:
-    label = f"{record.get('what', 'spol')}({record['n']}, {record['class']})"
-    if record["kind"] == "polynomial":
-        return f"{label} = {format_poly([int(c) for c in record['coeffs']])}"
-    if record["kind"] == "factored":
-        return f"{label} = {_format_factored(record['base'], [tuple(f) for f in record['factors']])}"
-    lines = []
-    for item in record["items"]:
-        parts = ",".join(str(p) for p in item["partition"])
-        lines.append(f"({parts}): {format_poly([int(c) for c in item['coeffs']])}")
-    return "\n".join(lines) if lines else "(no partitions)"
 
 
 # --- verify ---
@@ -334,21 +309,7 @@ def _report_text(r: verify.ConjectureReport) -> str:
 
 def cmd_table(args) -> int:
     seq = args.sequence
-    rows: list[tuple[int, int]] = []
-    if seq == "t":
-        rows = list(enumerate(reduction.t_values(args.max_n)))
-    elif seq == "s":
-        rows = [
-            (n, intpoly.eval_at_int(reduction.num(n, PartitionClass.TERNARY, "dp"), -1))
-            for n in range(1, args.max_n + 1)
-        ]
-    elif seq == "o-part":
-        rows = [(n, verify.odd_factorial_part(n)) for n in range(1, args.max_n + 1)]
-    else:  # g-degree
-        rows = [
-            (n, cyclotomic.cyclo_degree(reduction.big_g(n, PartitionClass.ORDINARY)))
-            for n in range(1, args.max_n + 1)
-        ]
+    rows = _SEQUENCES[seq](args.max_n)
     if args.format == "json":
         payload = [{"kind": "scalar", "sequence": seq, "n": n, "value": str(v)} for n, v in rows]
         _emit(json.dumps(payload, indent=2), args.out)

@@ -63,8 +63,8 @@ One unpack reads the low half back, and the mirror gives num*.
 of num is confirmed, not assumed.  It is the one cached route to num.
 
 num(n, 1) needs neither: `num_at_one` divides the DP's run at x = 1 by
-G(1), a power of 2, and under engine "both" compares the result with
-the full path's num (built with both engines) at 1.  For the ternary
+G(1), a power of 2; `verify` compares it with the full path's num at 1
+under engine "both".  For the ternary
 class num(n, 1) is t(n), the sum of 2^(n - length) over the partitions
 of n, which `t_values` also computes by a coin DP over the parts 3^k
 alone, for every n up to a bound at once.
@@ -267,9 +267,11 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
     return intpoly.unpack(total, width)
 
 
-# Lemma 4 at n reads num at n and at every n mod d, all at most n:
-# n + 1 entries per class and engine.  256 entries hold that working set
-# up to n = 127 for two engines, far beyond the n num can be built at.
+# Under engine "dp" lemma 4 certifies its n side at a root of unity and
+# reads num only at r = n mod d < n/2: a sweep to n = N holds ceil(N/2)
+# entries.  It builds num(n) itself only under "both", which reads the
+# N + 1 entries 0..N, or when all three primes vanish.  256 entries hold
+# both working sets together up to N = 170.
 @lru_cache(maxsize=256)
 def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
     """The reduced numerator num = num*/G, with the summand gcd G cancelled.
@@ -352,29 +354,16 @@ def _leading_block(pclass: PartitionClass, d: int, k: int) -> tuple[int, int, in
     return p, zeta, pow(d * pow(zeta, d - 1, p), -1, p), array("q", block)
 
 
-def num_at_one(n: int, pclass: PartitionClass, engine: str = "dp") -> int:
+def num_at_one(n: int, pclass: PartitionClass) -> int:
     """num(n, 1) by the num* DP at x = 1, divided by G(1); no polynomial is built.
 
     Evaluation at 1 is a ring homomorphism, so num(n, 1) = num*(n, 1) / G(1).
     G is a product of binomials (1 + x^j)^E_j
     (`cyclotomic.binomial_exponents`), so G(1) = 2^(sum of E_j): the
     division is a shift, and a nonzero bit shifted out raises
-    NotDivisibleError.  engine is "dp" or "both"; "both" also evaluates
-    the full path's num at 1 and raises EngineMismatchError unless the
-    two agree.
+    NotDivisibleError.  No engine applies; `verify` compares the result
+    with the full path's num at 1 under engine "both".
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    value = _num_at_one(n, pclass)
-    if engine == "both":
-        full = intpoly.eval_at_int(num(n, pclass, engine), 1)
-        if full != value:
-            raise EngineMismatchError(f"num({n},1) = {full} by the full path != {value} by the DP at x = 1")
-    return value
-
-
-def _num_at_one(n: int, pclass: PartitionClass) -> int:
-    """`num_at_one` without the full-path comparison."""
     star = _ring_dp(n, allowed_parts(pclass, n), _times_binomials_at_one)
     shift = sum(cyclotomic.binomial_exponents(big_g(n, pclass)).values())
     if star & ((1 << shift) - 1):

@@ -2,11 +2,11 @@
 
 `CONJECTURES` is the registry: one entry per report id, holding the
 partition class, the lowest n, the per-n check, whether the statement
-is proved, and an optional post-pass over the whole sweep's witnesses.
-`run` is the one runner.  It validates the range, maps the check over
-n, turns engine disagreements into failure records, adds the post-pass
-failures and builds one ConjectureReport with enough witness data to
-re-check any verdict by hand.  Proved statements (coprimality in the
+is proved, and an optional post-pass over the whole sweep (conjecture
+10's t-table).  `run` is the one runner.  It validates the range, maps
+the check over n, turns engine disagreements into failure records, adds
+the post-pass failures and builds one ConjectureReport with enough
+witness data to re-check any verdict by hand.  Proved statements (coprimality in the
 ordinary and binary classes, binary nondivisibility, the odd and
 ternary special values, the ternary recurrence, lemma 4) report
 AllHold or FailuresFound; the open problems (irreducibility,
@@ -22,18 +22,19 @@ Every check that builds num* passes its engine straight to
 applied; under engine "both" it raises EngineMismatchError, which `run`
 records as a failure.  Checks that read only den (conjecture 4, and
 the den side of 2 and 5) build no num*.
-Conjecture 10 builds no num either: it compares t(m) by a coin DP over
-2^(m - length) with num_T(m,1) by the num* DP over the cofactors at
-x = 1 (`reduction.num_at_one`), which under engine "both" also reads
-the full path's num_T(m) at 1 and raises EngineMismatchError unless it
-agrees.
 
-The Phi_{2d}-nondivisibility checks (conjectures 2, 5 and 7, lemma 4 at
-n) go through `_phi_2d_nondivides`, the one place their route is chosen:
-engine "dp" decides each d by a certificate at a root of unity mod p
-and builds num only when three primes all fail; engine "both" also
-takes the full remainder for every d and compares the two.  Lemma 4
-decides its n mod d side by the full remainder under either engine.
+Every other route is picked here, and under engine "both" each cheap
+route is compared with the full path.  The Phi_{2d}-nondivisibility
+checks (conjectures 2, 5 and 7, lemma 4 at n) go through
+`_phi_2d_nondivides`: engine "dp" decides each d by a certificate at a
+root of unity mod p and builds num only when three primes all fail;
+engine "both" also takes the full remainder for every d and compares
+the two.  Lemma 4 decides its n mod d side by the full remainder under
+either engine.  Conjecture 10 builds no num under "dp": it compares t(m)
+by a coin DP over 2^(m - length) with num_T(m,1) by the num* DP over
+the cofactors at x = 1 (`reduction.num_at_one`); under "both"
+`_t_value_check` also reads the full path's num_T(m) at 1 and raises
+EngineMismatchError unless it agrees.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -197,28 +198,17 @@ def _odd_value_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[
 
 
 def _ternary_minus_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """num_T(n,-1) = 3^v3(n!)."""
+    """num_T(n,-1) = 3^v3(n!).
+
+    That makes num_T(n,-1) constant on each triple 3m, 3m+1, 3m+2 with no
+    further check: 3 divides neither 3m+1 nor 3m+2, so
+    v3((3m)!) = v3((3m+1)!) = v3((3m+2)!).
+    """
     got = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
     want = 3 ** legendre_valuation(3, n)
     if got != want:
         return [{"n": n, "detail": f"num_T({n},-1) = {got} != 3^v3({n}!) = {want}"}], []
     return [], [{"n": n, "value": str(got)}]
-
-
-def _ternary_triples(witnesses: list[dict], max_n: int) -> list[dict]:
-    """Post-pass: num_T(n,-1) is constant across each triple 3m, 3m+1, 3m+2."""
-    values = {w["n"]: int(w["value"]) for w in witnesses}
-    failures = []
-    for m in range(1, (max_n - 2) // 3 + 1):
-        triple = [values.get(3 * m + k) for k in range(3)]
-        if None not in triple and len(set(triple)) != 1:
-            failures.append(
-                {
-                    "n": 3 * m,
-                    "detail": f"s({3 * m}),s({3 * m + 1}),s({3 * m + 2}) = {triple} not constant",
-                }
-            )
-    return failures
 
 
 # --- Conjecture 10: ternary partitions at x = 1 ---
@@ -227,11 +217,17 @@ def _ternary_triples(witnesses: list[dict], max_n: int) -> list[dict]:
 def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """t(m) by the coin DP over 2^(m - length) equals num_T(m,1) by the num* DP over the cofactors at x = 1.
 
-    Neither side builds num; under engine "both" `reduction.num_at_one`
-    also evaluates the full path's num_T(m) at 1 and compares.
+    Neither side builds num.  Engine "both" also builds the full path's
+    num_T(m) and raises EngineMismatchError unless its value at 1 agrees
+    with the DP at x = 1, as `_phi_2d_nondivides` compares a certificate
+    with the full remainder.
     """
     t = reduction.t_values(m)[m]
-    at_one = reduction.num_at_one(m, pclass, engine)
+    at_one = reduction.num_at_one(m, pclass)
+    if engine == "both":
+        full = intpoly.eval_at_int(reduction.num(m, pclass, engine), 1)
+        if full != at_one:
+            raise reduction.EngineMismatchError(f"num({m},1) = {full} by the full path != {at_one} by the DP at x = 1")
     if t != at_one:
         return [{"n": m, "detail": f"t({m}) = {t} by the coin DP != num_T({m},1) = {at_one}"}], []
     return [], [{"n": m, "value": str(t)}]
@@ -335,44 +331,36 @@ def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[li
     return failures, [record]
 
 
-# --- Remainder reduction (the n -> n mod d step behind the coprimality proof) ---
-
-
-def remainder_reduction_check(n: int, d: int, engine: str = "dp") -> bool:
-    """Whether Phi_{2d}-nondivisibility of num agrees between n and r = n mod d.
-
-    The n side is decided by `_phi_2d_nondivides`.  The r side is
-    decided by the full remainder of num(r) mod Phi_{2d}: the
-    certificate at r reads the same cached block entry L(r) that
-    L(n) = c^floor(n/d) * L(r) is built from (see
-    `reduction.leading_coefficient`), so it could not disagree.  r < d,
-    and each (r, d) is decided once per process.  r = 0 uses num(0,x) = 1,
-    which no Phi divides, so the check then degenerates to
-    nondivisibility at n alone; the equivalence is still asserted as
-    stated.
-    """
-    if not 1 <= d <= n:
-        raise ValueError("need 1 <= d <= n")
-    nondiv_n, _ = _phi_2d_nondivides(n, ORDINARY, d, engine)
-    return nondiv_n == _nondivides_at_remainder(n % d, d, engine)
+# --- Lemma 4: the n -> n mod d step behind the coprimality proof ---
 
 
 @lru_cache(maxsize=None)
 def _nondivides_at_remainder(r: int, d: int, engine: str) -> bool:
     """Whether Phi_{2d} does not divide num(r), r < d, by the full remainder.
 
-    The pair (r, d) recurs for every n = r (mod d), so it is decided once
-    per process: a run up to n = N holds at most N(N+1)/2 booleans per
-    engine, keyed on r < d <= N.
+    This is lemma 4's r side.  It takes the full remainder under either
+    engine: the certificate at r reads the same cached block entry L(r)
+    that L(n) = c^floor(n/d) * L(r) is built from (see
+    `reduction.leading_coefficient`), so it could not disagree with the
+    n side.  r = 0 uses num(0,x) = 1, which no Phi divides, so lemma 4
+    then degenerates to nondivisibility at n alone; the equivalence is
+    still checked as stated.  The pair (r, d) recurs for every
+    n = r (mod d), so it is decided once per process: a run up to n = N
+    holds at most N(N+1)/2 booleans per engine, keyed on r < d <= N.
     """
     return bool(cyclotomic.remainder_mod_phi_2d(reduction.num(r, ORDINARY, engine), d))
 
 
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """Nondivisibility equivalence between n and n mod d for every 1 <= d <= n."""
+    """Phi_{2d}-nondivisibility of num agrees between n and r = n mod d, for every 1 <= d <= n.
+
+    The n side is decided by `_phi_2d_nondivides`, the r side by
+    `_nondivides_at_remainder`.
+    """
     failures = []
     for d in range(1, n + 1):
-        if not remainder_reduction_check(n, d, engine):
+        nondiv_n, _ = _phi_2d_nondivides(n, ORDINARY, d, engine)
+        if nondiv_n != _nondivides_at_remainder(n % d, d, engine):
             failures.append(
                 {"n": n, "d": d, "detail": f"divisibility of num by Phi_{2 * d} differs between n={n} and r={n % d}"}
             )
@@ -451,7 +439,7 @@ CONJECTURES: dict[str, Conjecture] = {
         Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
         Conjecture("8", PartitionClass.ODD, 1, _odd_value_check, proved=True),
-        Conjecture("9", PartitionClass.TERNARY, 1, _ternary_minus_check, proved=True, post=_ternary_triples),
+        Conjecture("9", PartitionClass.TERNARY, 1, _ternary_minus_check, proved=True),
         Conjecture("10", PartitionClass.TERNARY, 0, _t_value_check, proved=True, post=_ternary_blocks, span=3),
         Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True),
     )

@@ -93,7 +93,7 @@ def test_n0_is_the_empty_partition_in_every_layer():
         for engine in ("dp", "both"):
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
             assert reduction.num(0, pclass, engine) == (1,), (pclass, engine)
-            assert reduction.num_at_one(0, pclass, engine) == 1, (pclass, engine)
+        assert reduction.num_at_one(0, pclass) == 1, pclass
     assert reduction.t_values(0) == [1]
 
 
@@ -201,8 +201,8 @@ def test_num_has_one_call_form_and_one_entry_per_key(monkeypatch):
 
 
 def test_num_cache_holds_lemma4_working_set():
-    # Lemma 4 at n reads n and every n mod d, so at most n + 1 entries per
-    # class and engine; the bound must hold them with both engines.
+    # Lemma 4 to n = 40 reads num at 0..40 under "both" and at n mod d < 20
+    # under "dp"; the bound must hold them with both engines.
     maxsize = reduction.num.cache_info().maxsize
     assert maxsize is not None and maxsize >= 2 * (40 + 1)
 
@@ -297,15 +297,11 @@ def test_t_values_match_the_enumeration_oracle():
         reduction.t_values(-1)
 
 
-def test_num_at_one_matches_the_full_path(monkeypatch):
+def test_num_at_one_matches_the_full_path():
     for pclass, top in ((TER, 40), (ORD, 16), (ODD, 20), (BIN, 32)):
         for n in range(top + 1):
             want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), 1)
             assert reduction.num_at_one(n, pclass) == want, (pclass, n)
-    # An unknown engine is rejected before the DP runs.
-    monkeypatch.setattr(reduction, "_num_at_one", None)
-    with pytest.raises(ValueError, match="unknown engine"):
-        reduction.num_at_one(3, TER, "fast")
 
 
 @pytest.mark.parametrize("n, widths", [(17, [4]), (18, [4, 8])])

@@ -115,11 +115,10 @@ def test_binary_shape():
 
 
 def test_remainder_reduction_check_examples():
-    assert verify.remainder_reduction_check(7, 3)
-    assert verify.remainder_reduction_check(4, 4)  # r = 0, num(0,x) = 1
-    assert verify.remainder_reduction_check(4, 1)  # num(4,-1) = 24 != 0
-    with pytest.raises(ValueError):
-        verify.remainder_reduction_check(3, 5)
+    for n, d in [(7, 3), (4, 4), (4, 1)]:  # (4, 4): r = 0, num(0,x) = 1; (4, 1): num(4,-1) = 24 != 0
+        nondiv_n, _ = verify._phi_2d_nondivides(n, ORD, d, "dp")
+        assert nondiv_n and verify._nondivides_at_remainder(n % d, d, "dp"), (n, d)
+    assert verify._lemma4_check(7, ORD, "dp") == ([], [])
 
 
 def test_remainder_reduction_range():
@@ -198,12 +197,16 @@ def test_reports_reproducible():
     )
 
 
-def test_jobs_parallel_matches_serial():
-    serial = verify.run("8", 10, jobs=1)
-    parallel = verify.run("8", 10, jobs=2)
+@pytest.mark.parametrize("cid", list(verify.CONJECTURES))
+def test_jobs_parallel_matches_serial(cid):
+    # Post-passes run in the parent after the merge, lemma 4's caches are
+    # per worker, and a check must stay picklable to reach the pool.
+    serial = verify.run(cid, 12, jobs=1)
+    parallel = verify.run(cid, 12, jobs=2)
     assert serial.witnesses == parallel.witnesses
     assert serial.failures == parallel.failures
     assert serial.verdict == parallel.verdict
+    assert serial.n_range == parallel.n_range
 
 
 def test_engine_both_agreement():
@@ -368,8 +371,7 @@ def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
         assert calls == [2, 3, 4, 5, 6]
         both = verify.run("2", 6, engine="both")
         assert [w["full_route"] for w in both.witnesses] == [w["full_route"] for w in report.witnesses]
-        assert verify.remainder_reduction_check(6, 2)
-        assert verify.remainder_reduction_check(6, 4)
+        assert verify._lemma4_check(6, ORD, "dp") == ([], [])
     finally:
         reduction.num.cache_clear()
 
@@ -426,7 +428,6 @@ def test_certificate_route_builds_no_polynomial(monkeypatch):
     for cid in ("2", "5", "7"):
         reduction.num.cache_clear()
         reduction._leading_block.cache_clear()
-        cyclotomic.root_of_unity.cache_clear()
         cyclotomic.phi_2d.cache_clear()
         with monkeypatch.context() as mp:
             for module, name in SPIED:
@@ -508,8 +509,8 @@ def test_x1_route_mutation_fails_conjecture_10(monkeypatch, mutation):
 def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
     # Under "both" the full path's num_T(5,1) catches the patched route
     # before the coin DP does; under "dp" the coin DP catches it.
-    real = reduction._num_at_one
-    monkeypatch.setattr(reduction, "_num_at_one", lambda n, pclass: real(n, pclass) + 2 * (n == 5))
+    real = reduction.num_at_one
+    monkeypatch.setattr(reduction, "num_at_one", lambda n, pclass: real(n, pclass) + 2 * (n == 5))
     report = verify.run("10", 3, engine=engine)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
