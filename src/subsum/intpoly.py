@@ -14,11 +14,17 @@ the packed size.
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
-coefficient-sequence checks.  The certificate reads x^(p^j) mod f off
-one Frobenius chain: the p-th power map is linear over GF(p), so each
+coefficient-sequence checks.  The certificate is Rabin's test.  For odd
+p a palindromic reduction f of even degree 2m is first written as
+f = x^m h(x + 1/x): f is irreducible exactly when h is and
+(-1)^m f(1) f(-1) is a nonsquare mod p, so the test runs on degree m.
+A root in GF(p) settles a degree >= 2 before any chain.  The test reads
+x^(p^j) mod f off one Frobenius chain, stepped lazily so that the first
+failing check ends it: the p-th power map is linear over GF(p), so each
 step multiplies the coefficient vector by Berlekamp's Q matrix, whose
 rows are packed integers at the same whole-byte digits that `unpack`
-reads back.
+reads back.  Each row of Q is the previous one times x^p: a shift,
+plus at most p rows folded back.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import sys
 from array import array
 from enum import Enum
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 IntPoly = tuple[int, ...]
 
@@ -207,7 +213,10 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
     IRREDUCIBLE proves the primitive part is irreducible over the
     rationals (the reduction keeps the degree because p does not divide
     the leading coefficient).  REDUCIBLE only speaks about the
-    reduction mod p and proves nothing over the integers.
+    reduction mod p and proves nothing over the integers.  For odd p a
+    palindromic reduction of even degree is tested on half its degree
+    (`_half_degree`); p = 2 and any other reduction go to Rabin's test
+    whole.
     """
     pp = primitive_part(a)
     if pp and pp[-1] % p == 0:
@@ -216,17 +225,72 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
         return IrreducibilityStatus.INCONCLUSIVE
     inv_lead = pow(pp[-1], p - 2, p)
     f = [c * inv_lead % p for c in pp]
-    k = len(f) - 1
-    chain = _frobenius_chain(f, p)
-    # x^(p^k) == x mod f, and gcd(x^(p^(k/q)) - x, f) == 1 for prime q | k.
-    if chain[k] != chain[0]:
+    if p != 2 and len(f) % 2 and f == f[::-1]:
+        f = _half_degree(f, p)
+    if f is None or not _rabin(f, p):
         return IrreducibilityStatus.REDUCIBLE
-    for q in _prime_divisors(k):
-        # `_gf_gcd` reduces the integer difference mod p.
-        diff = [c - x for c, x in zip_longest(chain[k // q], chain[0], fillvalue=0)]
-        if len(_gf_gcd(diff, f, p)) != 1:
-            return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.IRREDUCIBLE
+
+
+def _half_degree(f: list[int], p: int) -> list[int] | None:
+    """The monic h with f = x^m h(x + 1/x), or None when N = (-1)^m f(1) f(-1) is 0 or a square mod p.
+
+    f is monic and palindromic of degree 2m >= 2 over GF(p), p odd.  Then
+    f is irreducible exactly when h is irreducible and N is a nonsquare
+    mod p (Meyn, AAECC 1990), so None means f is reducible.  Proof: if
+    h = h1 h2, f = x^m1 h1(x + 1/x) * x^m2 h2(x + 1/x).  If h is
+    irreducible with a root b in GF(p^m), the roots of f are those of
+    x^2 - bx + 1 over GF(p^m).  They have degree 2m over GF(p) when that
+    quadratic is irreducible, which holds iff b^2 - 4 is a nonsquare in
+    GF(p^m), and degree at most m otherwise.  An element u of GF(p^m)*
+    is a nonsquare iff its norm to GF(p) is, because the norm is
+    u^((p^m-1)/(p-1)) and its Legendre symbol is u^((p^m-1)/2).  The norm
+    of b^2 - 4 is the product of (b_i - 2)(b_i + 2) over the conjugates
+    b_i of b, which is h(2) h(-2) = N, as f(1) = h(2) and
+    f(-1) = (-1)^m h(-2).  Should h be reducible, f is too, so a zero or
+    square N settles REDUCIBLE whatever h is.
+
+    h comes from x^(-m) f = f_m + sum_j f_(m+j) (x^j + x^(-j)) and the
+    Dickson recurrence x^j + x^(-j) = D_j(x + 1/x), with D_0 = 2,
+    D_1 = y and D_(j+1) = y D_j - D_(j-1): O(m^2) steps mod p.
+    """
+    m = len(f) // 2
+    norm = (-1) ** m * eval_at_int(f, 1) * eval_at_int(f, -1) % p
+    if norm == 0 or pow(norm, (p - 1) // 2, p) == 1:
+        return None
+    h = [f[m]] + [0] * m
+    prev, dickson = [2], [0, 1]
+    for j in range(1, m + 1):
+        c = f[m + j]
+        for i, d in enumerate(dickson):
+            h[i] = (h[i] + c * d) % p
+        prev, dickson = dickson, [(y - d) % p for y, d in zip_longest([0] + dickson, prev, fillvalue=0)]
+    return h
+
+
+def _rabin(f: list[int], p: int) -> bool:
+    """Rabin's test (SIAM J. Comput. 1980) for monic f of degree k >= 1 over GF(p).
+
+    f is irreducible iff gcd(x^(p^(k/q)) - x, f) = 1 for every prime
+    q | k and x^(p^k) = x mod f.  The chain is stepped lazily and the
+    checks are taken as it reaches them, smallest k/q first and
+    x^(p^k) last, so a reducible f stops at the first check that fails.
+    Before any chain, a root in GF(p) (Horner at the p points) settles
+    a degree >= 2.
+    """
+    k = len(f) - 1
+    if k >= 2 and any(eval_at_int(f, r) % p == 0 for r in range(p)):
+        return False
+    checks = {k // q for q in _prime_divisors(k)}
+    chain = _frobenius_chain(f, p)
+    x = next(chain)
+    for j, entry in enumerate(chain, 1):
+        if j in checks:
+            # `_gf_gcd` reduces the integer difference mod p.
+            diff = [c - t for c, t in zip_longest(entry, x, fillvalue=0)]
+            if len(_gf_gcd(diff, f, p)) != 1:
+                return False
+    return entry == x
 
 
 def _prime_divisors(k: int) -> list[int]:
@@ -267,42 +331,63 @@ def _gf_mod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _gf_trim(r[:df])
 
 
-def _frobenius_chain(f: Sequence[int], p: int) -> list[list[int]]:
-    """[x^(p^j) mod f for j = 0 .. deg f] over GF(p), for monic f of degree k >= 1.
+def _frobenius_chain(f: Sequence[int], p: int) -> Iterator[list[int]]:
+    """x^(p^j) mod f over GF(p) for j = 0 .. deg f in turn, for monic f of degree k >= 1.
 
     Over GF(p), a(x)^p = a(x^p), so the p-th power map is linear, with
     Berlekamp's matrix Q: row i is x^(ip) mod f (Knuth, TAOCP vol. 2,
     section 4.6.2).  Each step a -> sum a_i Q_i runs on packed rows
-    (`_gf_apply`).  Q itself comes from the same step, applied k - 1
-    times to 1, with the matrix of multiplication by x^p, whose row i is
-    x^(i+p) mod f.  The rows live for this call only: k packed rows of k
-    digits per matrix, plus the k + 1 chain entries.
+    (`_gf_apply`).  The chain is a generator, so a caller that stops
+    early takes no further step.  The rows live while it does: k packed
+    rows of k digits (`_berlekamp_q`) plus the entry in hand.
     """
     k = len(f) - 1
     width = _chain_width(k, p)
-    # Rows x^(i+p) with i + p < k are monomials; x^k .. x^(k+p-1) mod f
-    # take p shift-and-subtract steps, of which those with exponent >= p are rows.
-    times_xp = [1 << (8 * width * (i + p)) for i in range(k - p)]
+    q_rows = _berlekamp_q(f, p, width)
+    entry = _gf_mod([0, 1], f, p)
+    yield entry
+    for _ in range(k):
+        entry = _gf_apply(entry, q_rows, width, p)
+        yield entry
+
+
+def _berlekamp_q(f: Sequence[int], p: int, width: int) -> list[int]:
+    """The rows x^(ip) mod f, i = 0 .. k-1, packed at `width` bytes, for monic f of degree k.
+
+    Row i + 1 is row i times x^p.  Its digits below k - p move up p
+    places, a shift of the packed row; the digits at k - p and above,
+    at most p of them, fold back through the rows x^k .. x^(k+p-1)
+    mod f (those with exponent >= p; the lower ones are the shift).  So
+    a row costs O(p) packed operations, not k.  Each digit of the sum is
+    at most min(k, p) products below (p-1)^2, plus one shifted digit
+    below p only when k > p: at most k (p-1)^2 when k <= p, and
+    p (p-1)^2 + p - 1 <= (p+1)(p-1)^2 <= k (p-1)^2 when k > p.  That is
+    the sum `_chain_width` already holds, so no carry crosses digits.
+    """
+    k = len(f) - 1
+    low = max(k - p, 0)
+    # x^k .. x^(k+p-1) mod f by shift-and-subtract from x^(k-1); the fold keeps exponents >= p.
+    folds = []
     r = [0] * (k - 1) + [1]
-    for m in range(k, k + p):
+    for e in range(k, k + p):
         top = r.pop()
         r.insert(0, 0)
         r = [(c - top * fj) % p for c, fj in zip(r, f)]
-        if m >= p:
-            times_xp.append(_pack(r, width))
-    q_rows = [1]
+        if e >= p:
+            folds.append(_pack(r, width))
+    keep = (1 << (8 * width * low)) - 1
+    up = 8 * width * p
+    rows = [1]
     a = [1]
     for _ in range(k - 1):
-        a = _gf_apply(a, times_xp, width, p)
-        q_rows.append(_pack(a, width))
-    chain = [_gf_mod([0, 1], f, p)]
-    for _ in range(k):
-        chain.append(_gf_apply(chain[-1], q_rows, width, p))
-    return chain
+        shifted = (rows[-1] & keep) << up
+        a = _gf_trim([c % p for c in unpack(shifted + sum(map(operator.mul, a[low:], folds)), width)])
+        rows.append(_pack(a, width))
+    return rows
 
 
 def _chain_width(k: int, p: int) -> int:
-    """Digit bytes for `_gf_apply` on k rows: they hold the largest digit sum k (p-1)^2."""
+    """Digit bytes for `_gf_apply` on k rows and for `_berlekamp_q`'s fold: they hold the digit sum k (p-1)^2."""
     return unpack_width(k * (p - 1) ** 2)
 
 

@@ -233,11 +233,11 @@ def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[di
     return [], [{"n": m, "value": str(t)}]
 
 
-def _ternary_blocks(witnesses: list[dict], max_n: int) -> list[dict]:
+def _ternary_blocks(max_n: int) -> list[dict]:
     """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n).
 
     t is read from `reduction.t_values`, the coin DP that the per-m check
-    also reads, not parsed back from the witnesses.
+    also reads.
     """
     t = reduction.t_values(3 * max_n + 2)
     failures = []
@@ -335,8 +335,8 @@ def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[li
 
 
 @lru_cache(maxsize=None)
-def _nondivides_at_remainder(r: int, d: int, engine: str) -> bool:
-    """Whether Phi_{2d} does not divide num(r), r < d, by the full remainder.
+def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str) -> bool:
+    """Whether Phi_{2d} does not divide num(r) of the class, r < d, by the full remainder.
 
     This is lemma 4's r side.  It takes the full remainder under either
     engine: the certificate at r reads the same cached block entry L(r)
@@ -346,21 +346,24 @@ def _nondivides_at_remainder(r: int, d: int, engine: str) -> bool:
     then degenerates to nondivisibility at n alone; the equivalence is
     still checked as stated.  The pair (r, d) recurs for every
     n = r (mod d), so it is decided once per process: a run up to n = N
-    holds at most N(N+1)/2 booleans per engine, keyed on r < d <= N.
+    holds at most N(N+1)/2 booleans per (class, engine), keyed on
+    r < d <= N.
     """
-    return bool(cyclotomic.remainder_mod_phi_2d(reduction.num(r, ORDINARY, engine), d))
+    return bool(cyclotomic.remainder_mod_phi_2d(reduction.num(r, pclass, engine), d))
 
 
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Phi_{2d}-nondivisibility of num agrees between n and r = n mod d, for every 1 <= d <= n.
 
     The n side is decided by `_phi_2d_nondivides`, the r side by
-    `_nondivides_at_remainder`.
+    `_nondivides_at_remainder`, both on the class the registry gives.
+    The certificate at n needs every d <= n to be a part, as it is in
+    the ordinary class that lemma 4 is stated for.
     """
     failures = []
     for d in range(1, n + 1):
-        nondiv_n, _ = _phi_2d_nondivides(n, ORDINARY, d, engine)
-        if nondiv_n != _nondivides_at_remainder(n % d, d, engine):
+        nondiv_n, _ = _phi_2d_nondivides(n, pclass, d, engine)
+        if nondiv_n != _nondivides_at_remainder(n % d, pclass, d, engine):
             failures.append(
                 {"n": n, "d": d, "detail": f"divisibility of num by Phi_{2 * d} differs between n={n} and r={n % d}"}
             )
@@ -413,9 +416,9 @@ class Conjecture(NamedTuple):
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, or
     up to span*(max_n+1) - 1 when the post-pass needs more values than
-    the reported range.  `post(witnesses, max_n)` then runs once on the
-    merged witnesses and returns more failures.  `builds_num` is false
-    for a check that reads only den, so that no engine applies to it.
+    the reported range.  `post(max_n)` then runs once after the sweep
+    and returns more failures.  `builds_num` is false for a check that
+    reads only den, so that no engine applies to it.
     """
 
     cid: str
@@ -423,7 +426,7 @@ class Conjecture(NamedTuple):
     lowest_n: int
     check: Callable
     proved: bool
-    post: Callable[[list[dict], int], list[dict]] | None = None
+    post: Callable[[int], list[dict]] | None = None
     span: int = 1
     builds_num: bool = True
 
@@ -478,7 +481,7 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
     failures = [f for fs, _ in results for f in fs]
     witnesses = [w for _, ws in results for w in ws]
     if entry.post is not None:
-        failures += entry.post(witnesses, max_n)
+        failures += entry.post(max_n)
     verdict = (FAILURES_FOUND if failures else ALL_HOLD) if entry.proved else WITNESS_ONLY
     elapsed = time.perf_counter() - start
     return ConjectureReport(entry.cid, (entry.lowest_n, max_n), verdict, failures, witnesses, elapsed)

@@ -3,8 +3,9 @@
 Nothing here may import from the production accumulation or gcd paths it
 checks: partition counts come from the Euler pentagonal recurrence,
 products from a dict-based convolution, enumeration from an
-ascending-composition algorithm, and mod-p irreducibility from brute
-trial division by all monic polynomials of low degree, gcds in Z[x]
+ascending-composition algorithm, mod-p irreducibility from brute
+trial division by all monic polynomials of low degree and, at degrees
+beyond its reach, from Rabin's test on the whole reduction, gcds in Z[x]
 from pseudo-remainder Euclid on naively expanded products, G from
 the entrywise-minimum cyclotomic exponents of every cofactor, the
 root-of-unity certificates from first principles, t(n) from a
@@ -14,9 +15,11 @@ divisors d of m.
 """
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
 
 
 @lru_cache(maxsize=None)
@@ -257,6 +260,126 @@ def gfp_irreducible_bruteforce(f, p):
             if gfp_divides(cand, f, p):
                 return False
     return True
+
+
+def rabin_full_degree(a, p):
+    """Rabin's test on the whole reduction of a's primitive part mod p: "irreducible", "reducible" or "inconclusive".
+
+    The full-degree route `intpoly.irreducible_mod_p` took before it
+    tested palindromic input on half the degree, moved here as it was:
+    the checks x^(p^k) == x mod f, then gcd(x^(p^(k/q)) - x, f) == 1 for
+    every prime q | k, read off one Frobenius chain whose Q comes from
+    the k-row matrix of multiplication by x^p.  Only the packing is
+    local (plain byte strings), so nothing here comes from `intpoly`.
+    The strings are the values of `intpoly.IrreducibilityStatus`;
+    ValueError when p divides the leading coefficient.
+    """
+    pp = _primitive_part(_strip(a)) if any(a) else ()
+    if pp and pp[-1] % p == 0:
+        raise ValueError(f"{p} divides the leading coefficient")
+    if len(pp) <= 1:
+        return "inconclusive"
+    inv_lead = pow(pp[-1], p - 2, p)
+    f = [c * inv_lead % p for c in pp]
+    k = len(f) - 1
+    chain = _rabin_frobenius_chain(f, p)
+    # x^(p^k) == x mod f, and gcd(x^(p^(k/q)) - x, f) == 1 for prime q | k.
+    if chain[k] != chain[0]:
+        return "reducible"
+    for q in _rabin_prime_divisors(k):
+        # `_rabin_gf_gcd` reduces the integer difference mod p.
+        diff = [c - x for c, x in zip_longest(chain[k // q], chain[0], fillvalue=0)]
+        if len(_rabin_gf_gcd(diff, f, p)) != 1:
+            return "reducible"
+    return "irreducible"
+
+
+def _rabin_prime_divisors(k):
+    out = []
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            out.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
+def _rabin_pack(a, width):
+    """Nonnegative digits a, lowest first, as one integer of `width`-byte digits."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+
+
+def _rabin_unpack(value, width):
+    raw = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _rabin_gf_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _rabin_gf_mod(a, f, p):
+    r = [c % p for c in a]
+    inv_lead = pow(f[-1], p - 2, p)
+    df = len(f) - 1
+    for k in range(len(r) - 1, df - 1, -1):
+        c = r[k] * inv_lead % p
+        if c == 0:
+            continue
+        for j in range(df + 1):
+            r[k - df + j] = (r[k - df + j] - c * f[j]) % p
+    return _rabin_gf_trim(r[:df])
+
+
+def _rabin_frobenius_chain(f, p):
+    """[x^(p^j) mod f for j = 0 .. deg f] over GF(p), for monic f of degree k >= 1.
+
+    Q's row i is x^(ip) mod f; Q comes from the same step applied k - 1
+    times to 1, with the matrix of multiplication by x^p, whose row i is
+    x^(i+p) mod f.
+    """
+    k = len(f) - 1
+    width = -(-(k * (p - 1) ** 2).bit_length() // 8)
+    # Rows x^(i+p) with i + p < k are monomials; x^k .. x^(k+p-1) mod f
+    # take p shift-and-subtract steps, of which those with exponent >= p are rows.
+    times_xp = [1 << (8 * width * (i + p)) for i in range(k - p)]
+    r = [0] * (k - 1) + [1]
+    for m in range(k, k + p):
+        top = r.pop()
+        r.insert(0, 0)
+        r = [(c - top * fj) % p for c, fj in zip(r, f)]
+        if m >= p:
+            times_xp.append(_rabin_pack(r, width))
+    q_rows = [1]
+    a = [1]
+    for _ in range(k - 1):
+        a = _rabin_gf_apply(a, times_xp, width, p)
+        q_rows.append(_rabin_pack(a, width))
+    chain = [_rabin_gf_mod([0, 1], f, p)]
+    for _ in range(k):
+        chain.append(_rabin_gf_apply(chain[-1], q_rows, width, p))
+    return chain
+
+
+def _rabin_gf_apply(a, rows, width, p):
+    """sum a_i rows[i] mod p; the digit sums stay below the radix, so no carry crosses digits."""
+    return _rabin_gf_trim([c % p for c in _rabin_unpack(sum(map(operator.mul, a, rows)), width)])
+
+
+def _rabin_gf_gcd(a, b, p):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _rabin_gf_mod(a, b, p)
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return a
 
 
 def reciprocal_sum(partitions_list, x0):

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsum import intpoly
+from subsum import intpoly, reduction
 from subsum.intpoly import (
     BadPrimeError,
     IrreducibilityStatus,
     NegativeCoefficientError,
     NotMonicError,
 )
+from subsum.partitions import PartitionClass
 
 import oracles
 
@@ -185,7 +186,7 @@ def test_frobenius_chain_matches_oracle(p, data):
     # Degrees below p make x^p itself a reduction, not a monomial row.
     k = data.draw(st.one_of(st.integers(1, max(p - 1, 1)), st.integers(1, 30)))
     f = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)) + [1]
-    chain = intpoly._frobenius_chain(f, p)
+    chain = list(intpoly._frobenius_chain(f, p))
     assert len(chain) == k + 1
     for j, entry in enumerate(chain):
         if p**j > 200:  # the oracle makes e products for x^e
@@ -198,7 +199,7 @@ def test_frobenius_chain_matches_oracle(p, data):
 def test_frobenius_chain_x3_x_1_over_gf2():
     # x^3 + x + 1 is irreducible over GF(2): x^8 == x mod f and x^2 != x.
     f = [1, 1, 0, 1]
-    chain = intpoly._frobenius_chain(f, 2)
+    chain = list(intpoly._frobenius_chain(f, 2))
     for j, entry in enumerate(chain):
         assert tuple(entry) == oracles.gfp_powmod((0, 1), 2**j, f, 2)
     assert chain[3] == chain[0] == [0, 1]
@@ -218,6 +219,125 @@ def test_packed_step_holds_the_largest_digit_sum(k):
     rows = [intpoly._pack(row, width)] * k
     want = [sum(a[i] * row[j] for i in range(k)) % p for j in range(k)]
     assert intpoly._gf_apply(a, rows, width, p) == intpoly._gf_trim(want)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("offset", [-2, 0, 1])
+def test_berlekamp_q_fold_matches_oracle(p, offset):
+    # k < p folds every digit, k = p folds them all through x^p .. x^(2p-1), k = p + 1 shifts one.
+    k = p + offset
+    for seed in range(3):
+        f = [(seed * 7 + 3 * i * i + 1) % p for i in range(k)] + [1]
+        width = intpoly._chain_width(k, p)
+        rows = intpoly._berlekamp_q(f, p, width)
+        assert len(rows) == k
+        for i, row in enumerate(rows):
+            assert intpoly.unpack(row, width) == oracles.gfp_powmod((0, 1), i * p, f, p), (f, i)
+
+
+def _palindromic_monic(low, middle):
+    low = [1] + low
+    return low + [middle] + low[::-1]
+
+
+# p^(deg/2) monic trial divisors bound the brute force; these degrees keep it near 3000.
+_HALF_DEGREE_CAP = {3: 10, 5: 10, 7: 8, 11: 6, 13: 6}
+
+
+@given(st.sampled_from(sorted(_HALF_DEGREE_CAP)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_half_degree_route_matches_bruteforce(p, data):
+    m = data.draw(st.integers(1, _HALF_DEGREE_CAP[p] // 2))
+    low = data.draw(st.lists(st.integers(0, p - 1), min_size=m - 1, max_size=m - 1))
+    f = _palindromic_monic(low, data.draw(st.integers(0, p - 1)))
+    got = intpoly.irreducible_mod_p(f, p)
+    assert (got is IrreducibilityStatus.IRREDUCIBLE) == oracles.gfp_irreducible_bruteforce(tuple(f), p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_half_degree_route_every_small_palindrome(p):
+    # Every monic palindrome of degree 2..6: the quadratics are settled by N = a^2 - 4 alone.
+    for m in (1, 2, 3):
+        for code in range(p**m):
+            digits = [code // p**i % p for i in range(m)]
+            f = _palindromic_monic(digits[1:], digits[0])
+            got = intpoly.irreducible_mod_p(f, p) is IrreducibilityStatus.IRREDUCIBLE
+            assert got == oracles.gfp_irreducible_bruteforce(tuple(f), p), f
+
+
+def test_half_degree_builds_h_of_x_plus_inverse():
+    # x^4 + 3x^3 + 5x^2 + 3x + 1 = x^2 ((x + 1/x)^2 + 3(x + 1/x) + 3), so h = y^2 + 3y + 3.
+    p = 7  # N = h(2) h(-2) = 13 * 1 is a nonsquare mod 7
+    assert pow(13, 3, p) == p - 1
+    assert intpoly._half_degree([1, 3, 5, 3, 1], p) == [3, 3, 1]
+    assert intpoly._half_degree([1, 3, 5, 3, 1], 3) is None  # N = 13 = 1, a square mod 3
+
+
+@pytest.mark.parametrize(
+    ("pclass", "ns"),
+    [
+        (PartitionClass.ORDINARY, range(1, 13)),
+        (PartitionClass.BINARY, range(2, 25)),
+        (PartitionClass.ODD, range(1, 19)),
+        (PartitionClass.TERNARY, range(1, 25)),
+    ],
+)
+def test_irreducible_mod_p_matches_full_degree_rabin(pclass, ns):
+    for n in ns:
+        num = reduction.num(n, pclass, "dp")
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            try:
+                want = oracles.rabin_full_degree(num, p)
+            except ValueError:
+                with pytest.raises(BadPrimeError):
+                    intpoly.irreducible_mod_p(num, p)
+                continue
+            assert intpoly.irreducible_mod_p(num, p).value == want, (pclass, n, p)
+
+
+@pytest.mark.parametrize(
+    ("f", "p", "want"),
+    [
+        ((1, 1, 0, 1), 2, IrreducibilityStatus.IRREDUCIBLE),  # x^3 + x + 1
+        ((1, 1, 1, 1, 1), 2, IrreducibilityStatus.IRREDUCIBLE),  # palindromic, but p = 2
+        ((1, 0, 1, 0, 1), 2, IrreducibilityStatus.REDUCIBLE),  # (x^2 + x + 1)^2 over GF(2)
+        ((2, 1, 0, 0, 1), 3, IrreducibilityStatus.IRREDUCIBLE),  # x^4 + x + 2, not palindromic
+        ((1, 2, 2, 1), 5, IrreducibilityStatus.REDUCIBLE),  # palindromic of odd degree: -1 is a root
+    ],
+)
+def test_full_degree_route_for_p2_and_other_shapes(monkeypatch, f, p, want):
+    def forbidden(f, p):
+        raise AssertionError("took the half-degree route")
+
+    monkeypatch.setattr(intpoly, "_half_degree", forbidden)
+    assert intpoly.irreducible_mod_p(f, p) is want
+    assert oracles.gfp_irreducible_bruteforce(f, p) == (want is IrreducibilityStatus.IRREDUCIBLE)
+
+
+def test_root_gate_builds_no_chain(monkeypatch):
+    def forbidden(f, p):
+        raise AssertionError("built a Frobenius chain")
+
+    monkeypatch.setattr(intpoly, "_frobenius_chain", forbidden)
+    # (x - 2)(x^2 + 1) mod 7, and x^2 + x over GF(2): each has a root in GF(p).
+    assert intpoly._rabin([5, 1, 5, 1], 7) is False
+    assert intpoly._rabin([0, 1, 1], 2) is False
+
+
+def test_rabin_stops_at_the_first_failing_check(monkeypatch):
+    # (x^2 + x + 1)(x^4 + x + 1) over GF(2) has no root; the check at k/3 = 2 fails before the one at k/2 = 3.
+    f = list(oracles.gfp_mul((1, 1, 1), (1, 1, 0, 0, 1), 2))
+    steps = []
+    real = intpoly._frobenius_chain
+
+    def counting(f, p):
+        for entry in real(f, p):
+            steps.append(entry)
+            yield entry
+
+    monkeypatch.setattr(intpoly, "_frobenius_chain", counting)
+    assert intpoly._rabin(f, 2) is False
+    assert len(steps) == 3  # x, x^2, x^4
 
 
 def test_irreducible_mod_p_bad_prime():

@@ -117,8 +117,38 @@ def test_binary_shape():
 def test_remainder_reduction_check_examples():
     for n, d in [(7, 3), (4, 4), (4, 1)]:  # (4, 4): r = 0, num(0,x) = 1; (4, 1): num(4,-1) = 24 != 0
         nondiv_n, _ = verify._phi_2d_nondivides(n, ORD, d, "dp")
-        assert nondiv_n and verify._nondivides_at_remainder(n % d, d, "dp"), (n, d)
+        assert nondiv_n and verify._nondivides_at_remainder(n % d, ORD, d, "dp"), (n, d)
     assert verify._lemma4_check(7, ORD, "dp") == ([], [])
+
+
+@pytest.mark.parametrize("engine", ["dp", "both"])
+def test_lemma4_reads_the_class_it_is_given(monkeypatch, engine):
+    # Both sides read the class passed in, and the r side keys its cache on it.  Only the
+    # ordinary class has every d as a part, so the stand-ins record the class and compute there.
+    seen = set()
+    real_num, real_lead = reduction.num, reduction.leading_coefficient
+
+    def num(n, pclass, engine):
+        seen.add(pclass)
+        return real_num(n, ORD, engine)
+
+    def leading_coefficient(n, pclass, d, k):
+        seen.add(pclass)
+        return real_lead(n, ORD, d, k)
+
+    monkeypatch.setattr(reduction, "num", num)
+    monkeypatch.setattr(reduction, "leading_coefficient", leading_coefficient)
+    cached = verify._nondivides_at_remainder
+    cached.cache_clear()
+    try:
+        assert verify._lemma4_check(9, PartitionClass.ODD, engine) == ([], [])
+        assert seen == {PartitionClass.ODD}
+        misses = cached.cache_info().misses
+        for d in range(1, 10):
+            cached(9 % d, PartitionClass.ODD, d, engine)
+        assert cached.cache_info().misses == misses
+    finally:
+        cached.cache_clear()
 
 
 def test_remainder_reduction_range():
