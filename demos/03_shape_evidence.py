@@ -38,6 +38,6 @@ print(f"  unimodal for every n > 5 in range: {all(w['unimodal'] for w in report.
 print()
 print("Irreducibility witnesses for num(n,x), n <= 10 (mod-p certificates):")
 for n in range(2, 11):
-    rec = verify.irreducibility_witness(n)
+    rec = verify.irreducibility_witness(n, PartitionClass.ORDINARY, "dp")
     tag = f"certified at p={rec['prime']}" if rec["verdict"] == "IrreducibleCertified" else "inconclusive"
     print(f"  n={n:2d}: content {rec['content']}, {tag}")

@@ -75,25 +75,23 @@ def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
 _PRIME_FLOOR = 10**6
 
 
-def root_of_unity(d: int, k: int = 0) -> tuple[int, int]:
-    """(p, zeta): the k-th prime p = 1 (mod 2d) above 10^6, and an element of order 2d in GF(p).
+def root_of_unity(d: int) -> tuple[int, int]:
+    """(p, zeta): the first prime p = 1 (mod 2d) above 10^6, and an element of order 2d in GF(p).
 
-    k counts from 0.  A candidate is proved prime by trial division up to
-    isqrt(p), run only once it passes a base-2 Fermat test.  zeta is
-    a^((p-1)/2d) for the least a >= 2 for which zeta has order 2d, tested
-    directly: zeta^(2d) = 1 always, zeta^d = -1 rules out every order
-    dividing d, and zeta^(2d/q) != 1, for each odd prime q | d, every
-    order dividing 2d/q.  Nothing is cached here: the one caller,
-    `reduction._leading_block`, caches its result per (class, d, k).
+    A candidate is proved prime by trial division up to isqrt(p), run
+    only once it passes a base-2 Fermat test.  zeta is a^((p-1)/2d) for
+    the least a >= 2 for which zeta has order 2d, tested directly:
+    zeta^(2d) = 1 always, zeta^d = -1 rules out every order dividing d,
+    and zeta^(2d/q) != 1, for each odd prime q | d, every order dividing
+    2d/q.  Nothing is cached here: the one caller,
+    `reduction._leading_block`, caches its result per (class, d).
     """
-    if d < 1 or k < 0:
-        raise ValueError("need d >= 1 and k >= 0")
+    if d < 1:
+        raise ValueError("need d >= 1")
     m = 2 * d
-    p = (_PRIME_FLOOR - 1) // m * m + 1  # the last candidate not above the floor
-    for _ in range(k + 1):
+    p = -(-_PRIME_FLOOR // m) * m + 1  # the first candidate above the floor
+    while not _is_prime(p):
         p += m
-        while not _is_prime(p):
-            p += m
     odd_primes = [q for q in intpoly._prime_divisors(d) if q > 2]
     a = 2
     while True:

@@ -270,8 +270,8 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
 # Under engine "dp" lemma 4 certifies its n side at a root of unity and
 # reads num only at r = n mod d < n/2: a sweep to n = N holds ceil(N/2)
 # entries.  It builds num(n) itself only under "both", which reads the
-# N + 1 entries 0..N, or when all three primes vanish.  256 entries hold
-# both working sets together up to N = 170.
+# N + 1 entries 0..N, or when the certificate vanishes.  256 entries
+# hold both working sets together up to N = 170.
 @lru_cache(maxsize=256)
 def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
     """The reduced numerator num = num*/G, with the summand gcd G cancelled.
@@ -287,10 +287,10 @@ def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
     return cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass))
 
 
-def leading_coefficient(n: int, pclass: PartitionClass, d: int, k: int = 0) -> tuple[int, int, int]:
+def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, int, int]:
     """(p, zeta, L(n)): num(n) at a root of unity of order 2d, up to a unit, in GF(p).
 
-    (p, zeta) is `cyclotomic.root_of_unity(d, k)`, and d must be an
+    (p, zeta) is `cyclotomic.root_of_unity(d)`, and d must be an
     allowed part of the class.  Write x = zeta + t and work with Laurent
     series in t over GF(p).  The coin DP over the allowed parts i,
     table[r] += table[r-i] * u_i with u_i = 1/(1+x^i), builds
@@ -329,23 +329,22 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int, k: int = 0) -> t
         L(n) = c^floor(n/d) * L(n mod d),
 
     and only block 0 is ever computed, in O(d * #parts) operations mod
-    p.  It is cached with p, zeta and c on (class, d, k) for the life of
-    the process: `verify` asks for k < 3, so a run up to n = N holds at
-    most 3 entries per class and d <= N, each of d ints below p, O(N^2)
-    ints per class.
+    p.  It is cached with p, zeta and c on (class, d) for the life of
+    the process: a run up to n = N holds one entry per class and d <= N,
+    each of d ints below p, at most N(N+1)/2 ints per class.
     """
     if n < 0 or not pclass.allows(d):
         raise ValueError(f"need n >= 0 and d a part of {pclass.value} partitions")
-    p, zeta, c, block = _leading_block(pclass, d, k)
+    p, zeta, c, block = _leading_block(pclass, d)
     if 2 * n >= p:
         raise ValueError(f"prime {p} too small for n = {n}")
     return p, zeta, pow(c, n // d, p) * block[n % d] % p
 
 
 @lru_cache(maxsize=None)
-def _leading_block(pclass: PartitionClass, d: int, k: int) -> tuple[int, int, int, array]:
+def _leading_block(pclass: PartitionClass, d: int) -> tuple[int, int, int, array]:
     """(p, zeta, c, L(0..d-1)) for `leading_coefficient`: the coin DP over the parts below d."""
-    p, zeta = cyclotomic.root_of_unity(d, k)
+    p, zeta = cyclotomic.root_of_unity(d)
     block = [1] + [0] * (d - 1)
     for i in allowed_parts(pclass, d - 1):
         u = pow(1 + pow(zeta, i, p), -1, p)

@@ -27,7 +27,7 @@ Every other route is picked here, and under engine "both" each cheap
 route is compared with the full path.  The Phi_{2d}-nondivisibility
 checks (conjectures 2, 5 and 7, lemma 4 at n) go through
 `_phi_2d_nondivides`: engine "dp" decides each d by a certificate at a
-root of unity mod p and builds num only when three primes all fail;
+root of unity mod p and builds num only when that certificate vanishes;
 engine "both" also takes the full remainder for every d and compares
 the two.  Lemma 4 decides its n mod d side by the full remainder under
 either engine.  Conjecture 10 builds no num under "dp": it compares t(m)
@@ -100,29 +100,22 @@ def odd_factorial_part(n: int) -> int:
 
 # --- Phi_{2d} nondivisibility: the one place the route is chosen ---
 
-# Primes tried per d under engine "dp" before the full remainder decides.
-CERTIFICATE_PRIMES = 3
-
 
 def _phi_2d_nondivides(n: int, pclass: PartitionClass, d: int, engine: str) -> tuple[bool, list[int] | None]:
     """Whether Phi_{2d} does not divide num(n), and the certificate [d, p, zeta, L] that shows it.
 
     The local route reads L = num(n)(zeta) up to a unit at a root of
-    unity zeta of order 2d mod p (`reduction.leading_coefficient`);
-    L != 0 proves nondivisibility.  Engine "dp" tries the first
-    CERTIFICATE_PRIMES primes and, when L = 0 at all of them, decides by
-    the full remainder of num mod Phi_{2d}, returning no certificate.
-    Engine "both" reads the first prime's L and also takes the full
-    remainder, which decides; it raises EngineMismatchError when the
-    certificate proves a nondivisibility that the remainder denies.
-    Every d is decided one way or the other.
+    unity zeta of order 2d mod p, one p per d
+    (`reduction.leading_coefficient`); L != 0 proves nondivisibility.
+    Engine "dp" returns that certificate and, when L = 0, decides by the
+    full remainder of num mod Phi_{2d}, returning no certificate.
+    Engine "both" always takes the full remainder, which decides; it
+    raises EngineMismatchError when the certificate proves a
+    nondivisibility that the remainder denies.  Every d is decided one
+    way or the other.
     """
-    certificate = None
-    for k in range(1 if engine == "both" else CERTIFICATE_PRIMES):
-        p, zeta, lead = reduction.leading_coefficient(n, pclass, d, k)
-        if lead:
-            certificate = [d, p, zeta, lead]
-            break
+    p, zeta, lead = reduction.leading_coefficient(n, pclass, d)
+    certificate = [d, p, zeta, lead] if lead else None
     if certificate is not None and engine == "dp":
         return True, certificate
     nondiv = bool(cyclotomic.remainder_mod_phi_2d(reduction.num(n, pclass, engine), d))
@@ -375,15 +368,15 @@ def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dic
 DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def irreducibility_witness(n: int, engine: str = "dp") -> dict:
-    """Mod-p sufficient-condition witness for irreducibility of num(n,x).
+def irreducibility_witness(n: int, pclass: PartitionClass, engine: str) -> dict:
+    """Mod-p sufficient-condition witness for irreducibility of the class's num(n,x).
 
     Reports the integer content, then tries each prime until one
     certifies the primitive part irreducible over the rationals.  A
     reducible reduction proves nothing over the integers, so it never
     produces a negative verdict, only Inconclusive.
     """
-    num = reduction.num(n, ORDINARY, engine)
+    num = reduction.num(n, pclass, engine)
     record: dict = {"n": n, "content": intpoly.content(num), "tried": []}
     if len(num) <= 1:
         record["verdict"] = "Inconclusive"
@@ -405,7 +398,7 @@ def irreducibility_witness(n: int, engine: str = "dp") -> dict:
 
 def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: mod-p irreducibility witness; never claims reducibility."""
-    return [], [irreducibility_witness(n, engine=engine)]
+    return [], [irreducibility_witness(n, pclass, engine)]
 
 
 # --- The registry and the runner ---

@@ -230,13 +230,12 @@ def test_remainder_mod_phi_2d_matches_direct_remainder():
 def test_root_of_unity_primes_and_orders():
     for d in range(1, 41):
         m = 2 * d
-        primes = [cyclotomic.root_of_unity(d, k)[0] for k in range(3)]
-        start = 10**6 // m * m + 1
-        candidates = range(start if start > 10**6 else start + m, primes[-1] + 1, m)
-        assert [c for c in candidates if oracles.is_prime(c)] == primes
-        for k, p in enumerate(primes):
-            zeta = cyclotomic.root_of_unity(d, k)[1]
-            orders = [next(j for j in range(1, m + 1) if pow(pow(a, (p - 1) // m, p), j, p) == 1) for a in range(2, 40)]
-            assert zeta == pow(2 + orders.index(m), (p - 1) // m, p)
+        p, zeta = cyclotomic.root_of_unity(d)
+        # The first prime = 1 (mod 2d) above 10^6, by trial division alone.
+        assert p > 10**6 and p % m == 1 and oracles.is_prime(p)
+        assert not any(oracles.is_prime(c) for c in range(p - m, 10**6, -m))
+        orders = [next(j for j in range(1, m + 1) if pow(pow(a, (p - 1) // m, p), j, p) == 1) for a in range(2, 40)]
+        assert next(j for j in range(1, m + 1) if pow(zeta, j, p) == 1) == m
+        assert zeta == pow(2 + orders.index(m), (p - 1) // m, p)
     with pytest.raises(ValueError):
         cyclotomic.root_of_unity(0)

@@ -339,7 +339,7 @@ def _at_mod(f, z, p):
 
 @pytest.mark.parametrize("pclass", CLASSES)
 def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
-    """L(n) * D = num(n)(zeta) mod p for every allowed d <= 24, n <= 24 and the three primes.
+    """L(n) * D = num(n)(zeta) mod p for every allowed d <= 24 and n <= 24.
 
     D = Phi'_2d(zeta)^floor(n/d) * prod over the other allowed d' <= n of
     Phi_2d'(zeta)^floor(n/d'), built here from the division-built Phi_2d
@@ -348,21 +348,20 @@ def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
     for d in allowed_parts(pclass, 24):
         phi = oracles.phi_by_division(2 * d)
         derivative = tuple(j * c for j, c in enumerate(phi))[1:]
-        for k in range(3):
-            p, zeta = cyclotomic.root_of_unity(d, k)
-            lc = pow(d * pow(zeta, d - 1, p), -1, p)
-            for n in range(25):
-                big_d = pow(_at_mod(derivative, zeta, p), n // d, p)
-                for e in allowed_parts(pclass, n):
-                    if e != d:
-                        big_d = big_d * pow(_at_mod(oracles.phi_by_division(2 * e), zeta, p), n // e, p) % p
-                assert big_d
-                got_p, got_zeta, lead = reduction.leading_coefficient(n, pclass, d, k)
-                assert (got_p, got_zeta) == (p, zeta)
-                num = reduction.num(n, pclass, "dp")
-                assert lead * big_d % p == _at_mod(num, zeta, p), (n, d, k)
-                # Lemma 4 inside the DP, which the pass computes but does not assume.
-                assert lead == pow(lc, n // d, p) * reduction.leading_coefficient(n % d, pclass, d, k)[2] % p
+        p, zeta = cyclotomic.root_of_unity(d)
+        lc = pow(d * pow(zeta, d - 1, p), -1, p)
+        for n in range(25):
+            big_d = pow(_at_mod(derivative, zeta, p), n // d, p)
+            for e in allowed_parts(pclass, n):
+                if e != d:
+                    big_d = big_d * pow(_at_mod(oracles.phi_by_division(2 * e), zeta, p), n // e, p) % p
+            assert big_d
+            got_p, got_zeta, lead = reduction.leading_coefficient(n, pclass, d)
+            assert (got_p, got_zeta) == (p, zeta)
+            num = reduction.num(n, pclass, "dp")
+            assert lead * big_d % p == _at_mod(num, zeta, p), (n, d)
+            # Lemma 4 inside the DP, which the pass computes but does not assume.
+            assert lead == pow(lc, n // d, p) * reduction.leading_coefficient(n % d, pclass, d)[2] % p
 
 
 def test_leading_coefficient_needs_an_allowed_part():
@@ -381,19 +380,29 @@ def test_leading_coefficient_needs_p_above_2n():
 
 
 def test_leading_coefficient_matches_the_full_recurrence():
-    """The cached block and lemma 4 against every cell of the full recurrence: n, d < 60, three primes."""
+    """The cached block and lemma 4 against every cell of the full recurrence: n, d < 60."""
     for pclass in CLASSES:
         for d in allowed_parts(pclass, 59):
-            for k in range(3):
-                p, zeta = cyclotomic.root_of_unity(d, k)
-                want = [(p, zeta, lead) for lead in oracles.leading_pass(pclass.allows, d, 59, p, zeta)]
-                assert [reduction.leading_coefficient(n, pclass, d, k) for n in range(60)] == want, (pclass, d, k)
+            p, zeta = cyclotomic.root_of_unity(d)
+            want = [(p, zeta, lead) for lead in oracles.leading_pass(pclass.allows, d, 59, p, zeta)]
+            assert [reduction.leading_coefficient(n, pclass, d) for n in range(60)] == want, (pclass, d)
 
 
-def test_leading_block_is_cached_once_per_prime():
+def test_leading_block_is_cached_once_per_class_and_d():
     reduction._leading_block.cache_clear()
-    for k in range(3):
+    keys = [(pclass, d) for pclass in (ORD, ODD) for d in (1, 3, 7)]
+    for pclass, d in keys:
         for n in range(40):
-            reduction.leading_coefficient(n, ORD, 7, k)
+            reduction.leading_coefficient(n, pclass, d)
     info = reduction._leading_block.cache_info()
-    assert (info.currsize, info.misses) == (3, 3)
+    assert (info.currsize, info.misses) == (len(keys), len(keys))
+    # The classes share p and zeta at each d but not their blocks.
+    assert reduction._leading_block(ORD, 7)[3] != reduction._leading_block(ODD, 7)[3]
+
+
+def test_leading_block_has_no_zero_entry():
+    # L(n) = c^floor(n/d) * L(n mod d) with c a unit, so a zero-free block
+    # certifies every n at that d: no such d ever takes the full route.
+    for pclass, top in ((ORD, 200), (BIN, 4096)):
+        for d in allowed_parts(pclass, top):
+            assert all(reduction._leading_block(pclass, d)[3]), (pclass, d)

@@ -132,9 +132,9 @@ def test_lemma4_reads_the_class_it_is_given(monkeypatch, engine):
         seen.add(pclass)
         return real_num(n, ORD, engine)
 
-    def leading_coefficient(n, pclass, d, k):
+    def leading_coefficient(n, pclass, d):
         seen.add(pclass)
-        return real_lead(n, ORD, d, k)
+        return real_lead(n, ORD, d)
 
     monkeypatch.setattr(reduction, "num", num)
     monkeypatch.setattr(reduction, "leading_coefficient", leading_coefficient)
@@ -197,17 +197,34 @@ def test_lemma4_decides_each_remainder_pair_once(monkeypatch):
 
 
 def test_irreducibility_witness_examples():
-    rec2 = verify.irreducibility_witness(2)
+    rec2 = verify.irreducibility_witness(2, ORD, "dp")
     assert rec2["content"] == 2
     assert rec2["verdict"] == "IrreducibleCertified"
     assert rec2["prime"] == 2
 
-    rec1 = verify.irreducibility_witness(1)
+    rec1 = verify.irreducibility_witness(1, ORD, "dp")
     assert rec1["verdict"] == "Inconclusive"
     assert rec1["detail"] == "degree <= 0"
 
-    rec4 = verify.irreducibility_witness(4)
+    rec4 = verify.irreducibility_witness(4, ORD, "dp")
     assert rec4["verdict"] in ("IrreducibleCertified", "Inconclusive")
+
+
+@pytest.mark.parametrize("engine", ["dp", "both"])
+def test_irreducibility_witness_reads_the_class_it_is_given(monkeypatch, engine):
+    # The stand-in records the class asked for and computes in the ordinary class,
+    # so the record must match the ordinary one.
+    seen = set()
+    real_num = reduction.num
+
+    def num(n, pclass, engine):
+        seen.add(pclass)
+        return real_num(n, ORD, engine)
+
+    want = verify._witness_check(6, ORD, engine)
+    monkeypatch.setattr(reduction, "num", num)
+    assert verify._witness_check(6, PartitionClass.ODD, engine) == want
+    assert seen == {PartitionClass.ODD}
 
 
 def test_irreducibility_report():
@@ -353,13 +370,13 @@ def test_checker_rejects_a_bad_certificate():
     assert oracles.certificate_problems(oracles.naive_mul(num, oracles.phi_by_division(6)), good)
 
 
-def _vanishing(monkeypatch, ds, primes):
-    """Make L vanish at the first `primes` primes for every d in ds."""
+def _vanishing(monkeypatch, ds):
+    """Make L vanish for every d in ds."""
     real = reduction.leading_coefficient
 
-    def vanishing(n, pclass, d, k=0):
-        p, zeta, lead = real(n, pclass, d, k)
-        return p, zeta, 0 if d in ds and k < primes else lead
+    def vanishing(n, pclass, d):
+        p, zeta, lead = real(n, pclass, d)
+        return p, zeta, 0 if d in ds else lead
 
     monkeypatch.setattr(reduction, "leading_coefficient", vanishing)
 
@@ -377,20 +394,8 @@ def _counting_num_star(monkeypatch):
     return calls
 
 
-def test_vanishing_first_prime_falls_back_to_the_next(monkeypatch):
-    _vanishing(monkeypatch, {2}, 1)
-    calls = _counting_num_star(monkeypatch)
-    report = verify.run("2", 6)
-    assert report.verdict == verify.ALL_HOLD
-    second = cyclotomic.root_of_unity(2, 1)
-    for w in report.witnesses:
-        assert w["full_route"] == []
-        assert [c[1:3] for c in w["certificates"] if c[0] == 2] == ([list(second)] if w["n"] >= 2 else [])
-    assert calls == []
-
-
 def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
-    _vanishing(monkeypatch, {2}, verify.CERTIFICATE_PRIMES)
+    _vanishing(monkeypatch, {2})
     calls = _counting_num_star(monkeypatch)
     try:
         report = verify.run("2", 6)
@@ -409,7 +414,7 @@ def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
 def test_full_route_reports_a_divisor(monkeypatch):
     # With no certificate for d = 2, the full remainder decides, and finds
     # the Phi_4 smuggled into num(4).
-    _vanishing(monkeypatch, {2}, verify.CERTIFICATE_PRIMES)
+    _vanishing(monkeypatch, {2})
     real = reduction.num
 
     def mutated(n, pclass, engine):
@@ -480,7 +485,7 @@ def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
     # Under "both" the certificate contradicts the remainder; under "dp",
     # with no certificate at all, the full remainder finds 1 + x^2.
     if engine == "dp":
-        _vanishing(monkeypatch, {1, 2, 4}, verify.CERTIFICATE_PRIMES)
+        _vanishing(monkeypatch, {1, 2, 4})
     real = reduction.num
 
     def mutated(n, pclass, engine):
@@ -545,3 +550,25 @@ def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
     assert report.has_engine_mismatch() == (engine == "both")
+
+
+def test_t_table_post_pass_reports_its_failures(monkeypatch):
+    # One wrong t(7) breaks the coin DP's agreement at m = 7, the block
+    # t(6) = t(7) = t(8) and the recurrence t(9) - t(7) = 4^3 t(3).
+    real = reduction.t_values
+
+    def shifted(top):
+        t = real(top)
+        if top >= 7:
+            t[7] += 1
+        return t
+
+    monkeypatch.setattr(reduction, "t_values", shifted)
+    report = verify.run("10", 4)
+    assert report.verdict == verify.FAILURES_FOUND
+    details = [(f["n"], f["detail"]) for f in report.failures]
+    assert len(details) == 3
+    assert details[0][0] == 7 and "coin DP" in details[0][1]
+    assert details[1][0] == 6 and "block at 6" in details[1][1]
+    assert details[2][0] == 3 and details[2][1].startswith("t(9)-t(7)")
+    assert 7 not in [w["n"] for w in report.witnesses]
