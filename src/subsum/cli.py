@@ -275,7 +275,7 @@ def cmd_verify(args) -> int:
     else:
         _emit("\n".join(_report_text(r) for r in reports), args.out)
 
-    bad = any(verify.CONJECTURES[r.conjecture_id].proved and r.failures for r in reports)
+    bad = any(r.verdict == verify.FAILURES_FOUND for r in reports)
     mismatch = any(r.has_engine_mismatch() for r in reports)
     return 1 if bad or mismatch else 0
 

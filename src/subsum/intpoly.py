@@ -216,8 +216,11 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
     reduction mod p and proves nothing over the integers.  For odd p a
     palindromic reduction of even degree is tested on half its degree
     (`_half_degree`); p = 2 and any other reduction go to Rabin's test
-    whole.
+    whole.  A modulus p that is not prime raises ValueError: GF(p) would
+    not be a field, and the test could certify a reducible polynomial.
     """
+    if _prime_divisors(p) != [p]:
+        raise ValueError(f"the modulus {p} is not prime")
     pp = primitive_part(a)
     if pp and pp[-1] % p == 0:
         raise BadPrimeError(f"{p} divides the leading coefficient")

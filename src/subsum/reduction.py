@@ -100,7 +100,8 @@ class InvalidPartitionError(ValueError):
 class EngineMismatchError(AssertionError):
     """Two routes disagree: the num* engines, or a certificate and the full remainder.
 
-    `fields` (such as d) locate the disagreement in its failure record.
+    `fields` (such as d, or an n finer than the check's) locate the
+    disagreement in its failure record.
     """
 
     def __init__(self, detail: str, **fields):

@@ -1,11 +1,10 @@
 """Executable checks for the proved theorems and the open shape conjectures.
 
 `CONJECTURES` is the registry: one entry per report id, holding the
-partition class, the lowest n, the per-n check, whether the statement
-is proved, and an optional post-pass over the whole sweep (conjecture
-10's t-table).  `run` is the one runner.  It validates the range, maps
-the check over n, turns engine disagreements into failure records, adds
-the post-pass failures and builds one ConjectureReport with enough
+partition class, the lowest n, the per-n check and whether the
+statement is proved.  `run` is the one runner.  It validates the range,
+maps the check over the n the report states, turns engine disagreements
+into failure records and builds one ConjectureReport with enough
 witness data to re-check any verdict by hand.  Proved statements (coprimality in the
 ordinary and binary classes, binary nondivisibility, the odd and
 ternary special values, the ternary recurrence, lemma 4) report
@@ -30,11 +29,12 @@ checks (conjectures 2, 5 and 7, lemma 4 at n) go through
 root of unity mod p and builds num only when that certificate vanishes;
 engine "both" also takes the full remainder for every d and compares
 the two.  Lemma 4 decides its n mod d side by the full remainder under
-either engine.  Conjecture 10 builds no num under "dp": it compares t(m)
-by a coin DP over 2^(m - length) with num_T(m,1) by the num* DP over
-the cofactors at x = 1 (`reduction.num_at_one`); under "both"
-`_t_value_check` also reads the full path's num_T(m) at 1 and raises
-EngineMismatchError unless it agrees.
+either engine.  Conjecture 10 checks one block m = 3n, 3n+1, 3n+2 per n
+and builds no num under "dp": it compares t(m) by a coin DP over
+2^(m - length) with num_T(m,1) by the num* DP over the cofactors at
+x = 1 (`reduction.num_at_one`); under "both" `_ternary_block_check`
+also reads the full path's num_T(m) at 1 and raises EngineMismatchError
+unless it agrees.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -83,6 +83,8 @@ def odd_part(m: int) -> int:
 
 def legendre_valuation(p: int, n: int) -> int:
     """v_p(n!) = sum of floor(n/p^a), Legendre's formula."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
     total = 0
@@ -207,45 +209,41 @@ def _ternary_minus_check(n: int, pclass: PartitionClass, engine: str) -> tuple[l
 # --- Conjecture 10: ternary partitions at x = 1 ---
 
 
-def _t_value_check(m: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """t(m) by the coin DP over 2^(m - length) equals num_T(m,1) by the num* DP over the cofactors at x = 1.
+def _ternary_block_check(k: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """Block k of t(m) = num_T(m,1): t(3k) = t(3k+1) = t(3k+2) and t(3k)-t(3k-2) = 4^k t(k).
 
-    Neither side builds num.  Engine "both" also builds the full path's
-    num_T(m) and raises EngineMismatchError unless its value at 1 agrees
-    with the DP at x = 1, as `_phi_2d_nondivides` compares a certificate
-    with the full remainder.
+    Each t(m) by the coin DP over 2^(m - length) (`reduction.t_values`)
+    must equal num_T(m,1) by the num* DP over the cofactors at x = 1;
+    neither side builds num.  Block 0 also checks t(1) = t(2) = 1.
+    Engine "both" also builds the full path's num_T(m) and raises
+    EngineMismatchError at n = m unless its value at 1 agrees with the
+    DP at x = 1, as `_phi_2d_nondivides` compares a certificate with the
+    full remainder.
     """
-    t = reduction.t_values(m)[m]
-    at_one = reduction.num_at_one(m, pclass)
-    if engine == "both":
-        full = intpoly.eval_at_int(reduction.num(m, pclass, engine), 1)
-        if full != at_one:
-            raise reduction.EngineMismatchError(f"num({m},1) = {full} by the full path != {at_one} by the DP at x = 1")
-    if t != at_one:
-        return [{"n": m, "detail": f"t({m}) = {t} by the coin DP != num_T({m},1) = {at_one}"}], []
-    return [], [{"n": m, "value": str(t)}]
-
-
-def _ternary_blocks(max_n: int) -> list[dict]:
-    """Post-pass on the t-table up to 3*max_n+2: block constancy and t(3n)-t(3n-2) = 4^n t(n).
-
-    t is read from `reduction.t_values`, the coin DP that the per-m check
-    also reads.
-    """
-    t = reduction.t_values(3 * max_n + 2)
-    failures = []
-    for m in range(0, max_n + 1):
-        triple = [t[3 * m], t[3 * m + 1], t[3 * m + 2]]
-        if len(set(triple)) != 1:
-            failures.append({"n": 3 * m, "detail": f"t block at {3 * m} not constant: {triple}"})
-    for m in range(1, max_n + 1):
-        lhs = t[3 * m] - t[3 * m - 2]
-        rhs = 4**m * t[m]
-        if lhs != rhs:
-            failures.append({"n": m, "detail": f"t({3 * m})-t({3 * m - 2}) = {lhs} != 4^{m}*t({m}) = {rhs}"})
-    if t[1] != 1 or t[2] != 1:
+    t = reduction.t_values(3 * k + 2)
+    failures, witnesses = [], []
+    for m in range(3 * k, 3 * k + 3):
+        at_one = reduction.num_at_one(m, pclass)
+        if engine == "both":
+            full = intpoly.eval_at_int(reduction.num(m, pclass, engine), 1)
+            if full != at_one:
+                raise reduction.EngineMismatchError(
+                    f"num({m},1) = {full} by the full path != {at_one} by the DP at x = 1", n=m
+                )
+        if t[m] != at_one:
+            failures.append({"n": m, "detail": f"t({m}) = {t[m]} by the coin DP != num_T({m},1) = {at_one}"})
+        else:
+            witnesses.append({"n": m, "value": str(t[m])})
+    block = t[3 * k : 3 * k + 3]
+    if len(set(block)) != 1:
+        failures.append({"n": 3 * k, "detail": f"t block at {3 * k} not constant: {block}"})
+    if k == 0 and t[1:3] != [1, 1]:
         failures.append({"n": 1, "detail": f"t(1),t(2) = {t[1]},{t[2]} != 1,1"})
-    return failures
+    if k >= 1:
+        lhs, rhs = t[3 * k] - t[3 * k - 2], 4**k * t[k]
+        if lhs != rhs:
+            failures.append({"n": k, "detail": f"t({3 * k})-t({3 * k - 2}) = {lhs} != 4^{k}*t({k}) = {rhs}"})
+    return failures, witnesses
 
 
 # --- Conjecture 3 (open): unimodality of the even part ---
@@ -407,10 +405,8 @@ def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[di
 class Conjecture(NamedTuple):
     """Everything `run` needs to produce one report.
 
-    `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, or
-    up to span*(max_n+1) - 1 when the post-pass needs more values than
-    the reported range.  `post(max_n)` then runs once after the sweep
-    and returns more failures.  `builds_num` is false for a check that
+    `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, the
+    range the report states.  `builds_num` is false for a check that
     reads only den, so that no engine applies to it.
     """
 
@@ -419,8 +415,6 @@ class Conjecture(NamedTuple):
     lowest_n: int
     check: Callable
     proved: bool
-    post: Callable[[int], list[dict]] | None = None
-    span: int = 1
     builds_num: bool = True
 
 
@@ -436,7 +430,7 @@ CONJECTURES: dict[str, Conjecture] = {
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
         Conjecture("8", PartitionClass.ODD, 1, _odd_value_check, proved=True),
         Conjecture("9", PartitionClass.TERNARY, 1, _ternary_minus_check, proved=True),
-        Conjecture("10", PartitionClass.TERNARY, 0, _t_value_check, proved=True, post=_ternary_blocks, span=3),
+        Conjecture("10", PartitionClass.TERNARY, 0, _ternary_block_check, proved=True),
         Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True),
     )
 }
@@ -460,7 +454,7 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
     check = partial(_guarded, entry.check, entry.pclass, engine)
-    ns = range(entry.lowest_n, entry.span * (max_n + 1))
+    ns = range(entry.lowest_n, max_n + 1)
     workers = _workers(jobs, len(ns))
     if workers == 1:
         results = [check(n) for n in ns]
@@ -473,8 +467,6 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
             results = list(pool.map(check, ns, chunksize=max(1, len(ns) // (4 * workers))))
     failures = [f for fs, _ in results for f in fs]
     witnesses = [w for _, ws in results for w in ws]
-    if entry.post is not None:
-        failures += entry.post(max_n)
     verdict = (FAILURES_FOUND if failures else ALL_HOLD) if entry.proved else WITNESS_ONLY
     elapsed = time.perf_counter() - start
     return ConjectureReport(entry.cid, (entry.lowest_n, max_n), verdict, failures, witnesses, elapsed)
@@ -483,6 +475,7 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
 def _guarded(check, pclass: PartitionClass, engine: str, n: int) -> tuple[list[dict], list[dict]]:
     # An engine disagreement is a failure record, not an exception: the
     # report and the CLI exit code must carry it, and the sweep goes on.
+    # A field n (an m of conjecture 10's block) overrides the check's n.
     try:
         return check(n, pclass, engine)
     except reduction.EngineMismatchError as exc:

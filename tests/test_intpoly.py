@@ -345,6 +345,17 @@ def test_irreducible_mod_p_bad_prime():
         intpoly.irreducible_mod_p((1, 3), 3)
 
 
+@pytest.mark.parametrize("p", [4, 6, 9, 1, 0, -3])
+def test_irreducible_mod_p_rejects_a_modulus_that_is_not_prime(p):
+    # Mod 4 the Rabin test once certified this product of two cubics.
+    f = oracles.naive_mul((-1, 3, 2, 1), (1, 0, -3, 1))
+    assert f == (-1, 3, 5, -9, -3, -1, 1)
+    with pytest.raises(ValueError, match="not prime") as caught:
+        intpoly.irreducible_mod_p(f, p)
+    # BadPrimeError is a ValueError too, but the witness loop skips it.
+    assert not isinstance(caught.value, BadPrimeError)
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=5),
     st.sampled_from([2, 3, 5, 7, 11, 13]),

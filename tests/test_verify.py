@@ -24,6 +24,12 @@ def test_legendre_valuation():
     assert verify.odd_part(math.factorial(4)) == 3
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_legendre_valuation_rejects_p_below_2(p):
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        verify.legendre_valuation(p, 5)
+
+
 def test_odd_factorial_part_two_ways():
     for n in range(0, 21):
         via_valuations = verify.odd_factorial_part(n)
@@ -246,8 +252,8 @@ def test_reports_reproducible():
 
 @pytest.mark.parametrize("cid", list(verify.CONJECTURES))
 def test_jobs_parallel_matches_serial(cid):
-    # Post-passes run in the parent after the merge, lemma 4's caches are
-    # per worker, and a check must stay picklable to reach the pool.
+    # Conjecture 10 reads a t-table per block, lemma 4's caches are per
+    # worker, and a check must stay picklable to reach the pool.
     serial = verify.run(cid, 12, jobs=1)
     parallel = verify.run(cid, 12, jobs=2)
     assert serial.witnesses == parallel.witnesses
@@ -543,16 +549,19 @@ def test_x1_route_mutation_fails_conjecture_10(monkeypatch, mutation):
 @pytest.mark.parametrize("engine, kind", [("both", "engine-mismatch"), ("dp", None)])
 def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
     # Under "both" the full path's num_T(5,1) catches the patched route
-    # before the coin DP does; under "dp" the coin DP catches it.
+    # before the coin DP does, and the mismatch drops the rest of the block
+    # 3, 4, 5; under "dp" the coin DP catches it and drops m = 5 alone.
     real = reduction.num_at_one
     monkeypatch.setattr(reduction, "num_at_one", lambda n, pclass: real(n, pclass) + 2 * (n == 5))
     report = verify.run("10", 3, engine=engine)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
     assert report.has_engine_mismatch() == (engine == "both")
+    kept = [0, 1, 2] if engine == "both" else [0, 1, 2, 3, 4]
+    assert [w["n"] for w in report.witnesses] == kept + list(range(6, 12))
 
 
-def test_t_table_post_pass_reports_its_failures(monkeypatch):
+def test_t_block_check_reports_its_failures(monkeypatch):
     # One wrong t(7) breaks the coin DP's agreement at m = 7, the block
     # t(6) = t(7) = t(8) and the recurrence t(9) - t(7) = 4^3 t(3).
     real = reduction.t_values
@@ -572,3 +581,26 @@ def test_t_table_post_pass_reports_its_failures(monkeypatch):
     assert details[1][0] == 6 and "block at 6" in details[1][1]
     assert details[2][0] == 3 and details[2][1].startswith("t(9)-t(7)")
     assert 7 not in [w["n"] for w in report.witnesses]
+
+
+def test_t_block_check_reports_t1_t2(monkeypatch):
+    # A wrong t(1) breaks the coin DP's agreement at m = 1, the block
+    # t(0) = t(1) = t(2), t(1) = t(2) = 1 and, in block 1, the recurrence
+    # t(3) - t(1) = 4 t(1); the failures come block by block.
+    real = reduction.t_values
+
+    def shifted(top):
+        t = real(top)
+        t[1] += 1
+        return t
+
+    monkeypatch.setattr(reduction, "t_values", shifted)
+    report = verify.run("10", 2)
+    assert report.verdict == verify.FAILURES_FOUND
+    assert [(f["n"], f["detail"]) for f in report.failures] == [
+        (1, "t(1) = 2 by the coin DP != num_T(1,1) = 1"),
+        (0, "t block at 0 not constant: [1, 2, 1]"),
+        (1, "t(1),t(2) = 2,1 != 1,1"),
+        (1, "t(3)-t(1) = 3 != 4^1*t(1) = 8"),
+    ]
+    assert [w["n"] for w in report.witnesses] == [0, 2, 3, 4, 5, 6, 7, 8]
