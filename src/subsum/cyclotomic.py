@@ -14,9 +14,9 @@ of d,
     Phi_{2d} = prod over e | d' of (1 + x^(d/e))^mu(e),
 
 so a cyclotomic exponent vector is a binomial product with signed
-exponents (`binomial_exponents`), the one place that codes Phi:
-`phi_2d(d)` is the expansion of {d: 1}.  Expanding one, and dividing by
-one, are then shift-adds on a single packed integer.  At X = 2^w,
+exponents (`binomial_exponents`), the one place that codes Phi.  For
+den and G, the products expanded and divided by, they are all >= 0, so
+either is shift-adds on a single packed integer.  At X = 2^w,
 multiplying by 1 + X^j is A + (A << w*j).  Modulo X^M, dividing by it
 is A <- A - (A << w*j) followed by A <- A + (A << w*j*2^k) for each
 k >= 1 with j*2^k < M, because
@@ -30,15 +30,15 @@ product of two large integers and no long division is involved: even
 the check that confirms a quotient's digit width multiplies back by
 shift-adds (`_divide`).
 
-Divisibility by Phi_{2d} is decided by exact integer remainders, or
-certified at a root of unity in a prime field (`root_of_unity` picks
-the field and the root), never by evaluating at complex points.
+Divisibility by Phi_{2d} is decided by integer folds (`phi_2d_divides`),
+which expand no Phi, or certified at a root of unity in a prime field
+(`root_of_unity` picks the field and the root), never by evaluating at
+complex points.  Nothing here is cached.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import intpoly
@@ -48,26 +48,46 @@ BinomialProduct = Mapping[int, int]
 CycloExponents = Mapping[int, int]
 
 
-@lru_cache(maxsize=None)
-def phi_2d(d: int) -> IntPoly:
-    """The cyclotomic polynomial Phi_{2d}, for d >= 1: `expand_cyclotomics({d: 1})`.
+def phi_2d_divides(a: Sequence[int], d: int) -> bool:
+    """Whether Phi_{2d} divides a, for d >= 1, by integer folds; no Phi is expanded.
 
-    Memoized per process; the cache is safe under concurrent readers
-    (lru_cache takes its own lock, and entries are immutable).
+    Phi_{2d} divides x^d + 1, so it divides a exactly when it divides
+    f = a mod (x^d + 1) (`_fold`).  With R the product of d's odd primes,
+    let T_k, for k | R, be f mod (x^(d/k) + 1) laid out k times with
+    alternating signs; then Phi_{2d} | a exactly when
+    S = sum over k | R of mu(k) (R/k) T_k is zero.  Proof: modulo
+    x^d + 1, T_k = f * s_k with s_k = sum over j < k of (-x^(d/k))^j, as
+    k is odd and (1 + x^(d/k)) s_k = 1 + x^d.  A root zeta of x^d + 1
+    has order 2d/e for an odd e | d, and s_k(zeta) is k when k | e
+    (zeta^(d/k) = -1) and 0 otherwise.  So S(zeta) = R f(zeta) * (sum
+    over k | gcd(R, e) of mu(k)), which is R f(zeta) on the roots of
+    Phi_{2d} (e = 1) and 0 on the others.  As deg S < d and x^d + 1 has
+    d simple roots, S = 0 exactly when f vanishes on the roots of
+    Phi_{2d}, that is, when Phi_{2d} divides f.
     """
-    return expand_cyclotomics({d: 1})
+    f = _fold(a, d)
+    divisors = _odd_squarefree_divisors(d)
+    r = divisors[-1][0]
+    total = [0] * d
+    for k, mu in divisors:
+        g = [mu * (r // k) * c for c in _fold(f, d // k)]
+        t = (g + [-c for c in g]) * (k // 2) + g
+        total = [s + c for s, c in zip(total, t)]
+    return not any(total)
 
 
-def remainder_mod_phi_2d(a: Sequence[int], d: int) -> IntPoly:
-    """a mod Phi_{2d}, through a mod (x^d + 1), which Phi_{2d} divides.
+def _fold(a: Sequence[int], m: int) -> list[int]:
+    """a mod (x^m + 1): x^(q*m + j) is (-1)^q x^j, so an O(len a) fold with alternating signs."""
+    step = 2 * m
+    return [sum(a[j::step]) - sum(a[j + m :: step]) for j in range(m)]
 
-    Modulo x^d + 1, x^(q*d + j) is (-1)^q x^j, so the first reduction is
-    an O(deg a) fold with alternating signs; only a polynomial of degree
-    below d is then divided by Phi_{2d}.
-    """
-    step = 2 * d
-    folded = [sum(a[j::step]) - sum(a[j + d :: step]) for j in range(d)]
-    return intpoly.remainder_mod_monic(folded, phi_2d(d))
+
+def _odd_squarefree_divisors(d: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for the squarefree divisors e of d's odd part: 1 first, the product of d's odd primes last."""
+    out = [(1, 1)]
+    for q in intpoly._prime_divisors(d >> ((d & -d).bit_length() - 1)):
+        out += [(e * q, -mu) for e, mu in out]
+    return out
 
 
 # Certificate primes lie above this floor, far above twice any n a run
@@ -117,10 +137,7 @@ def binomial_exponents(c: CycloExponents) -> dict[int, int]:
     for d, k in c.items():
         if k < 0:
             raise ValueError("negative exponent in cyclotomic product")
-        divisors = [(1, 1)]  # (e, mu(e)) for the squarefree divisors e of d's odd part
-        for q in intpoly._prime_divisors(d >> ((d & -d).bit_length() - 1)):
-            divisors += [(e * q, -mu) for e, mu in divisors]
-        for e, mu in divisors:
+        for e, mu in _odd_squarefree_divisors(d):
             out[d // e] = out.get(d // e, 0) + mu * k
     return {j: e for j, e in out.items() if e}
 
@@ -146,29 +163,29 @@ def _shift_adds(value: int, f: BinomialProduct, shift: int) -> int:
 
 
 def expand_cyclotomics(c: CycloExponents) -> IntPoly:
-    """Expand prod Phi_{2d}^e_d; the empty product is 1.
+    """Expand prod Phi_{2d}^e_d as the binomial product {j: E_j}; the empty product is 1.
 
-    The binomials with E_j > 0 are expanded (`expand_binomials`), and
-    those with E_j < 0, if any, divided out (see `divide_cyclotomics`).
-    Phi_{2d} alone has some whenever d has an odd prime factor
-    (Phi_6 = (1+x^3)/(1+x)).  den and G have none.  den's E_j
-    (`binomial_exponents`) counts the k <= n/j that are powers of 2 in
-    the ordinary and odd classes, and is floor(n/j) in the binary class
-    and floor(n/j) - floor(n/3j) in the ternary class: never more than
-    den*'s floor(n/j), so G = den*/den has E_j >= 0 too.
+    ValueError when some E_j < 0 (`expand_binomials`), as for Phi_{2d}
+    alone whenever d has an odd prime factor (Phi_6 = (1+x^3)/(1+x)).
+    den and G have none.  den's E_j (`binomial_exponents`) counts the
+    k <= n/j that are powers of 2 in the ordinary and odd classes, and
+    is floor(n/j) in the binary class and floor(n/j) - floor(n/3j) in
+    the ternary class: never more than den*'s floor(n/j), so G = den*/den
+    has E_j >= 0 too.
     """
-    exps = binomial_exponents(c)
-    up = expand_binomials({j: e for j, e in exps.items() if e > 0})
-    return _divide(up, {j: -e for j, e in exps.items() if e < 0})
+    return expand_binomials(binomial_exponents(c))
 
 
 def divide_cyclotomics(a: Sequence[int], c: CycloExponents) -> IntPoly:
-    """The q with q * prod Phi_{2d}^c_d == a, or NotDivisibleError; the pipeline's num = num*/G."""
-    return _divide(intpoly.normalize(a), binomial_exponents(c))
+    """num = num*/G: the q with q * prod Phi_{2d}^c_d == a, or NotDivisibleError; ValueError if some E_j < 0."""
+    exps = binomial_exponents(c)
+    if any(e < 0 for e in exps.values()):
+        raise ValueError("divisor is not a product of binomials")
+    return _divide(intpoly.normalize(a), exps)
 
 
 def _divide(a: IntPoly, exps: BinomialProduct) -> IntPoly:
-    """a / prod (1+x^j)^exps[j], exps signed, or NotDivisibleError.
+    """a / prod (1+x^j)^exps[j], every exps[j] >= 0, or NotDivisibleError.
 
     The quotient q has M = len(a) - (sum of j * exps[j]) coefficients,
     computed mod X^M on packed integers (`_packed_quotient`).  Every
@@ -207,25 +224,20 @@ def _divide(a: IntPoly, exps: BinomialProduct) -> IntPoly:
 
 
 def _times_binomials(q: IntPoly, exps: BinomialProduct, a: IntPoly) -> bool:
-    """Whether q * prod (1+x^j)^exps[j] == a, exps signed, by shift-adds.
+    """Whether q * prod (1+x^j)^exps[j] == a, every exps[j] >= 0, by shift-adds.
 
-    Both q * prod over exps[j] > 0 and a * prod over exps[j] < 0 are
-    evaluated exactly at X = 2^w.  A product with a binomial product
-    of nonnegative exponents e_j has coefficients at most 2^(sum e_j)
-    times the factor's largest, so w is wide enough for both sides to
-    hold every coefficient as a balanced digit, and the two values are
-    equal exactly when the polynomials are.
+    The product is evaluated exactly at X = 2^w.  Its coefficients are
+    at most 2^(sum of exps) times q's largest, so w is wide enough for
+    it and for a to hold every coefficient as a balanced digit, and the
+    two values are equal exactly when the polynomials are.
     """
-    up = {j: e for j, e in exps.items() if e > 0}
-    down = {j: -e for j, e in exps.items() if e < 0}
-    bound = max(max(max(q), -min(q)) << sum(up.values()), max(max(a), -min(a)) << sum(down.values()))
+    bound = max(max(max(q), -min(q)) << sum(exps.values()), max(a), -min(a))
     width = intpoly.unpack_width(2 * bound)
-    lhs = _shift_adds(intpoly._pack(q, width), up, 8 * width)
-    return lhs == _shift_adds(intpoly._pack(a, width), down, 8 * width)
+    return _shift_adds(intpoly._pack(q, width), exps, 8 * width) == intpoly._pack(a, width)
 
 
 def _packed_quotient(a: Sequence[int], exps: BinomialProduct, width: int) -> list[int]:
-    """a / prod (1+X^j)^exps[j] mod X^len(a), exps signed, at X = 2^(8*width): len(a) balanced digits.
+    """a / prod (1+X^j)^exps[j] mod X^len(a), every exps[j] >= 0, at X = 2^(8*width): len(a) balanced digits.
 
     1/(1+X^j) = (1-X^j)/(1-X^(2j)) turns the divisor into
     prod (1-X^t)^(-alpha_t) with alpha_t = exps[t] - exps[t/2], so each

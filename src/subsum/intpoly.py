@@ -44,10 +44,6 @@ class NotDivisibleError(ArithmeticError):
     """Exact division was requested but the remainder is nonzero."""
 
 
-class NotMonicError(ValueError):
-    """The modulus of a remainder computation is not monic."""
-
-
 class NegativeCoefficientError(ValueError):
     """Log-concavity is only defined for nonnegative coefficient sequences."""
 
@@ -138,23 +134,6 @@ def eval_at_int(a: Sequence[int], x0):
     for c in reversed(a):
         acc = acc * x0 + c
     return acc
-
-
-def remainder_mod_monic(a: Sequence[int], m: Sequence[int]) -> IntPoly:
-    """a mod m for monic m of degree >= 1, over the integers, by schoolbook elimination."""
-    m = normalize(m)
-    if len(m) < 2 or m[-1] != 1:
-        raise NotMonicError("modulus must be monic of degree >= 1")
-    r = list(normalize(a))
-    *low, _ = m
-    dm = len(low)
-    for k in range(len(r) - dm - 1, -1, -1):
-        c = r[k + dm]
-        if c:
-            # The r[k + dm] term cancels; it is left unwritten because only r[:dm] is returned.
-            for j, mj in enumerate(low):
-                r[k + j] -= c * mj
-    return normalize(r[:dm])
 
 
 def content(a: Sequence[int]) -> int:

@@ -98,7 +98,7 @@ class InvalidPartitionError(ValueError):
 
 
 class EngineMismatchError(AssertionError):
-    """Two routes disagree: the num* engines, or a certificate and the full remainder.
+    """Two routes disagree: the num* engines, or a certificate and the full test.
 
     `fields` (such as d, or an n finer than the check's) locate the
     disagreement in its failure record.

@@ -27,8 +27,8 @@ route is compared with the full path.  The Phi_{2d}-nondivisibility
 checks (conjectures 2, 5 and 7, lemma 4 at n) go through
 `_phi_2d_nondivides`: engine "dp" decides each d by a certificate at a
 root of unity mod p and builds num only when that certificate vanishes;
-engine "both" also takes the full remainder for every d and compares
-the two.  Lemma 4 decides its n mod d side by the full remainder under
+engine "both" also takes the full test of num for every d and compares
+the two.  Lemma 4 decides its n mod d side by the full test under
 either engine.  Conjecture 10 checks one block m = 3n, 3n+1, 3n+2 per n
 and builds no num under "dp": it compares t(m) by a coin DP over
 2^(m - length) with num_T(m,1) by the num* DP over the cofactors at
@@ -110,17 +110,17 @@ def _phi_2d_nondivides(n: int, pclass: PartitionClass, d: int, engine: str) -> t
     unity zeta of order 2d mod p, one p per d
     (`reduction.leading_coefficient`); L != 0 proves nondivisibility.
     Engine "dp" returns that certificate and, when L = 0, decides by the
-    full remainder of num mod Phi_{2d}, returning no certificate.
-    Engine "both" always takes the full remainder, which decides; it
-    raises EngineMismatchError when the certificate proves a
-    nondivisibility that the remainder denies.  Every d is decided one
+    full test, `cyclotomic.phi_2d_divides` on num, returning no
+    certificate.  Engine "both" always takes the full test, which
+    decides; it raises EngineMismatchError when the certificate proves a
+    nondivisibility that the full test denies.  Every d is decided one
     way or the other.
     """
     p, zeta, lead = reduction.leading_coefficient(n, pclass, d)
     certificate = [d, p, zeta, lead] if lead else None
     if certificate is not None and engine == "dp":
         return True, certificate
-    nondiv = bool(cyclotomic.remainder_mod_phi_2d(reduction.num(n, pclass, engine), d))
+    nondiv = not cyclotomic.phi_2d_divides(reduction.num(n, pclass, engine), d)
     if certificate is not None and not nondiv:
         raise reduction.EngineMismatchError(
             f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
@@ -152,8 +152,8 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
     """gcd(num, den) = 1: no Phi_{2d} from den divides num.
 
     den is a product of factors Phi_{2d}, each irreducible, monic and of
-    constant term 1 (`cyclotomic.phi_2d` divides monic binomials by
-    monic binomials).  By Gauss's lemma den then has content 1, so num
+    constant term 1 (Phi_{2d} is a quotient of products of the binomials
+    1 + x^j, by the Moebius form in `cyclotomic`).  By Gauss's lemma den then has content 1, so num
     and den are coprime exactly when none of its Phi_{2d} divides num.
     den is never expanded, and no Phi_{2d} is built.
     """
@@ -218,7 +218,7 @@ def _ternary_block_check(k: int, pclass: PartitionClass, engine: str) -> tuple[l
     Engine "both" also builds the full path's num_T(m) and raises
     EngineMismatchError at n = m unless its value at 1 agrees with the
     DP at x = 1, as `_phi_2d_nondivides` compares a certificate with the
-    full remainder.
+    full test.
     """
     t = reduction.t_values(3 * k + 2)
     failures, witnesses = [], []
@@ -327,11 +327,12 @@ def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[li
 
 @lru_cache(maxsize=None)
 def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str) -> bool:
-    """Whether Phi_{2d} does not divide num(r) of the class, r < d, by the full remainder.
+    """Whether Phi_{2d} does not divide num(r) of the class, r < d, by the full test.
 
-    This is lemma 4's r side.  It takes the full remainder under either
-    engine: the certificate at r reads the same cached block entry L(r)
-    that L(n) = c^floor(n/d) * L(r) is built from (see
+    This is lemma 4's r side.  It takes the full test,
+    `cyclotomic.phi_2d_divides` on num(r), under either engine: the
+    certificate at r reads the same cached block entry L(r) that
+    L(n) = c^floor(n/d) * L(r) is built from (see
     `reduction.leading_coefficient`), so it could not disagree with the
     n side.  r = 0 uses num(0,x) = 1, which no Phi divides, so lemma 4
     then degenerates to nondivisibility at n alone; the equivalence is
@@ -340,7 +341,7 @@ def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str
     holds at most N(N+1)/2 booleans per (class, engine), keyed on
     r < d <= N.
     """
-    return bool(cyclotomic.remainder_mod_phi_2d(reduction.num(r, pclass, engine), d))
+    return not cyclotomic.phi_2d_divides(reduction.num(r, pclass, engine), d)
 
 
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:

@@ -9,9 +9,9 @@ beyond its reach, from Rabin's test on the whole reduction, gcds in Z[x]
 from pseudo-remainder Euclid on naively expanded products, G from
 the entrywise-minimum cyclotomic exponents of every cofactor, the
 root-of-unity certificates from first principles, t(n) from a
-listing of the ternary partitions, quotients by schoolbook long
-division, and Phi_m by dividing x^m - 1 by every Phi_d over the proper
-divisors d of m.
+listing of the ternary partitions, quotients and remainders by
+schoolbook long division, and Phi_m by dividing x^m - 1 by every Phi_d
+over the proper divisors d of m.
 """
 
 import math
@@ -87,6 +87,27 @@ def exact_div(a, b):
     if any(r):
         raise ArithmeticError("nonzero remainder")
     return _strip(q)
+
+
+class NotMonicError(ValueError):
+    """The modulus of a remainder computation is not monic."""
+
+
+def remainder_mod_monic(a, m):
+    """a mod m for monic m of degree >= 1, over the integers, by schoolbook elimination."""
+    m = _strip(m)
+    if len(m) < 2 or m[-1] != 1:
+        raise NotMonicError("modulus must be monic of degree >= 1")
+    r = list(_strip(a))
+    *low, _ = m
+    dm = len(low)
+    for k in range(len(r) - dm - 1, -1, -1):
+        c = r[k + dm]
+        if c:
+            # The r[k + dm] term cancels; it is left unwritten because only r[:dm] is returned.
+            for j, mj in enumerate(low):
+                r[k + j] -= c * mj
+    return _strip(r[:dm])
 
 
 @lru_cache(maxsize=None)

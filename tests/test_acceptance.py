@@ -141,20 +141,21 @@ def test_criterion_10_cyclotomic_suite():
     started = time.perf_counter()
     # 1 + x^m is the product of the Phi_2d over the d with m/d odd.
     for m in range(1, 201):
-        product = (1,)
+        product, c = (1,), {}
         for d in range(1, m + 1):
             if m % d == 0 and (m // d) % 2:
-                product = oracles.naive_mul(product, cyclotomic.phi_2d(d))
+                product = oracles.naive_mul(product, oracles.phi_by_division(2 * d))
+                c[d] = 1
         assert product == oracles.binom_poly(m), m
+        assert cyclotomic.binomial_exponents(c) == {m: 1}, m
     for i in range(1, 41):
         factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 41):
             says = d in factors
-            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), cyclotomic.phi_2d(d))
-            assert says == (rem == ()), (d, i)
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(9), -1) == 3  # Phi_18(-1) = Phi_9(1)
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), -1) == 3
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), 1) == 1
+            assert says == cyclotomic.phi_2d_divides(oracles.binom_poly(i), d), (d, i)
+    assert intpoly.eval_at_int(oracles.phi_by_division(18), -1) == 3  # Phi_18(-1) = Phi_9(1)
+    assert intpoly.eval_at_int(oracles.phi_by_division(6), -1) == 3
+    assert intpoly.eval_at_int(oracles.phi_by_division(6), 1) == 1
     _stamp(10, "divisor products, Lemma-1 predicate, closed values", started, 30.0)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,11 @@ import oracles
 
 
 def test_phi_small_values():
-    assert cyclotomic.phi_2d(1) == (1, 1)
-    assert cyclotomic.phi_2d(2) == (1, 0, 1)
-    assert cyclotomic.phi_2d(3) == (1, -1, 1)
-    assert cyclotomic.phi_2d(6) == (1, 0, -1, 0, 1)
-    assert cyclotomic.phi_2d(15) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+    assert oracles.phi_by_division(2) == (1, 1)
+    assert oracles.phi_by_division(4) == (1, 0, 1)
+    assert oracles.phi_by_division(6) == (1, -1, 1)
+    assert oracles.phi_by_division(12) == (1, 0, -1, 0, 1)
+    assert oracles.phi_by_division(30) == (1, 1, 0, -1, -1, -1, 0, 1, 1)
 
 
 def test_phi_product_over_divisors_is_xm_minus_1():
@@ -23,19 +25,24 @@ def test_phi_product_over_divisors_is_xm_minus_1():
         product = (1,)
         for d in range(1, m + 1):
             if m % d == 0 and (m // d) % 2:
-                product = oracles.naive_mul(product, cyclotomic.phi_2d(d))
+                product = oracles.naive_mul(product, oracles.phi_by_division(2 * d))
         assert product == oracles.binom_poly(m), m
 
 
 def test_phi_by_moebius_products_matches_division_oracle():
+    # Phi_2d = prod (1 + x^j)^E_j (`binomial_exponents`): Phi_2d times the
+    # binomials with E_j < 0 is the product of those with E_j > 0.
     for d in range(1, 401):
-        assert cyclotomic.phi_2d(d) == oracles.phi_by_division(2 * d), d
+        exps = cyclotomic.binomial_exponents({d: 1})
+        up = cyclotomic.expand_binomials({j: e for j, e in exps.items() if e > 0})
+        down = cyclotomic.expand_binomials({j: -e for j, e in exps.items() if e < 0})
+        assert oracles.naive_mul(oracles.phi_by_division(2 * d), down) == up, d
 
 
 def test_phi_monic_with_totient_degree():
     totients = oracles.totient_sieve(200)
     for d in range(1, 101):
-        p = cyclotomic.phi_2d(d)
+        p = oracles.phi_by_division(2 * d)
         assert p[-1] == 1
         assert len(p) - 1 == totients[2 * d]
 
@@ -53,13 +60,13 @@ def test_binomial_cyclo_divides_matches_remainders():
     for i in range(1, 21):
         factors = oracles.cyclo_exponents({i: 1})
         for d in range(1, 21):
-            rem = intpoly.remainder_mod_monic(oracles.binom_poly(i), oracles.phi_by_division(2 * d))
+            rem = oracles.remainder_mod_monic(oracles.binom_poly(i), oracles.phi_by_division(2 * d))
             assert (d in factors) == (rem == ()), (d, i)
             if d in factors:
                 assert factors[d] == 1, (d, i)
                 # multiplicity exactly one: the quotient is no longer divisible
                 q = oracles.exact_div(oracles.binom_poly(i), oracles.phi_by_division(2 * d))
-                assert intpoly.remainder_mod_monic(q, oracles.phi_by_division(2 * d)) != ()
+                assert oracles.remainder_mod_monic(q, oracles.phi_by_division(2 * d)) != ()
 
 
 def _prime_power_base(m):
@@ -72,21 +79,21 @@ def _prime_power_base(m):
 
 def test_phi_at_one_closed_form():
     """Phi_m(1), m > 1, is q when m is a power of the prime q, else 1; for m = 2d, 2 or 1."""
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), 1) == 1
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(1), 1) == 2
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(64), 1) == 2
+    assert intpoly.eval_at_int(oracles.phi_by_division(6), 1) == 1
+    assert intpoly.eval_at_int(oracles.phi_by_division(2), 1) == 2
+    assert intpoly.eval_at_int(oracles.phi_by_division(128), 1) == 2
     for d in range(1, 101):
         q = _prime_power_base(2 * d)
-        assert intpoly.eval_at_int(cyclotomic.phi_2d(d), 1) == (q or 1), d
+        assert intpoly.eval_at_int(oracles.phi_by_division(2 * d), 1) == (q or 1), d
 
 
 def test_phi_at_minus_one():
     """Phi_m(-1), m > 2, is 2 when m is a power of 2, q when m = 2 q^a for
     an odd prime q, else 1."""
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(3), -1) == 3
-    assert intpoly.eval_at_int(cyclotomic.phi_2d(125), -1) == 5
+    assert intpoly.eval_at_int(oracles.phi_by_division(6), -1) == 3
+    assert intpoly.eval_at_int(oracles.phi_by_division(250), -1) == 5
     for a in range(1, 4):
-        assert intpoly.eval_at_int(cyclotomic.phi_2d(3**a), -1) == 3
+        assert intpoly.eval_at_int(oracles.phi_by_division(2 * 3**a), -1) == 3
     for d in range(2, 101):
         m = 2 * d
         if _prime_power_base(m) == 2:
@@ -95,7 +102,7 @@ def test_phi_at_minus_one():
             want = _prime_power_base(m // 2) or 1
         else:
             want = 1
-        assert intpoly.eval_at_int(cyclotomic.phi_2d(d), -1) == want, d
+        assert intpoly.eval_at_int(oracles.phi_by_division(2 * d), -1) == want, d
 
 
 def test_expand_binomials_examples():
@@ -172,7 +179,7 @@ def test_den_and_g_expand_to_products_of_oracle_phi(pclass):
             assert cyclotomic.expand_cyclotomics(c) == oracles.expand_phi_product(c), (pclass, n)
 
 
-cyclo_vectors = st.dictionaries(
+binomial_divisors = st.dictionaries(
     st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=3), max_size=4
 )
 signed_polys = st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=12).filter(
@@ -180,13 +187,14 @@ signed_polys = st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_si
 )
 
 
-@given(signed_polys, cyclo_vectors, st.booleans())
+@given(signed_polys, binomial_divisors, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_packed_quotient_matches_schoolbook(q, c, palindromic):
-    # Random divisible inputs, palindromic or not.
+def test_packed_quotient_matches_schoolbook(q, f, palindromic):
+    # Random divisible inputs, palindromic or not, over a divisor that is a binomial product.
     if palindromic:
         q = q + q[-2::-1]
     q = intpoly.normalize(q)
+    c = oracles.cyclo_exponents(f)
     divisor = cyclotomic.expand_cyclotomics(c)
     a = oracles.naive_mul(q, divisor)
     assert cyclotomic.divide_cyclotomics(a, c) == q == oracles.exact_div(a, divisor)
@@ -217,14 +225,35 @@ def test_divide_cyclotomics_edges():
         cyclotomic.divide_cyclotomics((1, 1), {1: 2})
 
 
-def test_remainder_mod_phi_2d_matches_direct_remainder():
-    # Folding through x^d + 1 must leave the remainder mod Phi_2d unchanged.
-    for pclass in (PartitionClass.ORDINARY, PartitionClass.BINARY):
-        for n in range(1, 17):
+@pytest.mark.parametrize("c", [{3: 1}, {15: 1}])
+def test_non_binomial_divisors_are_refused(c):
+    # Phi_6 = (1+x^3)/(1+x) and Phi_30 have binomial exponents below zero.
+    with pytest.raises(ValueError):
+        cyclotomic.expand_cyclotomics(c)
+    with pytest.raises(ValueError):
+        cyclotomic.divide_cyclotomics(oracles.phi_by_division(2 * min(c)), c)
+
+
+def test_phi_2d_divides_matches_direct_remainder():
+    # The folds decide divisibility exactly as the schoolbook remainder mod Phi_2d does.
+    for pclass in PartitionClass:
+        for n in range(0, 25):
             num = reduction.num(n, pclass, "dp")
-            for d in range(1, n + 1):
-                want = intpoly.remainder_mod_monic(num, oracles.phi_by_division(2 * d))
-                assert cyclotomic.remainder_mod_phi_2d(num, d) == want, (pclass, n, d)
+            for d in range(1, n + 3):
+                want = oracles.remainder_mod_monic(num, oracles.phi_by_division(2 * d)) == ()
+                assert cyclotomic.phi_2d_divides(num, d) == want, (pclass, n, d)
+
+
+# d with 0, 1, 2, 3 and 4 odd primes, so every term of the Moebius sum is needed.
+@pytest.mark.parametrize("d", [1, 2, 3, 12, 15, 105, 210, 1155])
+def test_phi_2d_divides_multiples_of_phi(d):
+    rng = random.Random(d)
+    phi = oracles.phi_by_division(2 * d)
+    for _ in range(4):
+        q = intpoly.normalize([rng.randint(-(2**64), 2**64) for _ in range(rng.randint(1, 3 * d))])
+        a = oracles.naive_mul(q, phi)
+        assert cyclotomic.phi_2d_divides(a, d), (d, q)
+        assert not cyclotomic.phi_2d_divides(oracles.naive_add(a, (1,)), d), (d, q)
 
 
 def test_root_of_unity_primes_and_orders():

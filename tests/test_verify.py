@@ -183,14 +183,14 @@ def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
 
 
 def test_lemma4_decides_each_remainder_pair_once(monkeypatch):
-    real = cyclotomic.remainder_mod_phi_2d
+    real = cyclotomic.phi_2d_divides
     calls = []
 
     def counting(a, d):
         calls.append(d)
         return real(a, d)
 
-    monkeypatch.setattr(cyclotomic, "remainder_mod_phi_2d", counting)
+    monkeypatch.setattr(cyclotomic, "phi_2d_divides", counting)
     verify._nondivides_at_remainder.cache_clear()
     max_n = 20
     report = verify.run("lemma4", max_n)
@@ -444,9 +444,9 @@ def test_den_side_by_gauss_lemma_matches_the_expanded_den():
             assert expanded[0] == 1, (pclass, n)
 
 
-# Every function that builds a polynomial on the way to a Phi_{2d} remainder.
+# Every function that builds a polynomial on the way to a full Phi_{2d} test, and the test itself.
 SPIED = [
-    (cyclotomic, "phi_2d"),
+    (cyclotomic, "phi_2d_divides"),
     (cyclotomic, "expand_cyclotomics"),
     (cyclotomic, "expand_binomials"),
     (reduction, "num_star"),
@@ -469,7 +469,6 @@ def test_certificate_route_builds_no_polynomial(monkeypatch):
     for cid in ("2", "5", "7"):
         reduction.num.cache_clear()
         reduction._leading_block.cache_clear()
-        cyclotomic.phi_2d.cache_clear()
         with monkeypatch.context() as mp:
             for module, name in SPIED:
                 spy(mp, module, name)
