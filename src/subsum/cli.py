@@ -14,8 +14,10 @@ Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the
 library raised ValueError or ArithmeticError on input the parser
 accepted); 2 bad flags, all of which the parser checks, including a
-`verify --max-n` below the lowest n of the one conjecture requested
-(`--conjecture all` skips such conjectures with a warning instead), and
+`verify --max-n` below the lowest n of the one conjecture requested, or
+above the highest n its certificates serve (2, 5, 7 and lemma4 stop at
+`cyclotomic.CERTIFICATE_MAX_N` = 500001; `--conjecture all` skips such
+conjectures with a warning instead), and
 a flag that would be ignored: `--engine both` where no num* is built
 (`compute --what den|g|den-star|spol-list`, `verify --conjecture 4`;
 `--conjecture all` applies it wherever num* is built) and `--expand`
@@ -156,8 +158,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.conjecture != "all":
         entry = verify.CONJECTURES[args.conjecture]
-        if args.max_n < entry.lowest_n:
-            parser.error(f"--conjecture {args.conjecture} needs --max-n >= {entry.lowest_n}")
+        bound = entry.max_n_bound(args.max_n)
+        if bound:
+            parser.error(f"--conjecture {args.conjecture} needs --{bound}")
         if args.engine == "both" and not entry.builds_num:
             parser.error(f"--engine both: conjecture {args.conjecture} builds no num*")
     if args.command == "compute":
@@ -261,9 +264,9 @@ def cmd_verify(args) -> int:
     ids = list(verify.CONJECTURES) if args.conjecture == "all" else [args.conjecture]
     reports = []
     for cid in ids:
-        lowest = verify.CONJECTURES[cid].lowest_n
-        if args.max_n < lowest:
-            _log(WARNING, "skipping conjecture %s: needs max-n >= %d", cid, lowest)
+        bound = verify.CONJECTURES[cid].max_n_bound(args.max_n)
+        if bound:
+            _log(WARNING, "skipping conjecture %s: needs %s", cid, bound)
             continue
         report = verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs)
         _log(INFO, "conjecture %s: %s in %.2fs", cid, report.verdict, report.elapsed)

@@ -15,20 +15,13 @@ of d,
 
 so a cyclotomic exponent vector is a binomial product with signed
 exponents (`binomial_exponents`), the one place that codes Phi.  For
-den and G, the products expanded and divided by, they are all >= 0, so
-either is shift-adds on a single packed integer.  At X = 2^w,
-multiplying by 1 + X^j is A + (A << w*j).  Modulo X^M, dividing by it
-is A <- A - (A << w*j) followed by A <- A + (A << w*j*2^k) for each
-k >= 1 with j*2^k < M, because
-
-    1/(1+y) = (1 - y) * prod over k >= 1 of (1 + y^(2^k))   (mod y^M).
-
-Reducing mod 2^(w*M) is a ring homomorphism from Z[X]/(X^M), where
-every 1 + X^j is a unit, so only the final value has to hold its
-coefficients digit by digit; it is read back as balanced digits.  No
-product of two large integers and no long division is involved: even
-the check that confirms a quotient's digit width multiplies back by
-shift-adds (`_divide`).
+den and G, the products expanded and divided by, they are all >= 0.
+Expanding is shift-adds on a single packed integer: at X = 2^w,
+multiplying by 1 + X^j is A + (A << w*j).  Dividing is synthetic
+division by each monic 1 + x^j on a list of Python ints (Knuth, TAOCP
+vol. 2, section 4.6.1), which needs no digit width, and whose remainder
+proves the division exact (`divide_cyclotomics`).  No product of two
+large integers is involved.
 
 Divisibility by Phi_{2d} is decided by integer folds (`phi_2d_divides`),
 which expand no Phi, or certified at a root of unity in a prime field
@@ -90,8 +83,8 @@ def _odd_squarefree_divisors(d: int) -> list[tuple[int, int]]:
     return out
 
 
-# Certificate primes lie above this floor, far above twice any n a run
-# can build, so that no part i <= n and no 2d is divisible by p.
+# Certificate primes lie above this floor; a certificate at n needs
+# 2n < p, so that no part i <= n and no 2d is divisible by p.
 _PRIME_FLOOR = 10**6
 
 
@@ -124,6 +117,12 @@ def root_of_unity(d: int) -> tuple[int, int]:
 def _is_prime(c: int) -> bool:
     """Primality of an odd c > 2: a base-2 Fermat filter, then trial division."""
     return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
+
+
+# Every prime above the floor is 1 (mod 2), so d = 1 takes the least of
+# them and no certificate prime is smaller: 2n < p holds for every d up
+# to this n.
+CERTIFICATE_MAX_N = (root_of_unity(1)[0] - 1) // 2
 
 
 def binomial_exponents(c: CycloExponents) -> dict[int, int]:
@@ -177,105 +176,32 @@ def expand_cyclotomics(c: CycloExponents) -> IntPoly:
 
 
 def divide_cyclotomics(a: Sequence[int], c: CycloExponents) -> IntPoly:
-    """num = num*/G: the q with q * prod Phi_{2d}^c_d == a, or NotDivisibleError; ValueError if some E_j < 0."""
+    """num = num*/G: the q with q * prod Phi_{2d}^c_d == a, or NotDivisibleError; ValueError if some E_j < 0.
+
+    The divisor is prod (1+x^j)^E_j (`binomial_exponents`), and each
+    factor is divided out in turn by synthetic division.  Dividing q of
+    length L by the monic 1 + x^j sets q[k] -= q[k-j] for k rising from
+    j.  Split the result as its low L - j entries Q and its top j
+    entries T: the dividend is Q * (1 + x^j) + x^(L-j) * T, and as x is
+    a unit mod 1 + x^j and deg T < j, the step is exact exactly when
+    T = 0.  A nonzero T raises NotDivisibleError; when L < j, T is the
+    whole dividend.  An exact step keeps the
+    leading coefficient, so Q has no trailing zero; a zero dividend
+    stays ().  The work is one list of len(a) ints, for sum of E_j
+    passes.
+    """
     exps = binomial_exponents(c)
     if any(e < 0 for e in exps.values()):
         raise ValueError("divisor is not a product of binomials")
-    return _divide(intpoly.normalize(a), exps)
-
-
-def _divide(a: IntPoly, exps: BinomialProduct) -> IntPoly:
-    """a / prod (1+x^j)^exps[j], every exps[j] >= 0, or NotDivisibleError.
-
-    The quotient q has M = len(a) - (sum of j * exps[j]) coefficients,
-    computed mod X^M on packed integers (`_packed_quotient`).  Every
-    binomial is palindromic, so when a is, so is q, and only its low
-    ceil(M/2) coefficients are computed.  No useful bound on q's
-    coefficients is known in advance (num at odd n = 78 needs 301 bits
-    where num* needs 205), so a width is accepted only when
-    `_times_binomials` confirms q * divisor == a.  The first width is
-    the balanced digit of a's own coefficients, and each retry doubles
-    it.  The doubling stops at the Landau-Mignotte bound: the divisor
-    is monic, so a quotient in Z[x] has ||q||_inf <= 2^deg q * ||a||_2,
-    which a digit of that width holds.  A check that still fails there
-    proves that no quotient exists.
-    """
-    if not exps or not a:
-        return a
-    m = len(a) - sum(j * e for j, e in exps.items())
-    if m < 1:
-        raise intpoly.NotDivisibleError("divisor of higher degree")
-    mirror = a == a[::-1]
-    half = (m + 1) // 2 if mirror else m
-    top = max(max(a), -min(a))
-    width = intpoly.unpack_width(2 * top)  # a balanced digit holds [-top, top]
-    cap = intpoly.unpack_width(top << (m + len(a).bit_length()))
-    while True:
-        q = _packed_quotient(a[:half], exps, width)
-        if mirror:
-            q += q[: m - half][::-1]
-        q = intpoly.normalize(q)
-        # The divisor is 2^(sum of exps) at x = 1: a cheap test before the exact one.
-        if q and sum(q) << sum(exps.values()) == sum(a) and _times_binomials(q, exps, a):
-            return q
-        if width >= cap:
-            raise intpoly.NotDivisibleError("nonzero remainder")
-        width = min(2 * width, cap)
-
-
-def _times_binomials(q: IntPoly, exps: BinomialProduct, a: IntPoly) -> bool:
-    """Whether q * prod (1+x^j)^exps[j] == a, every exps[j] >= 0, by shift-adds.
-
-    The product is evaluated exactly at X = 2^w.  Its coefficients are
-    at most 2^(sum of exps) times q's largest, so w is wide enough for
-    it and for a to hold every coefficient as a balanced digit, and the
-    two values are equal exactly when the polynomials are.
-    """
-    bound = max(max(max(q), -min(q)) << sum(exps.values()), max(a), -min(a))
-    width = intpoly.unpack_width(2 * bound)
-    return _shift_adds(intpoly._pack(q, width), exps, 8 * width) == intpoly._pack(a, width)
-
-
-def _packed_quotient(a: Sequence[int], exps: BinomialProduct, width: int) -> list[int]:
-    """a / prod (1+X^j)^exps[j] mod X^len(a), every exps[j] >= 0, at X = 2^(8*width): len(a) balanced digits.
-
-    1/(1+X^j) = (1-X^j)/(1-X^(2j)) turns the divisor into
-    prod (1-X^t)^(-alpha_t) with alpha_t = exps[t] - exps[t/2], so each
-    alpha_t > 0 is alpha_t multiplications by 1 - X^t, and each
-    alpha_t < 0 is -alpha_t divisions by 1 - X^t, that is
-    multiplications by 1 + X^(t*2^k) for each k >= 0 with t*2^k < len(a)
-    (see the module docstring).
-    """
-    size = len(a)
-    alpha: dict[int, int] = {}
+    q = list(intpoly.normalize(a))
     for j, e in exps.items():
-        alpha[j] = alpha.get(j, 0) + e
-        alpha[2 * j] = alpha.get(2 * j, 0) - e
-    times_minus = {t: e for t, e in alpha.items() if e > 0 and t < size}
-    times_plus: dict[int, int] = {}
-    for t, e in alpha.items():
-        while e < 0 and t < size:
-            times_plus[t] = times_plus.get(t, 0) - e
-            t *= 2
-    shift = 8 * width
-    modulus = 1 << shift * size
-    value = intpoly._pack(a, width)
-    if value < 0:
-        value += modulus
-    # value * (1 -/+ X^t) mod X^size: only the low size - t digits of value reach X^t's multiple.
-    for t, count in times_minus.items():
-        low = (1 << shift * (size - t)) - 1
-        for _ in range(count):
-            value -= (value & low) << shift * t
-            if value < 0:
-                value += modulus
-    for t, count in times_plus.items():
-        low = (1 << shift * (size - t)) - 1
-        for _ in range(count):
-            value += (value & low) << shift * t
-            if value >= modulus:
-                value -= modulus
-    return intpoly._unpack_signed(value, width, size)
+        for _ in range(e):
+            for k in range(j, len(q)):
+                q[k] -= q[k - j]
+            if any(q[-j:]):
+                raise intpoly.NotDivisibleError(f"nonzero remainder on division by 1 + x^{j}")
+            del q[-j:]
+    return tuple(q)
 
 
 def cyclo_degree(c: CycloExponents) -> int:

@@ -4,13 +4,12 @@ A polynomial is a tuple of coefficients, index k holding the coefficient
 of x^k, with no trailing zero; the zero polynomial is the empty tuple.
 All operations are pure and exact.  Products are not taken here: every
 polynomial the pipeline builds is a product of binomials 1 + x^i,
-expanded or divided by shift-adds on one packed integer (`cyclotomic`).
-This module supplies that packing.  A coefficient becomes one
-whole-byte digit of a big integer (1, 2, 4 or 8 bytes each, or wider
-when the values need it): `_pack` and `_unpack_signed` write and read
-balanced digits, `unpack` reads back nonnegative ones.  Each is a single
-`int.from_bytes`/`int.to_bytes` call plus a bias fix-up, so linear in
-the packed size.
+expanded by shift-adds on one packed integer and divided by synthetic
+division (`cyclotomic`).  This module supplies the packing.  A
+nonnegative coefficient becomes one whole-byte digit of a big integer
+(1, 2, 4 or 8 bytes each, or wider when the values need it): `_pack`
+writes the digits and `unpack` reads them back, each with a single
+`int.from_bytes`/`int.to_bytes` call, so linear in the packed size.
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
@@ -62,60 +61,30 @@ def normalize(coeffs: Iterable[int]) -> IntPoly:
 
 # memoryview.cast and array read and write machine words in native order.
 _ORDER = sys.byteorder
-_SIGNED_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _WORD_WIDTH = (1, 1, 2, 4, 4, 8, 8, 8, 8)  # byte width 0..8 rounded up to a machine word
 
 
-def _word_width(bits: int) -> int:
-    """Whole bytes for a digit of `bits` bits, rounded up to a machine word up to 8."""
-    width = (bits + 7) // 8
-    return _WORD_WIDTH[width] if width <= 8 else width
-
-
-def _digits(raw: bytes, width: int, signed: bool) -> list[int]:
-    """The `width`-byte digits of `raw`, lowest first, read in two's complement if `signed`."""
-    if width in _SIGNED_FORMAT:
-        fmt = _SIGNED_FORMAT[width]
-        return memoryview(raw).cast(fmt if signed else fmt.upper()).tolist()
-    return [int.from_bytes(raw[k : k + width], _ORDER, signed=signed) for k in range(0, len(raw), width)]
-
-
-def _bias(width: int, ncoeffs: int) -> int:
-    """Half the radix in each of the low `ncoeffs` digits."""
-    half = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
-    return int.from_bytes(half * ncoeffs, _ORDER)
+def _digits(raw: bytes, width: int) -> list[int]:
+    """The unsigned `width`-byte digits of `raw`, lowest first."""
+    if width in _FORMAT:
+        return memoryview(raw).cast(_FORMAT[width]).tolist()
+    return [int.from_bytes(raw[k : k + width], _ORDER) for k in range(0, len(raw), width)]
 
 
 def _pack(a: Sequence[int], width: int) -> int:
-    """Sum of a[k] * radix^k, from the two's complement digits of a.
-
-    The digit of c is c mod radix; flipping its top bit gives c + radix/2,
-    and subtracting the bias leaves c.
-    """
-    if width in _SIGNED_FORMAT:
-        raw = array(_SIGNED_FORMAT[width], a).tobytes()
+    """Sum of a[k] * radix^k, radix = 2^(8*width), for digits a[k] in [0, radix)."""
+    if width in _FORMAT:
+        raw = array(_FORMAT[width], a).tobytes()
     else:
-        raw = b"".join([c.to_bytes(width, _ORDER, signed=True) for c in a])
-    bias = _bias(width, len(a))
-    return (int.from_bytes(raw, _ORDER) ^ bias) - bias
-
-
-def _unpack_signed(value: int, width: int, ncoeffs: int) -> list[int]:
-    """The `ncoeffs` balanced `width`-byte digits of value mod 2^(8*width*ncoeffs), lowest first.
-
-    Adding the bias makes every digit c + radix/2, nonnegative; flipping
-    each digit's top bit (xor with the same bias) then leaves c in two's
-    complement, which a signed read of the digit returns.  Reading value
-    mod the radix power lets a caller work modulo x^ncoeffs.
-    """
-    bias = _bias(width, ncoeffs)
-    low = ((value + bias) & ((1 << 8 * width * ncoeffs) - 1)) ^ bias
-    return _digits(low.to_bytes(width * ncoeffs, _ORDER), width, signed=True)
+        raw = b"".join([c.to_bytes(width, _ORDER) for c in a])
+    return int.from_bytes(raw, _ORDER)
 
 
 def unpack_width(bound: int) -> int:
     """Bytes per digit that hold every integer in [0, bound], rounded up to a machine word up to 8."""
-    return _word_width(bound.bit_length())
+    width = (bound.bit_length() + 7) // 8
+    return _WORD_WIDTH[width] if width <= 8 else width
 
 
 def unpack(value: int, width: int) -> IntPoly:
@@ -125,7 +94,7 @@ def unpack(value: int, width: int) -> IntPoly:
     read back with one `int.to_bytes`.
     """
     ncoeffs = -(-value.bit_length() // (8 * width))
-    return tuple(_digits(value.to_bytes(width * ncoeffs, _ORDER), width, signed=False))
+    return tuple(_digits(value.to_bytes(width * ncoeffs, _ORDER), width))
 
 
 def eval_at_int(a: Sequence[int], x0):

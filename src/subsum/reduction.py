@@ -59,8 +59,9 @@ One unpack reads the low half back, and the mirror gives num*.
 
 `num(n, pclass, engine)` returns num = num*/G, taken by
 `cyclotomic.divide_cyclotomics`, which reads G as a product of binomials
-1 + x^j and divides by shift-adds on one packed integer; the digit width
-of num is confirmed, not assumed.  It is the one cached route to num.
+1 + x^j and divides by each in turn by synthetic division on Python
+ints; a zero remainder at every step proves the division exact.  It is
+the one cached route to num.
 
 num(n, 1) needs neither: `num_at_one` divides the DP's run at x = 1 by
 G(1), a power of 2; `verify` compares it with the full path's num at 1

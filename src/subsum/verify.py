@@ -408,7 +408,10 @@ class Conjecture(NamedTuple):
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, the
     range the report states.  `builds_num` is false for a check that
-    reads only den, so that no engine applies to it.
+    reads only den, so that no engine applies to it.  `highest_n`, when
+    set, is the largest max_n the check can serve: for the checks that
+    take root-of-unity certificates it is `cyclotomic.CERTIFICATE_MAX_N`,
+    as a certificate at n needs a prime above 2n.
     """
 
     cid: str
@@ -417,22 +420,35 @@ class Conjecture(NamedTuple):
     check: Callable
     proved: bool
     builds_num: bool = True
+    highest_n: int | None = None
 
+    def max_n_bound(self, max_n: int) -> str | None:
+        """The bound on max-n that max_n breaks, as "max-n >= ..." or "max-n <= ...", or None."""
+        lowest = max(self.lowest_n, 1)
+        if max_n < lowest:
+            return f"max-n >= {lowest}"
+        if self.highest_n is not None and max_n > self.highest_n:
+            return f"max-n <= {self.highest_n}"
+        return None
+
+
+# The largest n the root-of-unity certificates serve.
+_CERTIFIED = cyclotomic.CERTIFICATE_MAX_N
 
 CONJECTURES: dict[str, Conjecture] = {
     c.cid: c
     for c in (
         Conjecture("1", ORDINARY, 1, _witness_check, proved=False),
-        Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
+        Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True, highest_n=_CERTIFIED),
         Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
         Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, builds_num=False),
-        Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True),
+        Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True, highest_n=_CERTIFIED),
         Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
-        Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
+        Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True, highest_n=_CERTIFIED),
         Conjecture("8", PartitionClass.ODD, 1, _odd_value_check, proved=True),
         Conjecture("9", PartitionClass.TERNARY, 1, _ternary_minus_check, proved=True),
         Conjecture("10", PartitionClass.TERNARY, 0, _ternary_block_check, proved=True),
-        Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True),
+        Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True, highest_n=_CERTIFIED),
     )
 }
 
@@ -442,13 +458,14 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
 
     Engine disagreements become "engine-mismatch" failure records.  At
     most min(jobs, CPU count, number of n) worker processes are used.  A
-    max_n below the lowest n, jobs < 1 or an engine outside
-    `reduction.ENGINES` raises ValueError before any work.
+    max_n outside the entry's bounds (`Conjecture.max_n_bound`), jobs < 1
+    or an engine outside `reduction.ENGINES` raises ValueError before
+    any work.
     """
     entry = CONJECTURES[cid]
-    lowest = max(entry.lowest_n, 1)
-    if max_n < lowest:
-        raise ValueError(f"max_n must be >= {lowest}")
+    bound = entry.max_n_bound(max_n)
+    if bound:
+        raise ValueError(f"conjecture {cid} needs {bound}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if engine not in reduction.ENGINES:

@@ -149,6 +149,41 @@ def test_all_below_a_lowest_n_warns_and_skips(capsys, caplog):
     assert skipped == [f"skipping conjecture {cid}: needs max-n >= 2" for cid in ("5", "6", "7")]
 
 
+def _spy_run(monkeypatch):
+    """Replaces verify.run with a stub that records (cid, max_n) and returns an empty passing report."""
+    calls = []
+
+    def spy(cid, max_n, *, engine, jobs):
+        calls.append((cid, max_n))
+        return verify.ConjectureReport(cid, (1, max_n), verify.ALL_HOLD, [], [], 0.0)
+
+    monkeypatch.setattr(verify, "run", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cid", ["2", "5", "7", "lemma4"])
+def test_max_n_above_the_certificate_ceiling_exits_2(capsys, monkeypatch, cid):
+    calls = _spy_run(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--conjecture", cid, "--max-n", "500002"])
+    assert exc.value.code == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--conjecture {cid} needs --max-n <= 500001" in captured.err
+    assert cli.main(["verify", "--conjecture", cid, "--max-n", "500001"]) == 0
+    assert calls == [(cid, 500001)]
+
+
+def test_all_above_the_certificate_ceiling_warns_and_skips(capsys, monkeypatch, caplog):
+    calls = _spy_run(monkeypatch)
+    with caplog.at_level("WARNING", logger="subsum"):
+        assert cli.main(["verify", "--conjecture", "all", "--max-n", "500002"]) == 0
+    assert [cid for cid, _ in calls] == ["1", "3", "4", "6", "8", "9", "10"]
+    skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert skipped == [f"skipping conjecture {cid}: needs max-n <= 500001" for cid in ("2", "5", "7", "lemma4")]
+
+
 def test_table_t(capsys):
     code, out = run(capsys, ["table", "--sequence", "t", "--max-n", "4"])
     assert code == 0

@@ -204,18 +204,31 @@ def test_packed_quotient_matches_schoolbook(q, f, palindromic):
 
 
 @pytest.mark.parametrize("length", [600, 601])
-def test_quotient_wider_than_dividend_takes_the_retry(monkeypatch, length):
+def test_quotient_wider_than_dividend(length):
     # q = 1 - 2x + 3x^2 - ... rising to 300 and falling back to 1 (a
     # palindrome when the length is odd) times 1 + x has coefficients in
     # {-1, 0, 1}: the dividend fits one byte per digit, the quotient needs two.
-    widths = []
-    real = cyclotomic._packed_quotient
-    monkeypatch.setattr(cyclotomic, "_packed_quotient", lambda a, e, w: widths.append(w) or real(a, e, w))
     q = tuple((-1) ** k * min(k + 1, length - k) for k in range(length))
     a = oracles.naive_mul(q, (1, 1))
     assert max(map(abs, a)) == 1
     assert cyclotomic.divide_cyclotomics(a, {1: 1}) == q == oracles.exact_div(a, (1, 1))
-    assert widths == [1, 2]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_single_coefficient_off_is_refused(sign):
+    # a = q * G with +-1 added at any one position has a nonzero remainder.
+    # G = (1+x^2)(1+x^3)(1+x^4) has no factor 1 + x, whose step would
+    # catch every single error alone; each top block must be checked whole.
+    c = {1: 1, 2: 1, 3: 1, 4: 1}
+    assert cyclotomic.binomial_exponents(c) == {2: 1, 3: 1, 4: 1}
+    q = (3, -1, 4, 1, -5, 9, 2)
+    a = oracles.naive_mul(q, cyclotomic.expand_cyclotomics(c))
+    assert cyclotomic.divide_cyclotomics(a, c) == q
+    for k in range(len(a)):
+        off = list(a)
+        off[k] += sign
+        with pytest.raises(intpoly.NotDivisibleError):
+            cyclotomic.divide_cyclotomics(off, c)
 
 
 def test_divide_cyclotomics_edges():

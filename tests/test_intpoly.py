@@ -385,6 +385,7 @@ def test_unpack_reads_every_digit_width(width):
     for digits in [(0, top), (top, 0, top), (top,) * 3, (5, 0, 0, 1), (0, 0, top, 1)]:
         value = sum(c * radix**k for k, c in enumerate(digits))
         assert intpoly.unpack(value, width) == digits, digits
+        assert intpoly._pack(digits, width) == value, digits
     assert intpoly.unpack(0, width) == ()
 
 

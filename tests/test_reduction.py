@@ -304,30 +304,23 @@ def test_num_at_one_matches_the_full_path():
             assert reduction.num_at_one(n, pclass) == want, (pclass, n)
 
 
-@pytest.mark.parametrize("n, widths", [(17, [4]), (18, [4, 8])])
-def test_odd_18_takes_the_width_retry(monkeypatch, n, widths):
-    # At odd n = 18 num* still fits 31 bits, so the first digit is 4
-    # bytes, but num has a 32-bit coefficient and needs 33 with its sign.
-    seen = []
-    real = cyclotomic._packed_quotient
-
-    def spy(a, exps, width):
-        seen.append(width)
-        return real(a, exps, width)
-
-    monkeypatch.setattr(cyclotomic, "_packed_quotient", spy)
+@pytest.mark.parametrize("n", [17, 18])
+def test_odd_18_quotient_wider_than_num_star(n):
+    # At odd n = 18 num* still fits 31 bits, but num has a 32-bit
+    # coefficient: the quotient outgrows the dividend.
     star, g = reduction.num_star(n, ODD), reduction.big_g(n, ODD)
     num = cyclotomic.divide_cyclotomics(star, g)
-    assert seen == widths
     assert num == oracles.exact_div(star, oracles.expand_phi_product(g))
 
 
 @given(st.integers(min_value=0, max_value=12), st.sampled_from(CLASSES))
 @settings(max_examples=40, deadline=None)
 def test_exact_division_by_g_always_clean(n, pclass):
-    # num raises NotDivisibleError on any pipeline bug; reaching the
-    # assert means the division was exact.
-    assert reduction.num(n, pclass, "dp")
+    # num raises NotDivisibleError on any pipeline bug, and its quotient
+    # is the schoolbook one by the oracle's Phi.
+    star = reduction.num_star(n, pclass)
+    want = oracles.exact_div(star, oracles.expand_phi_product(reduction.big_g(n, pclass)))
+    assert reduction.num(n, pclass, "dp") == want
 
 
 def _at_mod(f, z, p):

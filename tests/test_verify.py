@@ -313,6 +313,29 @@ def test_run_validates_range_and_jobs():
         verify.run("2", 3, jobs=0)
 
 
+CERTIFIED_IDS = ["2", "5", "7", "lemma4"]
+
+
+def test_certificate_ceiling_is_below_half_of_every_prime():
+    # d = 1's prime is the least above the floor; 2n < p must hold at the ceiling for every d.
+    top = cyclotomic.CERTIFICATE_MAX_N
+    assert top == 500001 == (cyclotomic.root_of_unity(1)[0] - 1) // 2
+    for d in (1, 2, 3, 64, 1000):
+        assert 2 * top < cyclotomic.root_of_unity(d)[0]
+    assert [c for c, e in verify.CONJECTURES.items() if e.highest_n == top] == CERTIFIED_IDS
+    assert all(e.highest_n is None for c, e in verify.CONJECTURES.items() if c not in CERTIFIED_IDS)
+
+
+@pytest.mark.parametrize("cid", CERTIFIED_IDS)
+def test_run_refuses_max_n_above_the_certificate_ceiling_before_any_work(monkeypatch, cid):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran above the certificate ceiling")
+
+    monkeypatch.setattr(verify, "_guarded", no_work)
+    with pytest.raises(ValueError, match=f"conjecture {cid} needs max-n <= 500001"):
+        verify.run(cid, cyclotomic.CERTIFICATE_MAX_N + 1)
+
+
 @pytest.mark.parametrize("cid", list(verify.CONJECTURES))
 def test_run_rejects_an_unknown_engine_before_any_work(monkeypatch, cid):
     def no_work(*args, **kwargs):
