@@ -128,7 +128,7 @@ def h_factored(n: int, pclass: PartitionClass, m: Mapping[int, int]) -> dict[int
     """
     weight = 0
     for part, mult in m.items():
-        if mult < 1 or not pclass.allows(part):
+        if not (isinstance(part, int) and isinstance(mult, int)) or mult < 1 or not pclass.allows(part):
             raise InvalidPartitionError(f"part {part} with multiplicity {mult}")
         weight += part * mult
     if weight != n:

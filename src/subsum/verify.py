@@ -20,7 +20,9 @@ Every check that builds num* passes its engine straight to
 `reduction.num_star` is the one place the accumulation engine is
 applied; under engine "both" it raises EngineMismatchError, which `run`
 records as a failure.  Checks that read only den (conjecture 4, and
-the den side of 2 and 5) build no num*.
+the den side of 2 and 5) build no num*.  Conjectures 8 and 9 share one
+check, which reads num(n,-1) on the full path and compares it with the
+class's proved value in `VALUE_AT_MINUS_ONE`.
 
 Every other route is picked here, and under engine "both" each cheap
 route is compared with the full path.  The Phi_{2d}-nondivisibility
@@ -177,32 +179,25 @@ def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[l
     return failures, [{"n": n, "s_checked": [d.bit_length() - 1 for d in ds], **decided}]
 
 
-# --- Conjecture 8: odd partitions at x = -1 ---
+# --- Conjectures 8 and 9: odd and ternary partitions at x = -1 ---
+
+# The proved num(n,-1) per class: the name in a failure detail, the
+# closed form as a format string in n, and its value.  3^v3(n!) is
+# constant on each triple 3m, 3m+1, 3m+2, as 3 divides neither 3m+1 nor
+# 3m+2, so conjecture 9's constancy on triples needs no check of its own.
+VALUE_AT_MINUS_ONE: dict[PartitionClass, tuple[str, str, Callable[[int], int]]] = {
+    PartitionClass.ODD: ("num_O", "o({}!)", odd_factorial_part),
+    PartitionClass.TERNARY: ("num_T", "3^v3({}!)", lambda n: 3 ** legendre_valuation(3, n)),
+}
 
 
-def _odd_value_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """num_O(n,-1) equals the odd part of n!."""
+def _value_at_minus_one_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+    """num(n,-1) equals the class's proved value in `VALUE_AT_MINUS_ONE`."""
+    name, form, value = VALUE_AT_MINUS_ONE[pclass]
     got = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
-    want = odd_factorial_part(n)
+    want = value(n)
     if got != want:
-        return [{"n": n, "detail": f"num_O({n},-1) = {got} != o({n}!) = {want}"}], []
-    return [], [{"n": n, "value": str(got)}]
-
-
-# --- Conjecture 9: ternary partitions at x = -1 ---
-
-
-def _ternary_minus_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """num_T(n,-1) = 3^v3(n!).
-
-    That makes num_T(n,-1) constant on each triple 3m, 3m+1, 3m+2 with no
-    further check: 3 divides neither 3m+1 nor 3m+2, so
-    v3((3m)!) = v3((3m+1)!) = v3((3m+2)!).
-    """
-    got = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
-    want = 3 ** legendre_valuation(3, n)
-    if got != want:
-        return [{"n": n, "detail": f"num_T({n},-1) = {got} != 3^v3({n}!) = {want}"}], []
+        return [{"n": n, "detail": f"{name}({n},-1) = {got} != {form.format(n)} = {want}"}], []
     return [], [{"n": n, "value": str(got)}]
 
 
@@ -445,8 +440,8 @@ CONJECTURES: dict[str, Conjecture] = {
         Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True, highest_n=_CERTIFIED),
         Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True, highest_n=_CERTIFIED),
-        Conjecture("8", PartitionClass.ODD, 1, _odd_value_check, proved=True),
-        Conjecture("9", PartitionClass.TERNARY, 1, _ternary_minus_check, proved=True),
+        Conjecture("8", PartitionClass.ODD, 1, _value_at_minus_one_check, proved=True),
+        Conjecture("9", PartitionClass.TERNARY, 1, _value_at_minus_one_check, proved=True),
         Conjecture("10", PartitionClass.TERNARY, 0, _ternary_block_check, proved=True),
         Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True, highest_n=_CERTIFIED),
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import subsum
-from subsum import cli, intpoly, reduction, verify
+from subsum import cli, cyclotomic, intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
 import oracles
@@ -298,6 +298,82 @@ def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
     record = json.loads(out)
     assert record["verdict"] == "WitnessOnly"
     assert any(f.get("kind") == "finding" for f in record["failures"])
+
+
+def test_wrong_special_value_prints_its_failure_and_exits_1(capsys, monkeypatch):
+    real = reduction.num
+
+    def mutated(n, pclass, engine):
+        num = real(n, pclass, engine)
+        return oracles.naive_add(num, (1,)) if n == 5 and pclass is PartitionClass.TERNARY else num
+
+    monkeypatch.setattr(reduction, "num", mutated)
+    code, out = run(capsys, ["verify", "--conjecture", "9", "--max-n", "6"])
+    assert code == 1
+    assert "  FAIL n=5: num_T(5,-1) = 4 != 3^v3(5!) = 3" in out.splitlines()
+
+
+def _den_2_without_its_middle(monkeypatch):
+    real = cyclotomic.expand_cyclotomics
+    den_2 = reduction.den(2, PartitionClass.ORDINARY)
+    monkeypatch.setattr(cyclotomic, "expand_cyclotomics", lambda e: (1, 0, 1) if e == den_2 else real(e))
+
+
+def _binary_num_6_without_its_middle(monkeypatch):
+    real = reduction.num
+
+    def mutated(n, pclass, engine):
+        return (1, 0, 1) if n == 6 and pclass is PartitionClass.BINARY else real(n, pclass, engine)
+
+    monkeypatch.setattr(reduction, "num", mutated)
+
+
+@pytest.mark.parametrize(
+    "cid, max_n, patch, findings",
+    [
+        (
+            "4",
+            3,
+            lambda mp: mp.setattr(intpoly, "is_log_concave", lambda a: (True, None)),
+            [{"n": 3, "kind": "finding", "detail": "expected counterexample n=3 is log-concave"}],
+        ),
+        (
+            "4",
+            2,
+            _den_2_without_its_middle,
+            [
+                {
+                    "n": 2,
+                    "kind": "finding",
+                    "index": 1,
+                    "detail": "den(2,x) unexpectedly fails log-concavity at index 1: 0^2 < 1*1",
+                }
+            ],
+        ),
+        (
+            "6",
+            6,
+            _binary_num_6_without_its_middle,
+            [
+                {"n": 6, "kind": "finding", "detail": "num_B(6,x) not unimodal (corrected conjecture)"},
+                {
+                    "n": 6,
+                    "kind": "finding",
+                    "index": 1,
+                    "detail": "num_B(6,x) unexpectedly fails log-concavity at index 1",
+                },
+            ],
+        ),
+    ],
+    ids=["4-expected-exception-holds", "4-unexpected-failure", "6-shape"],
+)
+def test_open_conjecture_findings_are_recorded_and_exit_0(capsys, monkeypatch, cid, max_n, patch, findings):
+    patch(monkeypatch)
+    code, out = run(capsys, ["verify", "--conjecture", cid, "--max-n", str(max_n), "--format", "json"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "WitnessOnly"
+    assert record["failures"] == findings
 
 
 def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):

@@ -59,6 +59,10 @@ def test_h_factored_trivial_and_errors():
         reduction.h_factored(4, ORD, {2: 3})  # wrong weight
     with pytest.raises(InvalidPartitionError):
         reduction.h_factored(4, ORD, {1: 2, 2: 1, 4: 0})  # zero multiplicity entry
+    with pytest.raises(InvalidPartitionError):
+        reduction.h_factored(4, ORD, {1: 1.5, 2: 1.25})  # weight 4 from fractional multiplicities
+    with pytest.raises(InvalidPartitionError):
+        reduction.h_factored(3, ORD, {1.5: 2})  # a fractional part
 
 
 def test_h_times_spol_is_den_star():

@@ -12,6 +12,26 @@ ORD = PartitionClass.ORDINARY
 BIN = PartitionClass.BINARY
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: verify.odd_part(0), ValueError),
+        (lambda: verify.legendre_valuation(3, -1), ValueError),
+        (lambda: reduction.num_star(3, ORD, "bogus"), ValueError),
+        (lambda: intpoly.primitive_part(()), ()),
+        (lambda: ORD.allows(0), False),
+    ],
+    ids=["odd_part(0)", "legendre_valuation(3,-1)", "num_star-bogus-engine", "primitive_part(())", "allows(0)"],
+)
+def test_public_validations(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        got = call()
+        assert type(got) is type(expected) and got == expected
+
+
 @pytest.mark.parametrize("m,expected", [(24, 3), (1, 1), (40, 5), (7, 7), (64, 1)])
 def test_odd_part(m, expected):
     assert verify.odd_part(m) == expected
@@ -78,6 +98,27 @@ def test_ternary_minus_one():
     assert values[1] == 1 and values[2] == 1
     assert values[3] == 3
     assert values[9] == 81
+
+
+@pytest.mark.parametrize(
+    "cid, pclass, detail",
+    [
+        ("8", PartitionClass.ODD, "num_O(5,-1) = 16 != o(5!) = 15"),
+        ("9", PartitionClass.TERNARY, "num_T(5,-1) = 4 != 3^v3(5!) = 3"),
+    ],
+)
+def test_wrong_value_at_minus_one_fails(monkeypatch, cid, pclass, detail):
+    real = reduction.num
+
+    def mutated(n, pclass_, engine):
+        num = real(n, pclass_, engine)
+        return oracles.naive_add(num, (1,)) if n == 5 and pclass_ is pclass else num
+
+    monkeypatch.setattr(reduction, "num", mutated)
+    report = verify.run(cid, 6)
+    assert report.verdict == verify.FAILURES_FOUND
+    assert report.failures == [{"n": 5, "detail": detail}]
+    assert [w["n"] for w in report.witnesses] == [1, 2, 3, 4, 6]
 
 
 def test_ternary_one():
