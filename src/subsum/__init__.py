@@ -7,7 +7,7 @@ checks the coprimality, special-value and recurrence theorems plus the
 open coefficient-shape conjectures at desk scale.
 """
 
-from .intpoly import IntPoly, IrreducibilityStatus
+from .intpoly import IntPoly
 from .partitions import (
     Partition,
     PartitionClass,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConjectureReport",
     "IntPoly",
-    "IrreducibilityStatus",
     "Partition",
     "PartitionClass",
     "allowed_parts",

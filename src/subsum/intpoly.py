@@ -13,17 +13,18 @@ writes the digits and `unpack` reads them back, each with a single
 
 The shape predicates (`is_unimodal`, `is_log_concave`) and the mod-p
 irreducibility certificate live here as well because they are plain
-coefficient-sequence checks.  The certificate is Rabin's test.  For odd
-p a palindromic reduction f of even degree 2m is first written as
-f = x^m h(x + 1/x): f is irreducible exactly when h is and
-(-1)^m f(1) f(-1) is a nonsquare mod p, so the test runs on degree m.
-A root in GF(p) settles a degree >= 2 before any chain.  The test reads
-x^(p^j) mod f off one Frobenius chain, stepped lazily so that the first
-failing check ends it: the p-th power map is linear over GF(p), so each
-step multiplies the coefficient vector by Berlekamp's Q matrix, whose
-rows are packed integers at the same whole-byte digits that `unpack`
-reads back.  Each row of Q is the previous one times x^p: a shift,
-plus at most p rows folded back.
+coefficient-sequence checks.  The certificate is Rabin's test; True
+proves the primitive part irreducible over the rationals, and False
+proves nothing.  For odd p a palindromic reduction f of even degree 2m
+is first written as f = x^m h(x + 1/x): f is irreducible exactly when h
+is and (-1)^m f(1) f(-1) is a nonsquare mod p, so the test runs on
+degree m.  A root in GF(p) settles a degree >= 2 before any chain.  The
+test reads x^(p^j) mod f off one Frobenius chain, stepped lazily so that
+the first failing check ends it: the p-th power map is linear over
+GF(p), so each step multiplies the coefficient vector by Berlekamp's Q
+matrix, whose rows are packed integers at the same whole-byte digits
+that `unpack` reads back.  Each row of Q is the previous one times x^p:
+a shift, plus at most p rows folded back.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 import operator
 import sys
 from array import array
-from enum import Enum
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
@@ -149,20 +149,14 @@ def is_log_concave(a: Sequence[int]) -> tuple[bool, int | None]:
     return True, None
 
 
-class IrreducibilityStatus(Enum):
-    IRREDUCIBLE = "irreducible"
-    REDUCIBLE = "reducible"
-    INCONCLUSIVE = "inconclusive"
-
-
-def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
+def irreducible_mod_p(a: Sequence[int], p: int) -> bool:
     """Rabin irreducibility certificate for the primitive part of a, mod p.
 
-    IRREDUCIBLE proves the primitive part is irreducible over the
-    rationals (the reduction keeps the degree because p does not divide
-    the leading coefficient).  REDUCIBLE only speaks about the
-    reduction mod p and proves nothing over the integers.  For odd p a
-    palindromic reduction of even degree is tested on half its degree
+    True proves the primitive part is irreducible over the rationals
+    (the reduction keeps the degree because p does not divide the
+    leading coefficient).  False proves nothing: the reduction mod p is
+    reducible, or the degree is at most 0.  For odd p a palindromic
+    reduction of even degree is tested on half its degree
     (`_half_degree`); p = 2 and any other reduction go to Rabin's test
     whole.  A modulus p that is not prime raises ValueError: GF(p) would
     not be a field, and the test could certify a reducible polynomial.
@@ -173,14 +167,12 @@ def irreducible_mod_p(a: Sequence[int], p: int) -> IrreducibilityStatus:
     if pp and pp[-1] % p == 0:
         raise BadPrimeError(f"{p} divides the leading coefficient")
     if len(pp) <= 1:
-        return IrreducibilityStatus.INCONCLUSIVE
+        return False
     inv_lead = pow(pp[-1], p - 2, p)
     f = [c * inv_lead % p for c in pp]
     if p != 2 and len(f) % 2 and f == f[::-1]:
         f = _half_degree(f, p)
-    if f is None or not _rabin(f, p):
-        return IrreducibilityStatus.REDUCIBLE
-    return IrreducibilityStatus.IRREDUCIBLE
+    return f is not None and _rabin(f, p)
 
 
 def _half_degree(f: list[int], p: int) -> list[int] | None:
@@ -199,7 +191,7 @@ def _half_degree(f: list[int], p: int) -> list[int] | None:
     of b^2 - 4 is the product of (b_i - 2)(b_i + 2) over the conjugates
     b_i of b, which is h(2) h(-2) = N, as f(1) = h(2) and
     f(-1) = (-1)^m h(-2).  Should h be reducible, f is too, so a zero or
-    square N settles REDUCIBLE whatever h is.
+    square N proves f reducible whatever h is.
 
     h comes from x^(-m) f = f_m + sum_j f_(m+j) (x^j + x^(-j)) and the
     Dickson recurrence x^j + x^(-j) = D_j(x + 1/x), with D_0 = 2,

@@ -123,8 +123,11 @@ def den_star(n: int, pclass: PartitionClass) -> dict[int, int]:
 def h_factored(n: int, pclass: PartitionClass, m: Mapping[int, int]) -> dict[int, int]:
     """Cofactor den*/sp(lambda) as a binomial product {i: floor(n/i) - m_i}.
 
-    The exponents are nonnegative for any genuine partition of n, since
-    at most floor(n/i) parts can equal i; anything else is rejected.
+    Anything but a genuine partition of n is rejected: each part must be
+    an int the class allows (so >= 1), each multiplicity an int >= 1,
+    and the weight sum i m_i must be n.  Then every exponent is
+    nonnegative: each term i m_i of that sum is positive, so
+    i m_i <= n, and the int m_i is at most floor(n/i).
     """
     weight = 0
     for part, mult in m.items():
@@ -136,8 +139,6 @@ def h_factored(n: int, pclass: PartitionClass, m: Mapping[int, int]) -> dict[int
     out = {}
     for i in allowed_parts(pclass, n):
         e = n // i - m.get(i, 0)
-        if e < 0:
-            raise InvalidPartitionError(f"multiplicity of {i} exceeds floor(n/i)")
         if e:
             out[i] = e
     return out

@@ -52,7 +52,6 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from . import cyclotomic, intpoly, reduction
-from .intpoly import IrreducibilityStatus
 from .partitions import PartitionClass, allowed_parts
 
 ALL_HOLD = "AllHold"
@@ -378,11 +377,11 @@ def irreducibility_witness(n: int, pclass: PartitionClass, engine: str) -> dict:
         return record
     for p in DEFAULT_WITNESS_PRIMES:
         try:
-            status = intpoly.irreducible_mod_p(num, p)
+            certified = intpoly.irreducible_mod_p(num, p)
         except intpoly.BadPrimeError:
             continue
         record["tried"].append(p)
-        if status is IrreducibilityStatus.IRREDUCIBLE:
+        if certified:
             record["verdict"] = "IrreducibleCertified"
             record["prime"] = p
             return record

@@ -292,8 +292,9 @@ def rabin_full_degree(a, p):
     every prime q | k, read off one Frobenius chain whose Q comes from
     the k-row matrix of multiplication by x^p.  Only the packing is
     local (plain byte strings), so nothing here comes from `intpoly`.
-    The strings are the values of `intpoly.IrreducibilityStatus`;
-    ValueError when p divides the leading coefficient.
+    "irreducible" is where `intpoly.irreducible_mod_p` returns True, and
+    the other two strings are where it returns False; ValueError when p
+    divides the leading coefficient.
     """
     pp = _primitive_part(_strip(a)) if any(a) else ()
     if pp and pp[-1] % p == 0:

@@ -527,6 +527,18 @@ def test_verify_all_report_is_pinned():
     assert hashlib.sha256(kept.encode()).hexdigest() == ALL_12_REPORT_SHA256
 
 
+# The same digest for conjecture 1 alone to n = 30, where the pin above
+# reaches the irreducibility witness only up to n = 12.
+CONJECTURE_1_30_REPORT_SHA256 = "40cd4c5e8600b310d901c22af1df219717d874db183d2e1f114d4279f0417d23"
+
+
+def test_verify_conjecture_1_report_is_pinned():
+    argv = ["-m", "subsum.cli", "verify", "--conjecture", "1", "--max-n", "30", "--format", "json"]
+    proc = _python(argv, capture_output=True, check=True)
+    kept = "".join(line for line in proc.stdout.splitlines(keepends=True) if "elapsed_seconds" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == CONJECTURE_1_30_REPORT_SHA256
+
+
 def test_write_to_closed_pipe_exits_1_with_one_line():
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to write_end now fails with EPIPE
