@@ -14,10 +14,8 @@ Exit codes: 0 success; 1 any failure record in a report whose registry
 entry is proved, an engine disagreement, or an internal error (the
 library raised ValueError or ArithmeticError on input the parser
 accepted); 2 bad flags, all of which the parser checks, including a
-`verify --max-n` below the lowest n of the one conjecture requested, or
-above the highest n its certificates serve (2, 5, 7 and lemma4 stop at
-`cyclotomic.CERTIFICATE_MAX_N` = 500001; `--conjecture all` skips such
-conjectures with a warning instead), and
+`verify --max-n` below the lowest n of the one conjecture requested
+(`--conjecture all` skips such conjectures with a warning instead), and
 a flag that would be ignored: `--engine both` where no num* is built
 (`compute --what den|g|den-star|spol-list`, `verify --conjecture 4`;
 `--conjecture all` applies it wherever num* is built) and `--expand`

@@ -25,8 +25,8 @@ large integers is involved.
 
 Divisibility by Phi_{2d} is decided by integer folds (`phi_2d_divides`),
 which expand no Phi, or certified at a root of unity in a prime field
-(`root_of_unity` picks the field and the root), never by evaluating at
-complex points.  Nothing here is cached.
+(`root_of_unity` picks the field above the j-th floor and the root),
+never by evaluating at complex points.  Nothing here is cached.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def _odd_squarefree_divisors(d: int) -> list[tuple[int, int]]:
     return out
 
 
-# Certificate primes lie above this floor; a certificate at n needs
-# 2n < p, so that no part i <= n and no 2d is divisible by p.
+# Certificate primes lie above a floor F_j = _PRIME_FLOOR * 2^j; a certificate
+# at n needs 2n < p, so that no part i <= n and no 2d is divisible by p.
 _PRIME_FLOOR = 10**6
 
 
-def root_of_unity(d: int) -> tuple[int, int]:
-    """(p, zeta): the first prime p = 1 (mod 2d) above 10^6, and an element of order 2d in GF(p).
+def root_of_unity(d: int, j: int) -> tuple[int, int]:
+    """(p, zeta): the first prime p = 1 (mod 2d) above F_j = 10^6 * 2^j, and an element of order 2d in GF(p).
 
     A candidate is proved prime by trial division up to isqrt(p), run
     only once it passes a base-2 Fermat test.  zeta is a^((p-1)/2d) for
@@ -97,12 +97,12 @@ def root_of_unity(d: int) -> tuple[int, int]:
     zeta^(2d) = 1 always, zeta^d = -1 rules out every order dividing d,
     and zeta^(2d/q) != 1, for each odd prime q | d, every order dividing
     2d/q.  Nothing is cached here: the one caller,
-    `reduction._leading_block`, caches its result per (class, d).
+    `reduction._leading_block`, caches its result per (class, d, j).
     """
     if d < 1:
         raise ValueError("need d >= 1")
     m = 2 * d
-    p = -(-_PRIME_FLOOR // m) * m + 1  # the first candidate above the floor
+    p = -(-(_PRIME_FLOOR << j) // m) * m + 1  # the first candidate above the floor
     while not _is_prime(p):
         p += m
     odd_primes = [q for q in intpoly._prime_divisors(d) if q > 2]
@@ -117,12 +117,6 @@ def root_of_unity(d: int) -> tuple[int, int]:
 def _is_prime(c: int) -> bool:
     """Primality of an odd c > 2: a base-2 Fermat filter, then trial division."""
     return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
-
-
-# Every prime above the floor is 1 (mod 2), so d = 1 takes the least of
-# them and no certificate prime is smaller: 2n < p holds for every d up
-# to this n.
-CERTIFICATE_MAX_N = (root_of_unity(1)[0] - 1) // 2
 
 
 def binomial_exponents(c: CycloExponents) -> dict[int, int]:

@@ -75,6 +75,8 @@ Whether Phi_{2d} divides num needs no num at all when the answer is no:
 of unity of order 2d in a prime field, keeping one coefficient per
 weight r < d.  Lemma 4 carries it to every n: L(n) = c^floor(n/d) *
 L(n mod d) for a unit c, and L(n) is num(n)(zeta) up to a known unit.
+The field is the first prime p = 1 (mod 2d) above a floor 10^6 * 2^j,
+for the least j with p > 2n and L(n) != 0 (`leading_coefficient`).
 """
 
 from __future__ import annotations
@@ -290,11 +292,16 @@ def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
     return cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass))
 
 
+# The usable floors `leading_coefficient` tries before the full test decides.
+_FLOORS = 4
+
+
 def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, int, int]:
     """(p, zeta, L(n)): num(n) at a root of unity of order 2d, up to a unit, in GF(p).
 
-    (p, zeta) is `cyclotomic.root_of_unity(d)`, and d must be an
-    allowed part of the class.  Write x = zeta + t and work with Laurent
+    (p, zeta) is `cyclotomic.root_of_unity(d, j)` at the floor
+    F_j = 10^6 * 2^j picked below, and d must be an allowed part of the
+    class.  Write x = zeta + t and work with Laurent
     series in t over GF(p).  The coin DP over the allowed parts i,
     table[r] += table[r-i] * u_i with u_i = 1/(1+x^i), builds
     sr(r, x) = sum over partitions of r of prod 1/(1+x^lambda_j).  u_i
@@ -316,11 +323,14 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
         L(n) * D = num(n)(zeta)  (mod p),
         D = Phi'_{2d}(zeta)^floor(n/d) * prod_{d' != d} Phi_{2d'}(zeta)^floor(n/d'),
 
-    where D is nonzero mod p, as zeta has order 2d and p > 2n (a
-    ValueError is raised otherwise).  L(n) != 0 proves that Phi_{2d}
-    does not divide num(n) over Z; L(n) = 0 proves nothing.  For any d
-    that is not a part the target valuation is wrong, and a ValueError
-    is raised.
+    where D is nonzero mod p, as zeta has order 2d and p > 2n.  L(n) != 0
+    proves that Phi_{2d} does not divide num(n) over Z; L(n) = 0 proves
+    nothing, so j walks up from 0, skipping each floor with p <= 2n, to
+    the first L(n) != 0; after `_FLOORS` usable floors L(n) = 0 is
+    returned, and the caller takes the full test.  For n <= 500 001 (no
+    p is below 1 000 003) j = 0 serves unless its L(n) vanishes.  For
+    any d that is not a part the target valuation is wrong, and a
+    ValueError is raised.
 
     Most cells of that DP are zero and are skipped, as the num* DP skips
     the weights it cannot reach.  L(0) = 1 and every other L starts at
@@ -332,22 +342,30 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
         L(n) = c^floor(n/d) * L(n mod d),
 
     and only block 0 is ever computed, in O(d * #parts) operations mod
-    p.  It is cached with p, zeta and c on (class, d) for the life of
-    the process: a run up to n = N holds one entry per class and d <= N,
-    each of d ints below p, at most N(N+1)/2 ints per class.
+    p.  It is cached with p, zeta and c on (class, d, j) for the life
+    of the process: a run up to n = N <= 500 001 holds one entry per
+    class and d <= N, each of d ints below p, at most N(N+1)/2 ints per
+    class, and up to `_FLOORS` - 1 more for a d whose block has a zero.
+    A floor is skipped only if F_j < 2N, so up to N = 10^6 a (class, d)
+    holds at most `_FLOORS` + 1 entries, and one more per doubling of N.
     """
     if n < 0 or not pclass.allows(d):
         raise ValueError(f"need n >= 0 and d a part of {pclass.value} partitions")
-    p, zeta, c, block = _leading_block(pclass, d)
-    if 2 * n >= p:
-        raise ValueError(f"prime {p} too small for n = {n}")
-    return p, zeta, pow(c, n // d, p) * block[n % d] % p
+    j = usable = 0
+    while True:
+        p, zeta, c, block = _leading_block(pclass, d, j)
+        if 2 * n < p:
+            lead = pow(c, n // d, p) * block[n % d] % p
+            usable += 1
+            if lead or usable == _FLOORS:
+                return p, zeta, lead
+        j += 1
 
 
 @lru_cache(maxsize=None)
-def _leading_block(pclass: PartitionClass, d: int) -> tuple[int, int, int, array]:
-    """(p, zeta, c, L(0..d-1)) for `leading_coefficient`: the coin DP over the parts below d."""
-    p, zeta = cyclotomic.root_of_unity(d)
+def _leading_block(pclass: PartitionClass, d: int, j: int) -> tuple[int, int, int, array]:
+    """(p, zeta, c, L(0..d-1)) at floor j for `leading_coefficient`: the coin DP over the parts below d."""
+    p, zeta = cyclotomic.root_of_unity(d, j)
     block = [1] + [0] * (d - 1)
     for i in allowed_parts(pclass, d - 1):
         u = pow(1 + pow(zeta, i, p), -1, p)

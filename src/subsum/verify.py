@@ -108,8 +108,8 @@ def _phi_2d_nondivides(n: int, pclass: PartitionClass, d: int, engine: str) -> t
     """Whether Phi_{2d} does not divide num(n), and the certificate [d, p, zeta, L] that shows it.
 
     The local route reads L = num(n)(zeta) up to a unit at a root of
-    unity zeta of order 2d mod p, one p per d
-    (`reduction.leading_coefficient`); L != 0 proves nondivisibility.
+    unity zeta of order 2d mod p, one p per (d, j) for the floor index j
+    that `reduction.leading_coefficient` picks; L != 0 proves nondivisibility.
     Engine "dp" returns that certificate and, when L = 0, decides by the
     full test, `cyclotomic.phi_2d_divides` on num, returning no
     certificate.  Engine "both" always takes the full test, which
@@ -324,9 +324,9 @@ def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str
     """Whether Phi_{2d} does not divide num(r) of the class, r < d, by the full test.
 
     This is lemma 4's r side.  It takes the full test,
-    `cyclotomic.phi_2d_divides` on num(r), under either engine: the
-    certificate at r reads the same cached block entry L(r) that
-    L(n) = c^floor(n/d) * L(r) is built from (see
+    `cyclotomic.phi_2d_divides` on num(r), under either engine: at each
+    floor the certificate at r reads the same cached block entry L(r)
+    that L(n) = c^floor(n/d) * L(r) is built from (see
     `reduction.leading_coefficient`), so it could not disagree with the
     n side.  r = 0 uses num(0,x) = 1, which no Phi divides, so lemma 4
     then degenerates to nondivisibility at n alone; the equivalence is
@@ -402,10 +402,7 @@ class Conjecture(NamedTuple):
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, the
     range the report states.  `builds_num` is false for a check that
-    reads only den, so that no engine applies to it.  `highest_n`, when
-    set, is the largest max_n the check can serve: for the checks that
-    take root-of-unity certificates it is `cyclotomic.CERTIFICATE_MAX_N`,
-    as a certificate at n needs a prime above 2n.
+    reads only den, so that no engine applies to it.
     """
 
     cid: str
@@ -414,35 +411,27 @@ class Conjecture(NamedTuple):
     check: Callable
     proved: bool
     builds_num: bool = True
-    highest_n: int | None = None
 
     def max_n_bound(self, max_n: int) -> str | None:
-        """The bound on max-n that max_n breaks, as "max-n >= ..." or "max-n <= ...", or None."""
+        """The bound on max-n that max_n breaks, as "max-n >= ...", or None."""
         lowest = max(self.lowest_n, 1)
-        if max_n < lowest:
-            return f"max-n >= {lowest}"
-        if self.highest_n is not None and max_n > self.highest_n:
-            return f"max-n <= {self.highest_n}"
-        return None
+        return f"max-n >= {lowest}" if max_n < lowest else None
 
-
-# The largest n the root-of-unity certificates serve.
-_CERTIFIED = cyclotomic.CERTIFICATE_MAX_N
 
 CONJECTURES: dict[str, Conjecture] = {
     c.cid: c
     for c in (
         Conjecture("1", ORDINARY, 1, _witness_check, proved=False),
-        Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True, highest_n=_CERTIFIED),
+        Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
         Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
         Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, builds_num=False),
-        Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True, highest_n=_CERTIFIED),
+        Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True),
         Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
-        Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True, highest_n=_CERTIFIED),
+        Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
         Conjecture("8", PartitionClass.ODD, 1, _value_at_minus_one_check, proved=True),
         Conjecture("9", PartitionClass.TERNARY, 1, _value_at_minus_one_check, proved=True),
         Conjecture("10", PartitionClass.TERNARY, 0, _ternary_block_check, proved=True),
-        Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True, highest_n=_CERTIFIED),
+        Conjecture("lemma4", ORDINARY, 1, _lemma4_check, proved=True),
     )
 }
 

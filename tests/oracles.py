@@ -512,19 +512,22 @@ def big_g(n, pclass):
     return min_exponents(cofactors)
 
 
-def certificate_problems(num, certificate):
-    """Why [d, p, zeta, L] fails to prove that Phi_2d does not divide num; [] if it proves it.
+def certificate_problems(n, num, certificate):
+    """Why [d, p, zeta, L] fails to prove that Phi_2d does not divide num = num(n); [] if it proves it.
 
-    p must be prime (trial division) with p = 1 mod 2d; zeta must have
-    order exactly 2d mod p (zeta^d = -1, and zeta^(2d/q) != 1 for every
-    odd prime q dividing d); L must be a nonzero residue; and num(zeta),
-    from num's own coefficients, must be nonzero mod p.  Then Phi_2d,
-    which vanishes at zeta mod p, cannot divide num over Z.
+    p must be prime (trial division) with p = 1 mod 2d and p > 2n, so
+    that L is num(n)(zeta) up to a unit; zeta must have order exactly
+    2d mod p (zeta^d = -1, and zeta^(2d/q) != 1 for every odd prime q
+    dividing d); L must be a nonzero residue; and num(zeta), from num's
+    own coefficients, must be nonzero mod p.  Then Phi_2d, which
+    vanishes at zeta mod p, cannot divide num over Z.
     """
     d, p, zeta, lead = certificate
     problems = []
     if not is_prime(p):
         problems.append(f"{p} is not prime")
+    if p <= 2 * n:
+        problems.append(f"p = {p} is not above 2n = {2 * n}")
     if p % (2 * d) != 1:
         problems.append(f"{p} != 1 mod {2 * d}")
     if pow(zeta, d, p) != p - 1:

@@ -162,26 +162,20 @@ def _spy_run(monkeypatch):
 
 
 @pytest.mark.parametrize("cid", ["2", "5", "7", "lemma4"])
-def test_max_n_above_the_certificate_ceiling_exits_2(capsys, monkeypatch, cid):
+def test_max_n_past_the_old_ceiling_reaches_run(capsys, monkeypatch, cid):
+    # d = 1's least prime, 1000003, serves n <= 500001 only; past that a higher floor serves.
     calls = _spy_run(monkeypatch)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--conjecture", cid, "--max-n", "500002"])
-    assert exc.value.code == 2
-    assert calls == []
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"--conjecture {cid} needs --max-n <= 500001" in captured.err
-    assert cli.main(["verify", "--conjecture", cid, "--max-n", "500001"]) == 0
-    assert calls == [(cid, 500001)]
+    assert cli.main(["verify", "--conjecture", cid, "--max-n", "500002"]) == 0
+    assert calls == [(cid, 500002)]
+    assert capsys.readouterr().err == ""
 
 
-def test_all_above_the_certificate_ceiling_warns_and_skips(capsys, monkeypatch, caplog):
+def test_all_past_the_old_ceiling_runs_every_conjecture(capsys, monkeypatch, caplog):
     calls = _spy_run(monkeypatch)
     with caplog.at_level("WARNING", logger="subsum"):
         assert cli.main(["verify", "--conjecture", "all", "--max-n", "500002"]) == 0
-    assert [cid for cid, _ in calls] == ["1", "3", "4", "6", "8", "9", "10"]
-    skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert skipped == [f"skipping conjecture {cid}: needs max-n <= 500001" for cid in ("2", "5", "7", "lemma4")]
+    assert calls == [(cid, 500002) for cid in verify.CONJECTURES]
+    assert [r.getMessage() for r in caplog.records] == []
 
 
 def test_table_t(capsys):

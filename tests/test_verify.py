@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+from array import array
 
 import pytest
 
@@ -357,24 +358,26 @@ def test_run_validates_range_and_jobs():
 CERTIFIED_IDS = ["2", "5", "7", "lemma4"]
 
 
-def test_certificate_ceiling_is_below_half_of_every_prime():
-    # d = 1's prime is the least above the floor; 2n < p must hold at the ceiling for every d.
-    top = cyclotomic.CERTIFICATE_MAX_N
-    assert top == 500001 == (cyclotomic.root_of_unity(1)[0] - 1) // 2
-    for d in (1, 2, 3, 64, 1000):
-        assert 2 * top < cyclotomic.root_of_unity(d)[0]
-    assert [c for c, e in verify.CONJECTURES.items() if e.highest_n == top] == CERTIFIED_IDS
-    assert all(e.highest_n is None for c, e in verify.CONJECTURES.items() if c not in CERTIFIED_IDS)
+def test_every_certificate_prime_is_above_2n(monkeypatch):
+    # With the floor at 16, the primes of the low floors are at most 2n
+    # for most n <= 40, so the rule must skip them; the checker rejects a
+    # certificate whose p is at most 2n.
+    reduction._leading_block.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
+    try:
+        _assert_certified(verify.run("2", 30), ORD, lambda w: w["d_checked"])
+        _assert_certified(verify.run("7", 40), BIN, lambda w: [1 << s for s in w["s_checked"]])
+    finally:
+        reduction._leading_block.cache_clear()
 
 
 @pytest.mark.parametrize("cid", CERTIFIED_IDS)
-def test_run_refuses_max_n_above_the_certificate_ceiling_before_any_work(monkeypatch, cid):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a check ran above the certificate ceiling")
-
-    monkeypatch.setattr(verify, "_guarded", no_work)
-    with pytest.raises(ValueError, match=f"conjecture {cid} needs max-n <= 500001"):
-        verify.run(cid, cyclotomic.CERTIFICATE_MAX_N + 1)
+def test_run_accepts_max_n_past_the_old_ceiling(monkeypatch, cid):
+    # No max_n is too large for the certificates: every n has a floor whose prime is above 2n.
+    no_work = ([], [])
+    monkeypatch.setattr(verify, "_guarded", lambda check, pclass, engine, n: no_work)
+    report = verify.run(cid, 500_002)
+    assert (report.verdict, report.n_range) == (verify.ALL_HOLD, (verify.CONJECTURES[cid].lowest_n, 500_002))
 
 
 @pytest.mark.parametrize("cid", list(verify.CONJECTURES))
@@ -421,7 +424,7 @@ def _assert_certified(report, pclass, ds_of):
         assert w["full_route"] == []
         assert [c[0] for c in w["certificates"]] == ds_of(w)
         for certificate in w["certificates"]:
-            assert oracles.certificate_problems(num, certificate) == [], (w["n"], certificate)
+            assert oracles.certificate_problems(w["n"], num, certificate) == [], (w["n"], certificate)
 
 
 def test_every_certificate_passes_the_independent_checker():
@@ -434,10 +437,12 @@ def test_checker_rejects_a_bad_certificate():
     num = reduction.num(4, ORD, "dp")
     [good] = [c for c in verify.run("2", 4).witnesses[-1]["certificates"] if c[0] == 3]
     d, p, zeta, lead = good
-    assert oracles.certificate_problems(num, good) == []
-    assert oracles.certificate_problems(num, [d, 7 * p, zeta, lead])  # composite, though = 1 mod 6
-    assert oracles.certificate_problems(num, [d, p, zeta * zeta % p, lead])  # order 3, not 6
-    assert oracles.certificate_problems(oracles.naive_mul(num, oracles.phi_by_division(6)), good)
+    assert oracles.certificate_problems(4, num, good) == []
+    assert oracles.certificate_problems(4, num, [d, 7 * p, zeta, lead])  # composite, though = 1 mod 6
+    assert oracles.certificate_problems(4, num, [d, p, zeta * zeta % p, lead])  # order 3, not 6
+    assert oracles.certificate_problems(4, oracles.naive_mul(num, oracles.phi_by_division(6)), good)
+    # Only the p does not fit: at 2n >= p, L need not be num(n)(zeta) up to a unit.
+    assert oracles.certificate_problems(p // 2 + 1, num, good) == [f"p = {p} is not above 2n = {p + 1}"]
 
 
 def _vanishing(monkeypatch, ds):
@@ -479,6 +484,28 @@ def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
         assert verify._lemma4_check(6, ORD, "dp") == ([], [])
     finally:
         reduction.num.cache_clear()
+
+
+def test_zero_at_every_floor_takes_the_full_route(monkeypatch):
+    # Every floor's block at d = 3 is patched to zero: the walk tries
+    # `_FLOORS` usable floors, returns L = 0, and the full test decides d.
+    real = reduction._leading_block
+    floors = []
+
+    def zeroed(pclass, d, j):
+        p, zeta, c, block = real(pclass, d, j)
+        if d != 3:
+            return p, zeta, c, block
+        floors.append(j)
+        return p, zeta, c, array("q", [0] * d)
+
+    monkeypatch.setattr(reduction, "_leading_block", zeroed)
+    assert reduction.leading_coefficient(7, ORD, 3) == (*cyclotomic.root_of_unity(3, reduction._FLOORS - 1), 0)
+    assert floors == list(range(reduction._FLOORS))
+    assert verify._phi_2d_nondivides(7, ORD, 3, "dp") == (True, None)
+    divides, decided = verify._decide(7, ORD, [1, 2, 3, 4], "dp")
+    assert divides == [] and decided["full_route"] == [3]
+    assert [c[0] for c in decided["certificates"]] == [1, 2, 4]
 
 
 def test_full_route_reports_a_divisor(monkeypatch):
