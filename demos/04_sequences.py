@@ -6,16 +6,13 @@ t(3n) - t(3n-2) = 4^n t(n); s(n) = num_T(n,-1) is a pure power of 3;
 and num_O(n,-1) walks through the odd parts of the factorials.
 """
 
-from subsum import intpoly, reduction, verify
+from subsum import reduction, verify
 from subsum.partitions import PartitionClass
 
 TOP = 18
 
 t = reduction.t_values(3 * TOP)
-s = [None] + [
-    intpoly.eval_at_int(reduction.num(n, PartitionClass.TERNARY, "dp"), -1)
-    for n in range(1, TOP + 1)
-]
+s = [None] + [reduction.num_at_minus_one(n, PartitionClass.TERNARY) for n in range(1, TOP + 1)]
 
 print(f"{'n':>3} {'t(n)':>14} {'s(n)':>8} {'o(n!)':>16}")
 for n in range(1, TOP + 1):

@@ -34,7 +34,7 @@ import json
 import os
 import sys
 
-from . import cyclotomic, intpoly, reduction, verify
+from . import cyclotomic, reduction, verify
 from .partitions import PartitionClass, enumerate_partitions
 
 # The standard logging levels by name; SUBSUM_LOG names the threshold.
@@ -67,7 +67,7 @@ def _per_n(value):
 # from one coin DP and starts at n = 0.
 _SEQUENCES = {
     "t": lambda top: list(enumerate(reduction.t_values(top))),
-    "s": _per_n(lambda n: intpoly.eval_at_int(reduction.num(n, PartitionClass.TERNARY, "dp"), -1)),
+    "s": _per_n(lambda n: reduction.num_at_minus_one(n, PartitionClass.TERNARY)),
     "o-part": _per_n(lambda n: verify.odd_factorial_part(n)),
     "g-degree": _per_n(lambda n: cyclotomic.cyclo_degree(reduction.big_g(n, PartitionClass.ORDINARY))),
 }

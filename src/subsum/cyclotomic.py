@@ -96,8 +96,8 @@ def root_of_unity(d: int, j: int) -> tuple[int, int]:
     the least a >= 2 for which zeta has order 2d, tested directly:
     zeta^(2d) = 1 always, zeta^d = -1 rules out every order dividing d,
     and zeta^(2d/q) != 1, for each odd prime q | d, every order dividing
-    2d/q.  Nothing is cached here: the one caller,
-    `reduction._leading_block`, caches its result per (class, d, j).
+    2d/q.  Nothing is cached here: `reduction._root_of_unity` caches
+    the result per (d, j).
     """
     if d < 1:
         raise ValueError("need d >= 1")

@@ -65,7 +65,11 @@ the one cached route to num.
 
 num(n, 1) needs neither: `num_at_one` divides the DP's run at x = 1 by
 G(1), a power of 2; `verify` compares it with the full path's num at 1
-under engine "both".  For the ternary
+under engine "both".  num(n, -1) needs no division by G either:
+G(-1 + t) = T_G * t^g + O(t^(g+1)), so `num_at_minus_one` reads
+T_G * num(n, -1) as the coefficient of t^g in num*(-1 + t), one pass
+over num*; `verify` compares it with the full path's num at -1 under
+engine "both".  For the ternary
 class num(n, 1) is t(n), the sum of 2^(n - length) over the partitions
 of n, which `t_values` also computes by a coin DP over the parts 3^k
 alone, for every n up to a bound at once.
@@ -81,6 +85,7 @@ for the least j with p > 2n and L(n) != 0 (`leading_coefficient`).
 
 from __future__ import annotations
 
+import math
 from array import array
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -342,19 +347,24 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
         L(n) = c^floor(n/d) * L(n mod d),
 
     and only block 0 is ever computed, in O(d * #parts) operations mod
-    p.  It is cached with p, zeta and c on (class, d, j) for the life
-    of the process: a run up to n = N <= 500 001 holds one entry per
-    class and d <= N, each of d ints below p, at most N(N+1)/2 ints per
-    class, and up to `_FLOORS` - 1 more for a d whose block has a zero.
-    A floor is skipped only if F_j < 2N, so up to N = 10^6 a (class, d)
-    holds at most `_FLOORS` + 1 entries, and one more per doubling of N.
+    p, and only at a floor with p > 2n: the walk learns p from
+    `_root_of_unity` first, which caches (p, zeta) per (d, j) for every
+    floor it tries, skipped or not.  The block is cached with p, zeta
+    and c on (class, d, j) for the life of the process: a run up to
+    n = N <= 500 001 holds one entry per class and d <= N, each of d
+    ints below p, at most N(N+1)/2 ints per class, and up to
+    `_FLOORS` - 1 more for a d whose block has a zero.  A floor is
+    skipped only if F_j < 2N, so up to N = 10^6 a (class, d) holds at
+    most `_FLOORS` + 1 entries, and one more per doubling of N; a d
+    holds as many (p, zeta) pairs, shared by the classes.
     """
     if n < 0 or not pclass.allows(d):
         raise ValueError(f"need n >= 0 and d a part of {pclass.value} partitions")
     j = usable = 0
     while True:
-        p, zeta, c, block = _leading_block(pclass, d, j)
+        p, zeta = _root_of_unity(d, j)
         if 2 * n < p:
+            _, _, c, block = _leading_block(pclass, d, j)
             lead = pow(c, n // d, p) * block[n % d] % p
             usable += 1
             if lead or usable == _FLOORS:
@@ -362,10 +372,15 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
         j += 1
 
 
+# (p, zeta) per (d, j), shared by the classes, so that a floor with
+# p <= 2n is skipped without building its block.
+_root_of_unity = lru_cache(maxsize=None)(cyclotomic.root_of_unity)
+
+
 @lru_cache(maxsize=None)
 def _leading_block(pclass: PartitionClass, d: int, j: int) -> tuple[int, int, int, array]:
     """(p, zeta, c, L(0..d-1)) at floor j for `leading_coefficient`: the coin DP over the parts below d."""
-    p, zeta = cyclotomic.root_of_unity(d, j)
+    p, zeta = _root_of_unity(d, j)
     block = [1] + [0] * (d - 1)
     for i in allowed_parts(pclass, d - 1):
         u = pow(1 + pow(zeta, i, p), -1, p)
@@ -389,6 +404,45 @@ def num_at_one(n: int, pclass: PartitionClass) -> int:
     if star & ((1 << shift) - 1):
         raise intpoly.NotDivisibleError(f"num*({n},1) = {star} is not divisible by G({n},1) = 2^{shift}")
     return star >> shift
+
+
+def num_at_minus_one(n: int, pclass: PartitionClass) -> int:
+    """num(n, -1) from the num* DP alone, read off its expansion at x = -1; G is not divided out.
+
+    Put x = -1 + t.  G(-1 + t) = T_G * t^g + O(t^(g+1))
+    (`_order_at_minus_one`), and num* = G * num, so
+    T_G * num(-1) = [t^g] num*(-1 + t), which is the sum over k >= g of
+    a_k * C(k, g) * (-1)^(k-g) for num* = sum of a_k x^k.  The binomials
+    follow from C(k+1, g) = C(k, g) * (k+1) / (k+1-g).  A nonzero
+    remainder on division by T_G raises NotDivisibleError.  Only that
+    one coefficient is read: G | num* is not proved here, as the
+    division in `num` proves it.  No engine applies; `verify` compares
+    the result with the full path's num at -1 under engine "both".
+    """
+    g, lead = _order_at_minus_one(n, pclass)
+    star = num_star(n, pclass)
+    total, binom = 0, 1
+    for k in range(g, len(star)):
+        term = binom * star[k]
+        total += -term if (k - g) & 1 else term
+        binom = binom * (k + 1) // (k + 1 - g)
+    value, rest = divmod(total, lead)
+    if rest:
+        raise intpoly.NotDivisibleError(f"[t^{g}] num*({n},-1+t) = {total} is not divisible by T_G = {lead}")
+    return value
+
+
+def _order_at_minus_one(n: int, pclass: PartitionClass) -> tuple[int, int]:
+    """(g, T_G) with G(n)(-1 + t) = T_G * t^g + O(t^(g+1)).
+
+    G is prod (1 + x^j)^E_j, every E_j >= 0 (`cyclotomic.binomial_exponents`).
+    At x = -1 + t, 1 + x^j is j*t + O(t^2) for odd j and 2 + O(t) for
+    even j, so g = sum of E_j over odd j, and
+    T_G = prod over odd j of j^E_j times 2^(sum of E_j over even j).
+    """
+    exps = cyclotomic.binomial_exponents(big_g(n, pclass))
+    g = sum(e for j, e in exps.items() if j & 1)
+    return g, math.prod(j**e for j, e in exps.items() if j & 1) << (sum(exps.values()) - g)
 
 
 def t_values(top: int) -> list[int]:

@@ -15,14 +15,12 @@ unexpected violation would be a publishable finding and lands in the
 failures list with full reproduction data; neither outcome gates the
 build.
 
-Every check that builds num* passes its engine straight to
+Every check that builds num passes its engine straight to
 `reduction.num`, the one cached route to num = num*/G, so
 `reduction.num_star` is the one place the accumulation engine is
 applied; under engine "both" it raises EngineMismatchError, which `run`
 records as a failure.  Checks that read only den (conjecture 4, and
-the den side of 2 and 5) build no num*.  Conjectures 8 and 9 share one
-check, which reads num(n,-1) on the full path and compares it with the
-class's proved value in `VALUE_AT_MINUS_ONE`.
+the den side of 2 and 5) build no num*.
 
 Every other route is picked here, and under engine "both" each cheap
 route is compared with the full path.  The Phi_{2d}-nondivisibility
@@ -31,12 +29,17 @@ checks (conjectures 2, 5 and 7, lemma 4 at n) go through
 root of unity mod p and builds num only when that certificate vanishes;
 engine "both" also takes the full test of num for every d and compares
 the two.  Lemma 4 decides its n mod d side by the full test under
-either engine.  Conjecture 10 checks one block m = 3n, 3n+1, 3n+2 per n
-and builds no num under "dp": it compares t(m) by a coin DP over
-2^(m - length) with num_T(m,1) by the num* DP over the cofactors at
-x = 1 (`reduction.num_at_one`); under "both" `_ternary_block_check`
-also reads the full path's num_T(m) at 1 and raises EngineMismatchError
-unless it agrees.
+either engine.  Conjectures 8 and 9 share one check, which builds no
+num under "dp": it reads num(n,-1) off num* at x = -1
+(`reduction.num_at_minus_one`, no division by G) and compares it with
+the class's proved value in `VALUE_AT_MINUS_ONE`; under "both"
+`_value_at_minus_one_check` also reads the full path's num(n,-1) and
+raises EngineMismatchError unless it agrees.  Conjecture 10 checks one
+block m = 3n, 3n+1, 3n+2 per n and builds no num under "dp": it
+compares t(m) by a coin DP over 2^(m - length) with num_T(m,1) by the
+num* DP over the cofactors at x = 1 (`reduction.num_at_one`); under
+"both" `_ternary_block_check` also reads the full path's num_T(m) at 1
+and raises EngineMismatchError unless it agrees.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -191,9 +194,23 @@ VALUE_AT_MINUS_ONE: dict[PartitionClass, tuple[str, str, Callable[[int], int]]] 
 
 
 def _value_at_minus_one_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """num(n,-1) equals the class's proved value in `VALUE_AT_MINUS_ONE`."""
+    """num(n,-1) equals the class's proved value in `VALUE_AT_MINUS_ONE`.
+
+    num(n,-1) is read off num* at x = -1 (`reduction.num_at_minus_one`),
+    with no division by G and no num.  That route reads one coefficient
+    of num*(-1 + t), so unlike the division in `reduction.num` it does
+    not prove G | num*.  Engine "both" also builds the full path's num,
+    which proves it, checks num* against the enumeration, and raises
+    EngineMismatchError unless num(n,-1) agrees; the route runs the DP
+    alone, so the enumeration runs once per n.  The tests compare the
+    route with the full path's num(n,-1) in every class.
+    """
     name, form, value = VALUE_AT_MINUS_ONE[pclass]
-    got = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
+    got = reduction.num_at_minus_one(n, pclass)
+    if engine == "both":
+        full = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
+        if full != got:
+            raise reduction.EngineMismatchError(f"num({n},-1) = {full} by the full path != {got} off num* at x = -1")
     want = value(n)
     if got != want:
         return [{"n": n, "detail": f"{name}({n},-1) = {got} != {form.format(n)} = {want}"}], []

@@ -295,13 +295,16 @@ def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
 
 
 def test_wrong_special_value_prints_its_failure_and_exits_1(capsys, monkeypatch):
-    real = reduction.num
+    # num* + G is G * (num + 1): num_T(5,-1) one larger.
+    real = reduction.num_star
 
-    def mutated(n, pclass, engine):
-        num = real(n, pclass, engine)
-        return oracles.naive_add(num, (1,)) if n == 5 and pclass is PartitionClass.TERNARY else num
+    def mutated(n, pclass, engine="dp"):
+        star = real(n, pclass, engine)
+        if n == 5 and pclass is PartitionClass.TERNARY:
+            return oracles.naive_add(star, cyclotomic.expand_cyclotomics(reduction.big_g(n, pclass)))
+        return star
 
-    monkeypatch.setattr(reduction, "num", mutated)
+    monkeypatch.setattr(reduction, "num_star", mutated)
     code, out = run(capsys, ["verify", "--conjecture", "9", "--max-n", "6"])
     assert code == 1
     assert "  FAIL n=5: num_T(5,-1) = 4 != 3^v3(5!) = 3" in out.splitlines()

@@ -99,6 +99,8 @@ def test_n0_is_the_empty_partition_in_every_layer():
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
             assert reduction.num(0, pclass, engine) == (1,), (pclass, engine)
         assert reduction.num_at_one(0, pclass) == 1, pclass
+        assert reduction._order_at_minus_one(0, pclass) == (0, 1), pclass
+        assert reduction.num_at_minus_one(0, pclass) == 1, pclass
     assert reduction.t_values(0) == [1]
 
 
@@ -309,6 +311,27 @@ def test_num_at_one_matches_the_full_path():
             assert reduction.num_at_one(n, pclass) == want, (pclass, n)
 
 
+def test_num_at_minus_one_matches_the_full_path():
+    for pclass, top in ((ODD, 60), (TER, 90), (ORD, 30), (BIN, 30)):
+        for n in range(top + 1):
+            want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), -1)
+            assert reduction.num_at_minus_one(n, pclass) == want, (pclass, n)
+
+
+def test_order_at_minus_one_is_the_leading_term_of_g_at_minus_one():
+    # G(-1 + t) = T_G t^g + O(t^(g+1)): golden (g, T_G), then the Taylor
+    # coefficients of the oracle's expanded G at -1, by Horner in t.
+    assert reduction._order_at_minus_one(15, ODD) == (14, 45)  # G = (1+x)^11 (1+x^3)^2 (1+x^5)
+    assert reduction._order_at_minus_one(10, TER) == (4, 3)  # G = (1+x)^3 (1+x^3)
+    for pclass in CLASSES:
+        for n in range(31):
+            taylor = (0,)
+            for c in reversed(oracles.expand_phi_product(reduction.big_g(n, pclass))):
+                taylor = oracles.naive_add(oracles.naive_mul(taylor, (-1, 1)), (c,))
+            g, lead = reduction._order_at_minus_one(n, pclass)
+            assert (list(taylor[:g]), taylor[g]) == ([0] * g, lead), (pclass, n)
+
+
 @pytest.mark.parametrize("n", [17, 18])
 def test_odd_18_quotient_wider_than_num_star(n):
     # At odd n = 18 num* still fits 31 bits, but num has a 32-bit
@@ -415,6 +438,7 @@ def test_past_the_old_ceiling_a_certificate_takes_a_higher_floor(monkeypatch):
     # and 37, both at most 2n = 40, so n = 20 takes j = 2 there; at every
     # d the prime is above 40 and the checker accepts the certificate.
     reduction._leading_block.cache_clear()
+    reduction._root_of_unity.cache_clear()
     monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
     try:
         assert [cyclotomic.root_of_unity(1, j)[0] for j in range(3)] == [17, 37, 67]
@@ -426,6 +450,41 @@ def test_past_the_old_ceiling_a_certificate_takes_a_higher_floor(monkeypatch):
             assert oracles.certificate_problems(20, num, [d, p, zeta, lead]) == [], d
     finally:
         reduction._leading_block.cache_clear()
+        reduction._root_of_unity.cache_clear()
+
+
+def test_a_skipped_floor_builds_no_block(monkeypatch):
+    # With the floor at 16, n = 20 skips every floor with p <= 40 (j = 0
+    # and 1 at d = 1).  Only usable floors build a block, and each
+    # certificate is the one the walk over the oracle's full recurrence
+    # picks at the same floors.
+    reduction._leading_block.cache_clear()
+    reduction._root_of_unity.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
+    real, built = reduction._leading_block, []
+
+    def spy(pclass, d, j):
+        built.append((d, j))
+        return real(pclass, d, j)
+
+    monkeypatch.setattr(reduction, "_leading_block", spy)
+    n = 20
+    try:
+        for d in range(1, n + 1):
+            usable = 0
+            for j in range(10):
+                p, zeta = cyclotomic.root_of_unity(d, j)
+                if 2 * n < p:
+                    usable += 1
+                    lead = oracles.leading_pass(ORD.allows, d, n, p, zeta)[n]
+                    if lead or usable == reduction._FLOORS:
+                        break
+            assert reduction.leading_coefficient(n, ORD, d) == (p, zeta, lead), d
+        assert (1, 0) not in built and (1, 2) in built
+        assert all(cyclotomic.root_of_unity(d, j)[0] > 2 * n for d, j in built), built
+    finally:
+        real.cache_clear()
+        reduction._root_of_unity.cache_clear()
 
 
 def test_leading_coefficient_matches_the_full_recurrence():

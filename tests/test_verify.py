@@ -109,17 +109,48 @@ def test_ternary_minus_one():
     ],
 )
 def test_wrong_value_at_minus_one_fails(monkeypatch, cid, pclass, detail):
-    real = reduction.num
+    # num* + G is G * (num + 1): num(5,-1) one larger.
+    real = reduction.num_star
 
-    def mutated(n, pclass_, engine):
-        num = real(n, pclass_, engine)
-        return oracles.naive_add(num, (1,)) if n == 5 and pclass_ is pclass else num
+    def mutated(n, pclass_, engine="dp"):
+        star = real(n, pclass_, engine)
+        if n == 5 and pclass_ is pclass:
+            return oracles.naive_add(star, cyclotomic.expand_cyclotomics(reduction.big_g(n, pclass_)))
+        return star
 
-    monkeypatch.setattr(reduction, "num", mutated)
+    monkeypatch.setattr(reduction, "num_star", mutated)
     report = verify.run(cid, 6)
     assert report.verdict == verify.FAILURES_FOUND
     assert report.failures == [{"n": 5, "detail": detail}]
     assert [w["n"] for w in report.witnesses] == [1, 2, 3, 4, 6]
+
+
+@pytest.mark.parametrize("n, pclass", [(15, PartitionClass.ODD), (10, PartitionClass.TERNARY)])
+def test_any_coefficient_off_by_one_from_t_to_the_g_fails_or_raises(monkeypatch, n, pclass):
+    # num*(-1 + t) at t^g moves by C(k, g) != 0 for a_k off by 1 at any
+    # k >= g: either T_G no longer divides it, or num(n,-1) is wrong.
+    star = reduction.num_star(n, pclass)
+    g, _ = reduction._order_at_minus_one(n, pclass)
+    for k in range(g, len(star)):
+        off = star[:k] + (star[k] + 1,) + star[k + 1 :]
+        monkeypatch.setattr(reduction, "num_star", lambda n_, pclass_, off=off: off)
+        try:
+            failures, witnesses = verify._value_at_minus_one_check(n, pclass, "dp")
+        except intpoly.NotDivisibleError:
+            continue
+        assert len(failures) == 1 and witnesses == [], k
+
+
+@pytest.mark.parametrize("cid, pclass", [("8", PartitionClass.ODD), ("9", PartitionClass.TERNARY)])
+def test_route_at_minus_one_against_the_full_path_under_both(monkeypatch, cid, pclass):
+    real = reduction.num_at_minus_one
+    monkeypatch.setattr(reduction, "num_at_minus_one", lambda n, pclass_: real(n, pclass_) + (n == 5))
+    full = intpoly.eval_at_int(reduction.num(5, pclass, "both"), -1)
+    report = verify.run(cid, 6, engine="both")
+    detail = f"num(5,-1) = {full} by the full path != {full + 1} off num* at x = -1"
+    assert report.failures == [{"n": 5, "kind": "engine-mismatch", "detail": detail}]
+    assert [w["n"] for w in report.witnesses] == [1, 2, 3, 4, 6]
+    assert verify.run(cid, 6, engine="dp").failures[0]["n"] == 5
 
 
 def test_ternary_one():
@@ -363,12 +394,14 @@ def test_every_certificate_prime_is_above_2n(monkeypatch):
     # for most n <= 40, so the rule must skip them; the checker rejects a
     # certificate whose p is at most 2n.
     reduction._leading_block.cache_clear()
+    reduction._root_of_unity.cache_clear()
     monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
     try:
         _assert_certified(verify.run("2", 30), ORD, lambda w: w["d_checked"])
         _assert_certified(verify.run("7", 40), BIN, lambda w: [1 << s for s in w["s_checked"]])
     finally:
         reduction._leading_block.cache_clear()
+        reduction._root_of_unity.cache_clear()
 
 
 @pytest.mark.parametrize("cid", CERTIFIED_IDS)
