@@ -1,8 +1,12 @@
 """Command-line front end: compute objects, run verifications, emit tables.
 
+`_COMMANDS` is the one flag table: for each command its runner, its
+help and its flags, each with a parse function and a default.
+`parse_args` reads `<command> --flag value` or `--flag=value` against
+it; a flag is named in full, and a repeated flag keeps its last value.
 `compute` and `table` dispatch through one table each: `_WHAT` maps a
-`--what` to its builder and its form, and the parser's flag rules read
-the form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
+`--what` to its builder and its form, and `main`'s flag rules read the
+form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
 its conjecture ids from `verify.CONJECTURES` and runs each through
 `verify.run`.  `--engine` (`dp` or `both`) is passed straight through:
 `reduction.num_star` is the one place it is applied, wherever num* is
@@ -10,18 +14,20 @@ built, and `verify` picks every route from it; den and G are read from
 (n, class) and build no num*.  `verify --conjecture <id>` prints the one
 report asked for.
 
-Exit codes: 0 success; 1 any failure record in a report whose registry
-entry is proved, an engine disagreement, or an internal error (the
-library raised ValueError or ArithmeticError on input the parser
-accepted); 2 bad flags, all of which the parser checks, including a
-`verify --max-n` below the lowest n of the one conjecture requested
-(`--conjecture all` skips such conjectures with a warning instead), and
-a flag that would be ignored: `--engine both` where no num* is built
-(`compute --what den|g|den-star|spol-list`, `verify --conjecture 4`;
-`--conjecture all` applies it wherever num* is built) and `--expand`
-where nothing is factored (`--what num|num-star|spol-list`), and an
-`--out` that is a directory or whose directory is missing or not writable.  A payload write
-that fails later exits 1 with one line, "cannot write output: ...".
+Exit codes: 0 success, or -h/--help; 1 any failure record in a report
+whose registry entry is proved, an engine disagreement, or an internal
+error (the library raised ValueError or ArithmeticError on input the
+parser accepted); 2 bad flags, each reported by `_usage_error` before
+any work: an unknown command or flag, a missing or bad value, a missing
+required flag, a stray argument, a `verify --max-n` below the lowest n
+of the one conjecture requested (`--conjecture all` skips such
+conjectures with a warning instead), a flag that would be ignored:
+`--engine both` where no num* is built (`compute --what
+den|g|den-star|spol-list`, `verify --conjecture 4`; `--conjecture all`
+applies it wherever num* is built) and `--expand` where nothing is
+factored (`--what num|num-star|spol-list`), and an `--out` that is a
+directory or whose directory is missing or not writable.  A payload
+write that fails later exits 1 with one line, "cannot write output: ...".
 WitnessOnly verdicts never affect the exit code.  stdout carries data,
 stderr carries logs and diagnostics.  All big integers are serialized as
 decimal strings; coefficient lists ascend from x^0.
@@ -29,10 +35,10 @@ decimal strings; coefficient lists ascend from x^0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from . import cyclotomic, reduction, verify
 from .partitions import PartitionClass, enumerate_partitions
@@ -73,8 +79,12 @@ _SEQUENCES = {
 }
 
 
+class _BadValue(Exception):
+    """A flag value that its parse function rejects."""
+
+
 def _int_at_least(lowest: int):
-    """argparse type for an integer >= lowest, so a bad value exits 2 like any bad flag."""
+    """Parse an integer >= lowest, so a bad value exits 2 like any bad flag."""
 
     def parse(text: str) -> int:
         try:
@@ -82,53 +92,126 @@ def _int_at_least(lowest: int):
         except ValueError:
             value = None
         if value is None or value < lowest:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+            raise _BadValue(f"expected an integer >= {lowest}, got {text!r}")
         return value
 
     return parse
 
 
+def _choice(options):
+    """Parse one of options; the table's help lists them from `parse.choices`."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise _BadValue(f"invalid choice: {text!r} (choose from {', '.join(options)})")
+        return text
+
+    parse.choices = options
+    return parse
+
+
 def _out_path(text: str) -> str:
-    """argparse type for --out: a nonempty file path in a writable directory, so a bad path exits 2."""
+    """Parse --out: a nonempty file path in a writable directory, so a bad path exits 2."""
     directory = os.path.dirname(text) or os.curdir
     if not text or os.path.isdir(text) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
-        raise argparse.ArgumentTypeError(f"{text!r} is empty, a directory, or in a missing or unwritable directory")
+        raise _BadValue(f"{text!r} is empty, a directory, or in a missing or unwritable directory")
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subsum",
-        description="Exact numerator/denominator pairs of partition reciprocal sums.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
 
-    p_compute = sub.add_parser("compute", help="compute num/den/G and friends for one n")
-    p_compute.add_argument("--class", dest="pclass", choices=_CLASSES, required=True)
-    p_compute.add_argument("--n", type=_int_at_least(0), required=True)
-    p_compute.add_argument("--what", choices=list(_WHAT), required=True)
-    p_compute.add_argument("--format", choices=["json", "text"], default="text")
-    p_compute.add_argument("--expand", action="store_true", help="expand factored outputs")
-    p_compute.add_argument("--engine", choices=reduction.ENGINES, default="dp")
-    p_compute.set_defaults(func=cmd_compute)
+# Each command: (runner, help, {flag: (parse, default or _REQUIRED)}).
+# parse None marks a switch.  A flag's attribute is its name with "-" as
+# "_", except --class, which is pclass.  Runners look cmd_* up at call
+# time, so a patched module attribute reaches them.
+_COMMANDS = {
+    "compute": (lambda args: cmd_compute(args), "compute num/den/G and friends for one n", {
+        "--class": (_choice(_CLASSES), _REQUIRED),
+        "--n": (_int_at_least(0), _REQUIRED),
+        "--what": (_choice(list(_WHAT)), _REQUIRED),
+        "--format": (_choice(["json", "text"]), "text"),
+        "--expand": (None, False),
+        "--engine": (_choice(reduction.ENGINES), "dp"),
+        "--out": (_out_path, None),
+    }),
+    "verify": (lambda args: cmd_verify(args), "run conjecture checks over 1..max-n", {
+        "--conjecture": (_choice([*verify.CONJECTURES, "all"]), _REQUIRED),
+        "--max-n": (_int_at_least(1), _REQUIRED),
+        "--format": (_choice(["json", "text"]), "text"),
+        "--jobs": (_int_at_least(1), 1),
+        "--engine": (_choice(reduction.ENGINES), "dp"),
+        "--out": (_out_path, None),
+    }),
+    "table": (lambda args: cmd_table(args), "emit a sequence, one row per n", {
+        "--sequence": (_choice(list(_SEQUENCES)), _REQUIRED),
+        "--max-n": (_int_at_least(0), _REQUIRED),
+        "--format": (_choice(["csv", "json"]), "csv"),
+        "--out": (_out_path, None),
+    }),
+}
 
-    p_verify = sub.add_parser("verify", help="run conjecture checks over 1..max-n")
-    p_verify.add_argument("--conjecture", choices=[*verify.CONJECTURES, "all"], required=True)
-    p_verify.add_argument("--max-n", dest="max_n", type=_int_at_least(1), required=True)
-    p_verify.add_argument("--format", choices=["json", "text"], default="text")
-    p_verify.add_argument("--jobs", type=_int_at_least(1), default=1)
-    p_verify.add_argument("--engine", choices=reduction.ENGINES, default="dp")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_table = sub.add_parser("table", help="emit a sequence, one row per n")
-    p_table.add_argument("--sequence", choices=list(_SEQUENCES), required=True)
-    p_table.add_argument("--max-n", dest="max_n", type=_int_at_least(0), required=True)
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.set_defaults(func=cmd_table)
+def _usage(command: str | None) -> str:
+    """The usage line and help of one command, or of every command if command is None."""
+    lines = []
+    for name in [command] if command else _COMMANDS:
+        _, summary, flags = _COMMANDS[name]
+        words = ["[-h]"]
+        for flag, (parse, default) in flags.items():
+            word = flag
+            if parse is not None:
+                choices = getattr(parse, "choices", None)
+                word += " " + ("{" + ",".join(choices) + "}" if choices else flag[2:].upper())
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines += [f"usage: subsum {name} {' '.join(words)}", f"  {summary}"]
+    return "\n".join(lines)
 
-    for p in (p_compute, p_verify, p_table):
-        p.add_argument("--out", type=_out_path, help="write the payload to this file instead of stdout")
-    return parser
+
+def _usage_error(command: str | None, message: str):
+    """Print the usage and the error to stderr and exit 2: the one path for every bad flag."""
+    print(_usage(command), file=sys.stderr)
+    print(f"subsum{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]):
+    """Parse `<command> --flag value|--flag=value ...` by `_COMMANDS`; exit 2 on any bad flag.
+
+    A repeated flag keeps its last value.  A flag is named in full: no
+    prefix stands for it.  -h or --help prints the usage and exits 0.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if "-h" in argv or "--help" in argv:
+        print(_usage(command))
+        raise SystemExit(0)
+    if command is None:
+        _usage_error(None, f"unknown command {argv[0]!r}" if argv else "a command is required")
+    func, _, flags = _COMMANDS[command]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            _usage_error(command, f"unrecognized argument {token!r}")
+        parse = flags[flag][0]
+        if parse is None:
+            if eq:
+                _usage_error(command, f"{flag} takes no value")
+            values[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                _usage_error(command, f"{flag} expects a value")
+        try:
+            values[flag] = parse(text)
+        except _BadValue as exc:
+            _usage_error(command, f"{flag}: {exc}")
+    missing = [flag for flag, (_, default) in flags.items() if default is _REQUIRED and flag not in values]
+    if missing:
+        _usage_error(command, f"the following flags are required: {', '.join(missing)}")
+    args = {"pclass" if f == "--class" else f[2:].replace("-", "_"): values.get(f, d) for f, (_, d) in flags.items()}
+    return types.SimpleNamespace(command=command, func=func, **args)
 
 
 def _log(level: int, msg: str, *args, exc_info: bool = False) -> None:
@@ -152,21 +235,20 @@ def main(argv=None) -> int:
     # Workers forked by --jobs inherit the setting.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "verify" and args.conjecture != "all":
         entry = verify.CONJECTURES[args.conjecture]
         bound = entry.max_n_bound(args.max_n)
         if bound:
-            parser.error(f"--conjecture {args.conjecture} needs --{bound}")
+            _usage_error(args.command, f"--conjecture {args.conjecture} needs --{bound}")
         if args.engine == "both" and not entry.builds_num:
-            parser.error(f"--engine both: conjecture {args.conjecture} builds no num*")
+            _usage_error(args.command, f"--engine both: conjecture {args.conjecture} builds no num*")
     if args.command == "compute":
         form = _WHAT[args.what][1]
         if args.engine == "both" and form != "polynomial":
-            parser.error(f"--engine both: --what {args.what} builds no num*")
+            _usage_error(args.command, f"--engine both: --what {args.what} builds no num*")
         if args.expand and form not in ("cyclotomic", "binomial"):
-            parser.error(f"--expand: --what {args.what} has no factored form")
+            _usage_error(args.command, f"--expand: --what {args.what} has no factored form")
     try:
         return args.func(args)
     except reduction.EngineMismatchError as exc:

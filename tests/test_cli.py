@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -236,6 +235,58 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--conjecture", "2", "--max-n", "4", "--engine", "enumerate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--conjecture", "2", "--max-n", "4", "--bogus", "1"], "unrecognized argument '--bogus'"),
+        (["verify", "--conjecture", "2", "--max-n"], "--max-n expects a value"),
+        (["verify", "--conjecture", "2", "--max-n", "--format", "json"], "--max-n expects a value"),
+        (["verify", "--conjecture", "2"], "required: --max-n"),
+        ([], "a command is required"),
+        (["check", "--conjecture", "2", "--max-n", "4"], "unknown command 'check'"),
+        (["table", "--sequence", "t", "--max-n", "4", "extra"], "unrecognized argument 'extra'"),
+        # A prefix stands for no flag.
+        (["verify", "--conjecture", "2", "--max", "4"], "unrecognized argument '--max'"),
+        (["compute", "--class", "odd", "--n", "3", "--what", "g", "--expand=yes"], "--expand takes no value"),
+    ],
+    ids=["unknown-flag", "no-value-at-end", "flag-for-value", "missing-required", "no-command",
+         "unknown-command", "stray-positional", "prefix", "switch-with-value"],
+)
+def test_malformed_command_lines_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: subsum ")
+    assert message in captured.err.splitlines()[-1]
+
+
+def test_flag_equals_value_and_repeated_flags(capsys):
+    def report(argv):
+        code, out = run(capsys, argv)
+        assert code == 0
+        return {k: v for k, v in json.loads(out).items() if k != "elapsed_seconds"}
+
+    spaced = report(["verify", "--conjecture", "9", "--max-n", "4", "--format", "json"])
+    assert spaced["n_range"] == [1, 4]
+    assert report(["verify", "--conjecture", "9", "--max-n=4", "--format=json"]) == spaced
+    assert report(["verify", "--conjecture", "9", "--max-n", "7", "--format", "json", "--max-n", "4"]) == spaced
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["verify", "--conjecture", "2", "-h"]])
+def test_help_names_every_flag_and_conjecture_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    commands = ["verify"] if "verify" in argv else list(cli._COMMANDS)
+    for command in commands:
+        assert f"usage: subsum {command} " in out
+        assert all(flag in out for flag in cli._COMMANDS[command][2])
+    assert "{" + ",".join([*verify.CONJECTURES, "all"]) + "}" in out
 
 
 @pytest.mark.parametrize(
@@ -566,10 +617,15 @@ def test_import_loads_neither_the_process_pool_nor_fractions():
 
 def test_import_does_not_load_logging():
     # -I ignores PYTHONPATH, so the checkout's sources go on sys.path by hand.
+    # One run through main, stdout swapped out, covers parsing too: no argparse
+    # and so no gettext or locale.
     src = str(Path(subsum.__file__).parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import subsum.cli; "
-        "print([m for m in ('logging', 'numbers') if m in sys.modules])"
+        f"import io, sys; sys.path.insert(0, {src!r}); import subsum.cli; "
+        "out, sys.stdout = sys.stdout, io.StringIO(); "
+        "subsum.cli.main(['verify', '--conjecture', '9', '--max-n', '1', '--format', 'json']); "
+        "sys.stdout = out; "
+        "print([m for m in ('argparse', 'gettext', 'locale', 'logging', 'numbers') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -629,10 +685,9 @@ def test_bad_jobs_exit_2():
 
 
 def test_conjecture_choices_come_from_registry():
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    conjecture = next(a for a in sub.choices["verify"]._actions if a.dest == "conjecture")
-    assert list(conjecture.choices) == [*verify.CONJECTURES, "all"]
+    parse, default = cli._COMMANDS["verify"][2]["--conjecture"]
+    assert parse.choices == [*verify.CONJECTURES, "all"]
+    assert default is cli._REQUIRED
 
 
 def test_engine_enumerate_reaches_every_pair(capsys, monkeypatch):
