@@ -12,7 +12,7 @@ from subsum.partitions import PartitionClass
 TOP = 18
 
 t = reduction.t_values(3 * TOP)
-s = [None] + [reduction.num_at_minus_one(n, PartitionClass.TERNARY) for n in range(1, TOP + 1)]
+s = [None] + [reduction.num_at(n, PartitionClass.TERNARY, -1) for n in range(1, TOP + 1)]
 
 print(f"{'n':>3} {'t(n)':>14} {'s(n)':>8} {'o(n!)':>16}")
 for n in range(1, TOP + 1):

@@ -25,12 +25,13 @@ conjectures with a warning instead), a flag that would be ignored:
 `--engine both` where no num* is built (`compute --what
 den|g|den-star|spol-list`, `verify --conjecture 4`; `--conjecture all`
 applies it wherever num* is built) and `--expand` where nothing is
-factored (`--what num|num-star|spol-list`), and an `--out` that is a
-directory or whose directory is missing or not writable.  A payload
-write that fails later exits 1 with one line, "cannot write output: ...".
-WitnessOnly verdicts never affect the exit code.  stdout carries data,
-stderr carries logs and diagnostics.  All big integers are serialized as
-decimal strings; coefficient lists ascend from x^0.
+factored (`--what num|num-star|spol-list`), and an `--out` that is
+empty, holds a NUL byte, is a directory, or whose directory is missing
+or not writable.  A payload write that fails later exits 1 with one
+line, "cannot write output: ...".  WitnessOnly verdicts never affect the
+exit code.  stdout carries data, stderr carries logs and diagnostics.
+All big integers are serialized as decimal strings; coefficient lists
+ascend from x^0.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _per_n(value):
 # from one coin DP and starts at n = 0.
 _SEQUENCES = {
     "t": lambda top: list(enumerate(reduction.t_values(top))),
-    "s": _per_n(lambda n: reduction.num_at_minus_one(n, PartitionClass.TERNARY)),
+    "s": _per_n(lambda n: reduction.num_at(n, PartitionClass.TERNARY, -1)),
     "o-part": _per_n(lambda n: verify.odd_factorial_part(n)),
     "g-degree": _per_n(lambda n: cyclotomic.cyclo_degree(reduction.big_g(n, PartitionClass.ORDINARY))),
 }
@@ -111,10 +112,11 @@ def _choice(options):
 
 
 def _out_path(text: str) -> str:
-    """Parse --out: a nonempty file path in a writable directory, so a bad path exits 2."""
+    """Parse --out: a nonempty file path with no NUL in a writable directory, so a bad path exits 2."""
     directory = os.path.dirname(text) or os.curdir
-    if not text or os.path.isdir(text) or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
-        raise _BadValue(f"{text!r} is empty, a directory, or in a missing or unwritable directory")
+    bad = not text or "\0" in text or os.path.isdir(text)
+    if bad or not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise _BadValue(f"{text!r} is empty, a directory, in a missing or unwritable directory, or holds a NUL byte")
     return text
 
 

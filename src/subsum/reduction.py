@@ -63,16 +63,15 @@ One unpack reads the low half back, and the mirror gives num*.
 ints; a zero remainder at every step proves the division exact.  It is
 the one cached route to num.
 
-num(n, 1) needs neither: `num_at_one` divides the DP's run at x = 1 by
-G(1), a power of 2; `verify` compares it with the full path's num at 1
-under engine "both".  num(n, -1) needs no division by G either:
-G(-1 + t) = T_G * t^g + O(t^(g+1)), so `num_at_minus_one` reads
-T_G * num(n, -1) as the coefficient of t^g in num*(-1 + t), one pass
-over num*; `verify` compares it with the full path's num at -1 under
-engine "both".  For the ternary
-class num(n, 1) is t(n), the sum of 2^(n - length) over the partitions
-of n, which `t_values` also computes by a coin DP over the parts 3^k
-alone, for every n up to a bound at once.
+num at x0 = 1 or -1 needs neither num nor a division by G: `num_at`
+reads it off num* by one identity.  Put x = x0 + t; then
+G(x0 + t) = T_G * t^g + O(t^(g+1)), so T_G * num(x0) = [t^g] num*(x0 + t).
+At x0 = 1, g = 0 and the coefficient is the DP's run at x = 1; at
+x0 = -1 it is one pass over num*.  `verify` compares it with the full
+path's num at x0 under engine "both".  For the ternary class num(n, 1)
+is t(n), the sum of 2^(n - length) over the partitions of n, which
+`t_values` also computes by a coin DP over the parts 3^k alone, for
+every n up to a bound at once.
 
 Whether Phi_{2d} divides num needs no num at all when the answer is no:
 `leading_coefficient` runs the coin DP for sum of 1/sp(lambda) at a root
@@ -389,60 +388,49 @@ def _leading_block(pclass: PartitionClass, d: int, j: int) -> tuple[int, int, in
     return p, zeta, pow(d * pow(zeta, d - 1, p), -1, p), array("q", block)
 
 
-def num_at_one(n: int, pclass: PartitionClass) -> int:
-    """num(n, 1) by the num* DP at x = 1, divided by G(1); no polynomial is built.
+def num_at(n: int, pclass: PartitionClass, x0: int) -> int:
+    """num(n, x0) for x0 = 1 or -1, read off num* at x = x0 + t; G is not divided out.
 
-    Evaluation at 1 is a ring homomorphism, so num(n, 1) = num*(n, 1) / G(1).
-    G is a product of binomials (1 + x^j)^E_j
-    (`cyclotomic.binomial_exponents`), so G(1) = 2^(sum of E_j): the
-    division is a shift, and a nonzero bit shifted out raises
-    NotDivisibleError.  No engine applies; `verify` compares the result
-    with the full path's num at 1 under engine "both".
+    T_G * num(x0) = [t^g] num*(x0 + t) with (g, T_G) from `_order_at`
+    (see the module docstring); a nonzero remainder on division by T_G
+    raises NotDivisibleError.  At x0 = 1, g = 0 and the coefficient is
+    num*(1), the num* DP's run at x = 1, so no polynomial is built.  At
+    x0 = -1 it is the sum over k >= g of a_k * C(k, g) * (-1)^(k-g) for
+    num* = sum of a_k x^k, with C(k+1, g) = C(k, g) * (k+1) / (k+1-g).
+    Only that coefficient is read, so G | num* is not proved here; the
+    division in `num` proves it.
     """
-    star = _ring_dp(n, allowed_parts(pclass, n), _times_binomials_at_one)
-    shift = sum(cyclotomic.binomial_exponents(big_g(n, pclass)).values())
-    if star & ((1 << shift) - 1):
-        raise intpoly.NotDivisibleError(f"num*({n},1) = {star} is not divisible by G({n},1) = 2^{shift}")
-    return star >> shift
-
-
-def num_at_minus_one(n: int, pclass: PartitionClass) -> int:
-    """num(n, -1) from the num* DP alone, read off its expansion at x = -1; G is not divided out.
-
-    Put x = -1 + t.  G(-1 + t) = T_G * t^g + O(t^(g+1))
-    (`_order_at_minus_one`), and num* = G * num, so
-    T_G * num(-1) = [t^g] num*(-1 + t), which is the sum over k >= g of
-    a_k * C(k, g) * (-1)^(k-g) for num* = sum of a_k x^k.  The binomials
-    follow from C(k+1, g) = C(k, g) * (k+1) / (k+1-g).  A nonzero
-    remainder on division by T_G raises NotDivisibleError.  Only that
-    one coefficient is read: G | num* is not proved here, as the
-    division in `num` proves it.  No engine applies; `verify` compares
-    the result with the full path's num at -1 under engine "both".
-    """
-    g, lead = _order_at_minus_one(n, pclass)
-    star = num_star(n, pclass)
-    total, binom = 0, 1
-    for k in range(g, len(star)):
-        term = binom * star[k]
-        total += -term if (k - g) & 1 else term
-        binom = binom * (k + 1) // (k + 1 - g)
+    if x0 not in (1, -1):
+        raise ValueError(f"num_at reads num at x = 1 or -1, not {x0}")
+    g, lead = _order_at(n, pclass, x0)
+    if x0 == 1:
+        total = _ring_dp(n, allowed_parts(pclass, n), _times_binomials_at_one)
+    else:
+        star = num_star(n, pclass)
+        total, binom = 0, 1
+        for k in range(g, len(star)):
+            term = binom * star[k]
+            total += -term if (k - g) & 1 else term
+            binom = binom * (k + 1) // (k + 1 - g)
     value, rest = divmod(total, lead)
     if rest:
-        raise intpoly.NotDivisibleError(f"[t^{g}] num*({n},-1+t) = {total} is not divisible by T_G = {lead}")
+        raise intpoly.NotDivisibleError(f"[t^{g}] num*({n},{x0}+t) = {total} is not divisible by T_G = {lead}")
     return value
 
 
-def _order_at_minus_one(n: int, pclass: PartitionClass) -> tuple[int, int]:
-    """(g, T_G) with G(n)(-1 + t) = T_G * t^g + O(t^(g+1)).
+def _order_at(n: int, pclass: PartitionClass, x0: int) -> tuple[int, int]:
+    """(g, T_G) with G(n)(x0 + t) = T_G * t^g + O(t^(g+1)), for x0 = 1 or -1.
 
     G is prod (1 + x^j)^E_j, every E_j >= 0 (`cyclotomic.binomial_exponents`).
-    At x = -1 + t, 1 + x^j is j*t + O(t^2) for odd j and 2 + O(t) for
-    even j, so g = sum of E_j over odd j, and
-    T_G = prod over odd j of j^E_j times 2^(sum of E_j over even j).
+    At x = x0 + t, 1 + x^j is 2 + O(t), except at x0 = -1 for odd j,
+    where it is j*t + O(t^2).  So g is the sum of E_j over those
+    vanishing j, and T_G = prod over them of j^E_j times 2^(sum of the
+    other E_j); at x0 = 1, g = 0 and T_G = G(1).
     """
     exps = cyclotomic.binomial_exponents(big_g(n, pclass))
-    g = sum(e for j, e in exps.items() if j & 1)
-    return g, math.prod(j**e for j, e in exps.items() if j & 1) << (sum(exps.values()) - g)
+    vanishing = {j: e for j, e in exps.items() if x0 == -1 and j & 1}
+    g = sum(vanishing.values())
+    return g, math.prod(j**e for j, e in vanishing.items()) << (sum(exps.values()) - g)
 
 
 def t_values(top: int) -> list[int]:

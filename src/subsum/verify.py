@@ -22,24 +22,17 @@ applied; under engine "both" it raises EngineMismatchError, which `run`
 records as a failure.  Checks that read only den (conjecture 4, and
 the den side of 2 and 5) build no num*.
 
-Every other route is picked here, and under engine "both" each cheap
-route is compared with the full path.  The Phi_{2d}-nondivisibility
-checks (conjectures 2, 5 and 7, lemma 4 at n) go through
-`_phi_2d_nondivides`: engine "dp" decides each d by a certificate at a
-root of unity mod p and builds num only when that certificate vanishes;
-engine "both" also takes the full test of num for every d and compares
-the two.  Lemma 4 decides its n mod d side by the full test under
-either engine.  Conjectures 8 and 9 share one check, which builds no
-num under "dp": it reads num(n,-1) off num* at x = -1
-(`reduction.num_at_minus_one`, no division by G) and compares it with
-the class's proved value in `VALUE_AT_MINUS_ONE`; under "both"
-`_value_at_minus_one_check` also reads the full path's num(n,-1) and
-raises EngineMismatchError unless it agrees.  Conjecture 10 checks one
-block m = 3n, 3n+1, 3n+2 per n and builds no num under "dp": it
-compares t(m) by a coin DP over 2^(m - length) with num_T(m,1) by the
-num* DP over the cofactors at x = 1 (`reduction.num_at_one`); under
-"both" `_ternary_block_check` also reads the full path's num_T(m) at 1
-and raises EngineMismatchError unless it agrees.
+Every other route is picked by one of two route-pickers.  Each takes
+the cheap route under engine "dp"; under "both" it also takes the full
+path, for every d and every value, and raises EngineMismatchError unless
+the two agree.  `_decide` finds the Phi_{2d} that divide num(n)
+(conjectures 2, 5 and 7, lemma 4 at n): a certificate at a root of unity
+mod p decides each d, and num is built only when it vanishes.  Lemma 4
+decides its n mod d side by the full test under either engine.
+`_value_at` reads num(n, x0) by `reduction.num_at`, off num* at
+x = x0 + t with no division by G: at x0 = -1 for conjectures 8 and 9,
+against `VALUE_AT_MINUS_ONE`, and at x0 = 1 for conjecture 10, against
+t(m) by a coin DP over 2^(m - length).
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -52,7 +45,7 @@ import math
 import os
 import time
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import cyclotomic, intpoly, reduction
 from .partitions import PartitionClass, allowed_parts
@@ -104,46 +97,55 @@ def odd_factorial_part(n: int) -> int:
     return odd_part(math.factorial(n))
 
 
-# --- Phi_{2d} nondivisibility: the one place the route is chosen ---
+# --- The two route-pickers ---
 
 
-def _phi_2d_nondivides(n: int, pclass: PartitionClass, d: int, engine: str) -> tuple[bool, list[int] | None]:
-    """Whether Phi_{2d} does not divide num(n), and the certificate [d, p, zeta, L] that shows it.
+def _decide(n: int, pclass: PartitionClass, ds: Iterable[int], engine: str) -> tuple[list[int], dict]:
+    """The d in ds with Phi_{2d} | num(n), and witness fields saying how each d was decided.
 
     The local route reads L = num(n)(zeta) up to a unit at a root of
     unity zeta of order 2d mod p, one p per (d, j) for the floor index j
-    that `reduction.leading_coefficient` picks; L != 0 proves nondivisibility.
-    Engine "dp" returns that certificate and, when L = 0, decides by the
-    full test, `cyclotomic.phi_2d_divides` on num, returning no
-    certificate.  Engine "both" always takes the full test, which
-    decides; it raises EngineMismatchError when the certificate proves a
-    nondivisibility that the full test denies.  Every d is decided one
-    way or the other.
+    that `reduction.leading_coefficient` picks; L != 0 proves
+    nondivisibility, and [d, p, zeta, L] is its certificate.  Engine
+    "dp" takes a certificate as the answer and, when L = 0, decides by
+    the full test, `cyclotomic.phi_2d_divides` on num, listing d under
+    "full_route".  Engine "both" takes the full test for every d, which
+    decides; it raises EngineMismatchError at d when a certificate
+    proves a nondivisibility that the full test denies.
     """
-    p, zeta, lead = reduction.leading_coefficient(n, pclass, d)
-    certificate = [d, p, zeta, lead] if lead else None
-    if certificate is not None and engine == "dp":
-        return True, certificate
-    nondiv = not cyclotomic.phi_2d_divides(reduction.num(n, pclass, engine), d)
-    if certificate is not None and not nondiv:
-        raise reduction.EngineMismatchError(
-            f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
-        )
-    return nondiv, certificate
-
-
-def _decide(n: int, pclass: PartitionClass, ds: list[int], engine: str) -> tuple[list[int], dict]:
-    """The d in ds with Phi_{2d} | num(n), and witness fields saying how each d was decided."""
     divides, certificates, full_route = [], [], []
     for d in ds:
-        nondiv, certificate = _phi_2d_nondivides(n, pclass, d, engine)
-        if certificate is None:
-            full_route.append(d)
+        p, zeta, lead = reduction.leading_coefficient(n, pclass, d)
+        if lead:
+            certificates.append([d, p, zeta, lead])
+            if engine == "dp":
+                continue
         else:
-            certificates.append(certificate)
-        if not nondiv:
+            full_route.append(d)
+        if cyclotomic.phi_2d_divides(reduction.num(n, pclass, engine), d):
+            if lead:
+                raise reduction.EngineMismatchError(
+                    f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
+                )
             divides.append(d)
     return divides, {"certificates": certificates, "full_route": full_route}
+
+
+def _value_at(n: int, pclass: PartitionClass, x0: int, engine: str) -> int:
+    """num(n, x0) for x0 = 1 or -1 by `reduction.num_at`, which builds no num.
+
+    Engine "both" also reads the full path's num at x0, which proves
+    G | num* and checks num* against the enumeration, and raises
+    EngineMismatchError at n unless the two values agree.
+    """
+    got = reduction.num_at(n, pclass, x0)
+    if engine == "both":
+        full = intpoly.eval_at_int(reduction.num(n, pclass, engine), x0)
+        if full != got:
+            raise reduction.EngineMismatchError(
+                f"num({n},{x0}) = {full} by the full path != {got} off num* at x = {x0}", n=n
+            )
+    return got
 
 
 # Per-n checks: check(n, pclass, engine) -> (failures, witnesses).  They
@@ -196,21 +198,12 @@ VALUE_AT_MINUS_ONE: dict[PartitionClass, tuple[str, str, Callable[[int], int]]] 
 def _value_at_minus_one_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """num(n,-1) equals the class's proved value in `VALUE_AT_MINUS_ONE`.
 
-    num(n,-1) is read off num* at x = -1 (`reduction.num_at_minus_one`),
-    with no division by G and no num.  That route reads one coefficient
-    of num*(-1 + t), so unlike the division in `reduction.num` it does
-    not prove G | num*.  Engine "both" also builds the full path's num,
-    which proves it, checks num* against the enumeration, and raises
-    EngineMismatchError unless num(n,-1) agrees; the route runs the DP
-    alone, so the enumeration runs once per n.  The tests compare the
-    route with the full path's num(n,-1) in every class.
+    num(n,-1) comes from `_value_at`, which under engine "dp" runs the
+    num* DP alone and does not prove G | num*; under "both" the full
+    path proves it, and the enumeration runs once per n.
     """
     name, form, value = VALUE_AT_MINUS_ONE[pclass]
-    got = reduction.num_at_minus_one(n, pclass)
-    if engine == "both":
-        full = intpoly.eval_at_int(reduction.num(n, pclass, engine), -1)
-        if full != got:
-            raise reduction.EngineMismatchError(f"num({n},-1) = {full} by the full path != {got} off num* at x = -1")
+    got = _value_at(n, pclass, -1, engine)
     want = value(n)
     if got != want:
         return [{"n": n, "detail": f"{name}({n},-1) = {got} != {form.format(n)} = {want}"}], []
@@ -224,23 +217,14 @@ def _ternary_block_check(k: int, pclass: PartitionClass, engine: str) -> tuple[l
     """Block k of t(m) = num_T(m,1): t(3k) = t(3k+1) = t(3k+2) and t(3k)-t(3k-2) = 4^k t(k).
 
     Each t(m) by the coin DP over 2^(m - length) (`reduction.t_values`)
-    must equal num_T(m,1) by the num* DP over the cofactors at x = 1;
-    neither side builds num.  Block 0 also checks t(1) = t(2) = 1.
-    Engine "both" also builds the full path's num_T(m) and raises
-    EngineMismatchError at n = m unless its value at 1 agrees with the
-    DP at x = 1, as `_phi_2d_nondivides` compares a certificate with the
-    full test.
+    must equal num_T(m,1) from `_value_at`, by the num* DP over the
+    cofactors at x = 1; neither side builds num under engine "dp".
+    Block 0 also checks t(1) = t(2) = 1.
     """
     t = reduction.t_values(3 * k + 2)
     failures, witnesses = [], []
     for m in range(3 * k, 3 * k + 3):
-        at_one = reduction.num_at_one(m, pclass)
-        if engine == "both":
-            full = intpoly.eval_at_int(reduction.num(m, pclass, engine), 1)
-            if full != at_one:
-                raise reduction.EngineMismatchError(
-                    f"num({m},1) = {full} by the full path != {at_one} by the DP at x = 1", n=m
-                )
+        at_one = _value_at(m, pclass, 1, engine)
         if t[m] != at_one:
             failures.append({"n": m, "detail": f"t({m}) = {t[m]} by the coin DP != num_T({m},1) = {at_one}"})
         else:
@@ -358,15 +342,15 @@ def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Phi_{2d}-nondivisibility of num agrees between n and r = n mod d, for every 1 <= d <= n.
 
-    The n side is decided by `_phi_2d_nondivides`, the r side by
+    The n side is decided by `_decide`, the r side by
     `_nondivides_at_remainder`, both on the class the registry gives.
     The certificate at n needs every d <= n to be a part, as it is in
     the ordinary class that lemma 4 is stated for.
     """
+    divides, _ = _decide(n, pclass, range(1, n + 1), engine)
     failures = []
     for d in range(1, n + 1):
-        nondiv_n, _ = _phi_2d_nondivides(n, pclass, d, engine)
-        if nondiv_n != _nondivides_at_remainder(n % d, pclass, d, engine):
+        if (d not in divides) != _nondivides_at_remainder(n % d, pclass, d, engine):
             failures.append(
                 {"n": n, "d": d, "detail": f"divisibility of num by Phi_{2 * d} differs between n={n} and r={n % d}"}
             )

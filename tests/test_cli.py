@@ -531,7 +531,7 @@ MISSING_DIRECTORIES = [
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "table"])
-@pytest.mark.parametrize("out", [*MISSING_DIRECTORIES, os.curdir, ""])
+@pytest.mark.parametrize("out", [*MISSING_DIRECTORIES, os.curdir, "", "a\0b"])
 def test_bad_out_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, out):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")

@@ -98,9 +98,9 @@ def test_n0_is_the_empty_partition_in_every_layer():
         for engine in ("dp", "both"):
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
             assert reduction.num(0, pclass, engine) == (1,), (pclass, engine)
-        assert reduction.num_at_one(0, pclass) == 1, pclass
-        assert reduction._order_at_minus_one(0, pclass) == (0, 1), pclass
-        assert reduction.num_at_minus_one(0, pclass) == 1, pclass
+        for x0 in (1, -1):
+            assert reduction._order_at(0, pclass, x0) == (0, 1), (pclass, x0)
+            assert reduction.num_at(0, pclass, x0) == 1, (pclass, x0)
     assert reduction.t_values(0) == [1]
 
 
@@ -304,31 +304,32 @@ def test_t_values_match_the_enumeration_oracle():
         reduction.t_values(-1)
 
 
-def test_num_at_one_matches_the_full_path():
-    for pclass, top in ((TER, 40), (ORD, 16), (ODD, 20), (BIN, 32)):
+@pytest.mark.parametrize(
+    "x0, tops",
+    [(1, ((TER, 40), (ORD, 16), (ODD, 20), (BIN, 32))), (-1, ((ODD, 60), (TER, 90), (ORD, 30), (BIN, 30)))],
+    ids=["1", "-1"],
+)
+def test_num_at_matches_the_full_path(x0, tops):
+    for pclass, top in tops:
         for n in range(top + 1):
-            want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), 1)
-            assert reduction.num_at_one(n, pclass) == want, (pclass, n)
+            want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), x0)
+            assert reduction.num_at(n, pclass, x0) == want, (pclass, n)
 
 
-def test_num_at_minus_one_matches_the_full_path():
-    for pclass, top in ((ODD, 60), (TER, 90), (ORD, 30), (BIN, 30)):
-        for n in range(top + 1):
-            want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), -1)
-            assert reduction.num_at_minus_one(n, pclass) == want, (pclass, n)
-
-
-def test_order_at_minus_one_is_the_leading_term_of_g_at_minus_one():
-    # G(-1 + t) = T_G t^g + O(t^(g+1)): golden (g, T_G), then the Taylor
-    # coefficients of the oracle's expanded G at -1, by Horner in t.
-    assert reduction._order_at_minus_one(15, ODD) == (14, 45)  # G = (1+x)^11 (1+x^3)^2 (1+x^5)
-    assert reduction._order_at_minus_one(10, TER) == (4, 3)  # G = (1+x)^3 (1+x^3)
+# (g, T_G) at n = 15 odd, G = (1+x)^11 (1+x^3)^2 (1+x^5), and n = 10
+# ternary, G = (1+x)^3 (1+x^3): at x0 = -1 the odd j vanish, at x0 = 1
+# none does, so g = 0 and T_G = G(1).
+@pytest.mark.parametrize("x0, golden", [(-1, [(14, 45), (4, 3)]), (1, [(0, 2**14), (0, 2**4)])], ids=["-1", "1"])
+def test_order_at_is_the_leading_term_of_g_at_x0(x0, golden):
+    # G(x0 + t) = T_G t^g + O(t^(g+1)): golden (g, T_G), then the Taylor
+    # coefficients of the oracle's expanded G at x0, by Horner in t.
+    assert [reduction._order_at(15, ODD, x0), reduction._order_at(10, TER, x0)] == golden
     for pclass in CLASSES:
         for n in range(31):
             taylor = (0,)
             for c in reversed(oracles.expand_phi_product(reduction.big_g(n, pclass))):
-                taylor = oracles.naive_add(oracles.naive_mul(taylor, (-1, 1)), (c,))
-            g, lead = reduction._order_at_minus_one(n, pclass)
+                taylor = oracles.naive_add(oracles.naive_mul(taylor, (x0, 1)), (c,))
+            g, lead = reduction._order_at(n, pclass, x0)
             assert (list(taylor[:g]), taylor[g]) == ([0] * g, lead), (pclass, n)
 
 

@@ -19,10 +19,18 @@ BIN = PartitionClass.BINARY
         (lambda: verify.odd_part(0), ValueError),
         (lambda: verify.legendre_valuation(3, -1), ValueError),
         (lambda: reduction.num_star(3, ORD, "bogus"), ValueError),
+        (lambda: reduction.num_at(3, ORD, 0), ValueError),
         (lambda: intpoly.primitive_part(()), ()),
         (lambda: ORD.allows(0), False),
     ],
-    ids=["odd_part(0)", "legendre_valuation(3,-1)", "num_star-bogus-engine", "primitive_part(())", "allows(0)"],
+    ids=[
+        "odd_part(0)",
+        "legendre_valuation(3,-1)",
+        "num_star-bogus-engine",
+        "num_at(x0=0)",
+        "primitive_part(())",
+        "allows(0)",
+    ],
 )
 def test_public_validations(call, expected):
     if isinstance(expected, type):
@@ -130,7 +138,7 @@ def test_any_coefficient_off_by_one_from_t_to_the_g_fails_or_raises(monkeypatch,
     # num*(-1 + t) at t^g moves by C(k, g) != 0 for a_k off by 1 at any
     # k >= g: either T_G no longer divides it, or num(n,-1) is wrong.
     star = reduction.num_star(n, pclass)
-    g, _ = reduction._order_at_minus_one(n, pclass)
+    g, _ = reduction._order_at(n, pclass, -1)
     for k in range(g, len(star)):
         off = star[:k] + (star[k] + 1,) + star[k + 1 :]
         monkeypatch.setattr(reduction, "num_star", lambda n_, pclass_, off=off: off)
@@ -143,8 +151,8 @@ def test_any_coefficient_off_by_one_from_t_to_the_g_fails_or_raises(monkeypatch,
 
 @pytest.mark.parametrize("cid, pclass", [("8", PartitionClass.ODD), ("9", PartitionClass.TERNARY)])
 def test_route_at_minus_one_against_the_full_path_under_both(monkeypatch, cid, pclass):
-    real = reduction.num_at_minus_one
-    monkeypatch.setattr(reduction, "num_at_minus_one", lambda n, pclass_: real(n, pclass_) + (n == 5))
+    real = reduction.num_at
+    monkeypatch.setattr(reduction, "num_at", lambda n, pclass_, x0: real(n, pclass_, x0) + (n == 5))
     full = intpoly.eval_at_int(reduction.num(5, pclass, "both"), -1)
     report = verify.run(cid, 6, engine="both")
     detail = f"num(5,-1) = {full} by the full path != {full + 1} off num* at x = -1"
@@ -195,8 +203,8 @@ def test_binary_shape():
 
 def test_remainder_reduction_check_examples():
     for n, d in [(7, 3), (4, 4), (4, 1)]:  # (4, 4): r = 0, num(0,x) = 1; (4, 1): num(4,-1) = 24 != 0
-        nondiv_n, _ = verify._phi_2d_nondivides(n, ORD, d, "dp")
-        assert nondiv_n and verify._nondivides_at_remainder(n % d, ORD, d, "dp"), (n, d)
+        divides, _ = verify._decide(n, ORD, [d], "dp")
+        assert divides == [] and verify._nondivides_at_remainder(n % d, ORD, d, "dp"), (n, d)
     assert verify._lemma4_check(7, ORD, "dp") == ([], [])
 
 
@@ -535,7 +543,7 @@ def test_zero_at_every_floor_takes_the_full_route(monkeypatch):
     monkeypatch.setattr(reduction, "_leading_block", zeroed)
     assert reduction.leading_coefficient(7, ORD, 3) == (*cyclotomic.root_of_unity(3, reduction._FLOORS - 1), 0)
     assert floors == list(range(reduction._FLOORS))
-    assert verify._phi_2d_nondivides(7, ORD, 3, "dp") == (True, None)
+    assert verify._decide(7, ORD, [3], "dp") == ([], {"certificates": [], "full_route": [3]})
     divides, decided = verify._decide(7, ORD, [1, 2, 3, 4], "dp")
     assert divides == [] and decided["full_route"] == [3]
     assert [c[0] for c in decided["certificates"]] == [1, 2, 4]
@@ -674,11 +682,14 @@ def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
     # Under "both" the full path's num_T(5,1) catches the patched route
     # before the coin DP does, and the mismatch drops the rest of the block
     # 3, 4, 5; under "dp" the coin DP catches it and drops m = 5 alone.
-    real = reduction.num_at_one
-    monkeypatch.setattr(reduction, "num_at_one", lambda n, pclass: real(n, pclass) + 2 * (n == 5))
+    real = reduction.num_at
+    monkeypatch.setattr(reduction, "num_at", lambda n, pclass, x0: real(n, pclass, x0) + 2 * (n == 5))
+    full = intpoly.eval_at_int(reduction.num(5, PartitionClass.TERNARY, "both"), 1)
     report = verify.run("10", 3, engine=engine)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
+    if engine == "both":
+        assert report.failures[0]["detail"] == f"num(5,1) = {full} by the full path != {full + 2} off num* at x = 1"
     assert report.has_engine_mismatch() == (engine == "both")
     kept = [0, 1, 2] if engine == "both" else [0, 1, 2, 3, 4]
     assert [w["n"] for w in report.witnesses] == kept + list(range(6, 12))
