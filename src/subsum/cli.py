@@ -3,7 +3,8 @@
 `_COMMANDS` is the one flag table: for each command its runner, its
 help and its flags, each with a parse function and a default.
 `parse_args` reads `<command> --flag value` or `--flag=value` against
-it; a flag is named in full, and a repeated flag keeps its last value.
+it; a flag is named in full, a repeated flag keeps its last value, and
+-h or --help is help only where a flag stands: a flag's value is a value.
 `compute` and `table` dispatch through one table each: `_WHAT` maps a
 `--what` to its builder and its form, and `main`'s flag rules read the
 form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
@@ -14,7 +15,7 @@ built, and `verify` picks every route from it; den and G are read from
 (n, class) and build no num*.  `verify --conjecture <id>` prints the one
 report asked for.
 
-Exit codes: 0 success, or -h/--help; 1 any failure record in a report
+Exit codes: 0 success, or help; 1 any failure record in a report
 whose registry entry is proved, an engine disagreement, or an internal
 error (the library raised ValueError or ArithmeticError on input the
 parser accepted); 2 bad flags, each reported by `_usage_error` before
@@ -29,7 +30,8 @@ factored (`--what num|num-star|spol-list`), and an `--out` that is
 empty, holds a NUL byte, is a directory, or whose directory is missing
 or not writable.  A payload write that fails later exits 1 with one
 line, "cannot write output: ...".  WitnessOnly verdicts never affect the
-exit code.  stdout carries data, stderr carries logs and diagnostics.
+exit code.  stdout carries data and help, stderr diagnostics and the
+lines "LEVEL subsum: message" that `_log` prints for SUBSUM_LOG itself.
 All big integers are serialized as decimal strings; coefficient lists
 ascend from x^0.
 """
@@ -45,8 +47,9 @@ from . import cyclotomic, reduction, verify
 from .partitions import PartitionClass, enumerate_partitions
 
 # The standard logging levels by name; SUBSUM_LOG names the threshold.
+# `_log` prints its lines itself: `logging` would hand them to a host's setup.
 _LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARNING": 30, "WARN": 30, "INFO": 20, "DEBUG": 10, "NOTSET": 0}
-DEBUG, INFO, WARNING = 10, 20, 30
+_HELP = ("-h", "--help")
 
 _CLASSES = [c.value for c in PartitionClass]
 
@@ -180,18 +183,20 @@ def parse_args(argv: list[str]):
     """Parse `<command> --flag value|--flag=value ...` by `_COMMANDS`; exit 2 on any bad flag.
 
     A repeated flag keeps its last value.  A flag is named in full: no
-    prefix stands for it.  -h or --help prints the usage and exits 0.
+    prefix stands for it.  -h or --help as the first token or in place of
+    a flag prints the usage and exits 0; a bad token before it exits 2.
     """
+    if argv and argv[0] in _HELP:
+        _help(None)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if "-h" in argv or "--help" in argv:
-        print(_usage(command))
-        raise SystemExit(0)
     if command is None:
         _usage_error(None, f"unknown command {argv[0]!r}" if argv else "a command is required")
     func, _, flags = _COMMANDS[command]
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in _HELP:
+            _help(command)
         flag, eq, text = token.partition("=")
         if flag not in flags:
             _usage_error(command, f"unrecognized argument {token!r}")
@@ -216,19 +221,21 @@ def parse_args(argv: list[str]):
     return types.SimpleNamespace(command=command, func=func, **args)
 
 
-def _log(level: int, msg: str, *args, exc_info: bool = False) -> None:
-    """Log one record on the "subsum" logger to stderr if level reaches SUBSUM_LOG (default WARNING).
+def _help(command: str | None):
+    """Print the usage of command, or of every command if None, to stdout and exit 0."""
+    _emit(_usage(command), None)
+    raise SystemExit(0)
 
-    `logging` is imported, and configured, only here: importing it costs
-    every start-up several milliseconds, and most runs log nothing.
-    """
-    threshold = _LEVELS.get(os.environ.get("SUBSUM_LOG", "WARNING").upper(), WARNING)
-    if level < threshold:
+
+def _log(level: str, msg: str, *, exc_info: bool = False) -> None:
+    """Print "level subsum: msg", and with exc_info the traceback, to stderr if level reaches SUBSUM_LOG (default WARNING)."""
+    if _LEVELS[level] < _LEVELS.get(os.environ.get("SUBSUM_LOG", "WARNING").upper(), _LEVELS["WARNING"]):
         return
-    import logging
+    print(f"{level} subsum: {msg}", file=sys.stderr)
+    if exc_info:
+        import traceback  # only here: the import costs every start-up milliseconds
 
-    logging.basicConfig(stream=sys.stderr, level=threshold, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("subsum").log(level, msg, *args, exc_info=exc_info)
+        traceback.print_exc()
 
 
 def main(argv=None) -> int:
@@ -260,7 +267,7 @@ def main(argv=None) -> int:
         # The parser has checked every flag, so these come from the
         # library's own consistency checks (inexact division, a signed
         # log-concavity input, a non-monic modulus, ...): a bug, not bad input.
-        _log(DEBUG, "internal error", exc_info=True)
+        _log("DEBUG", "internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}; this is a pipeline bug", file=sys.stderr)
         return 1
 
@@ -348,10 +355,10 @@ def cmd_verify(args) -> int:
     for cid in ids:
         bound = verify.CONJECTURES[cid].max_n_bound(args.max_n)
         if bound:
-            _log(WARNING, "skipping conjecture %s: needs %s", cid, bound)
+            _log("WARNING", f"skipping conjecture {cid}: needs {bound}")
             continue
         report = verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs)
-        _log(INFO, "conjecture %s: %s in %.2fs", cid, report.verdict, report.elapsed)
+        _log("INFO", f"conjecture {cid}: {report.verdict} in {report.elapsed:.2f}s")
         reports.append(report)
 
     if args.format == "json":

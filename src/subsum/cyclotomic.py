@@ -24,14 +24,11 @@ proves the division exact (`divide_cyclotomics`).  No product of two
 large integers is involved.
 
 Divisibility by Phi_{2d} is decided by integer folds (`phi_2d_divides`),
-which expand no Phi, or certified at a root of unity in a prime field
-(`root_of_unity` picks the field above the j-th floor and the root),
-never by evaluating at complex points.  Nothing here is cached.
+which expand no Phi and evaluate at no complex point; nothing is cached.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 from . import intpoly
@@ -81,42 +78,6 @@ def _odd_squarefree_divisors(d: int) -> list[tuple[int, int]]:
     for q in intpoly._prime_divisors(d >> ((d & -d).bit_length() - 1)):
         out += [(e * q, -mu) for e, mu in out]
     return out
-
-
-# Certificate primes lie above a floor F_j = _PRIME_FLOOR * 2^j; a certificate
-# at n needs 2n < p, so that no part i <= n and no 2d is divisible by p.
-_PRIME_FLOOR = 10**6
-
-
-def root_of_unity(d: int, j: int) -> tuple[int, int]:
-    """(p, zeta): the first prime p = 1 (mod 2d) above F_j = 10^6 * 2^j, and an element of order 2d in GF(p).
-
-    A candidate is proved prime by trial division up to isqrt(p), run
-    only once it passes a base-2 Fermat test.  zeta is a^((p-1)/2d) for
-    the least a >= 2 for which zeta has order 2d, tested directly:
-    zeta^(2d) = 1 always, zeta^d = -1 rules out every order dividing d,
-    and zeta^(2d/q) != 1, for each odd prime q | d, every order dividing
-    2d/q.  Nothing is cached here: `reduction._root_of_unity` caches
-    the result per (d, j).
-    """
-    if d < 1:
-        raise ValueError("need d >= 1")
-    m = 2 * d
-    p = -(-(_PRIME_FLOOR << j) // m) * m + 1  # the first candidate above the floor
-    while not _is_prime(p):
-        p += m
-    odd_primes = [q for q in intpoly._prime_divisors(d) if q > 2]
-    a = 2
-    while True:
-        zeta = pow(a, (p - 1) // m, p)
-        if pow(zeta, d, p) == p - 1 and all(pow(zeta, m // q, p) != 1 for q in odd_primes):
-            return p, zeta
-        a += 1
-
-
-def _is_prime(c: int) -> bool:
-    """Primality of an odd c > 2: a base-2 Fermat filter, then trial division."""
-    return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
 
 
 def binomial_exponents(c: CycloExponents) -> dict[int, int]:

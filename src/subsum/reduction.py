@@ -78,8 +78,9 @@ Whether Phi_{2d} divides num needs no num at all when the answer is no:
 of unity of order 2d in a prime field, keeping one coefficient per
 weight r < d.  Lemma 4 carries it to every n: L(n) = c^floor(n/d) *
 L(n mod d) for a unit c, and L(n) is num(n)(zeta) up to a known unit.
-The field is the first prime p = 1 (mod 2d) above a floor 10^6 * 2^j,
-for the least j with p > 2n and L(n) != 0 (`leading_coefficient`).
+The field is GF(p) for the first prime p = 1 (mod 2d) above a floor
+10^6 * 2^j, where `root_of_unity` also picks zeta, for the least j with
+p > 2n and L(n) != 0 (`leading_coefficient`).
 """
 
 from __future__ import annotations
@@ -296,17 +297,21 @@ def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
     return cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass))
 
 
-# The usable floors `leading_coefficient` tries before the full test decides.
+# Certificate primes lie above the floors F_j = _PRIME_FLOOR * 2^j.  A floor
+# is usable at n when its prime p > 2n, so that no part i <= n and no 2d is
+# divisible by p; `leading_coefficient` tries `_FLOORS` usable floors
+# before the full test decides.
+_PRIME_FLOOR = 10**6
 _FLOORS = 4
 
 
 def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, int, int]:
     """(p, zeta, L(n)): num(n) at a root of unity of order 2d, up to a unit, in GF(p).
 
-    (p, zeta) is `cyclotomic.root_of_unity(d, j)` at the floor
-    F_j = 10^6 * 2^j picked below, and d must be an allowed part of the
-    class.  Write x = zeta + t and work with Laurent
-    series in t over GF(p).  The coin DP over the allowed parts i,
+    (p, zeta) is `root_of_unity(d, j)` at the floor F_j = 10^6 * 2^j
+    picked below, and d must be an allowed part of the class.  Write
+    x = zeta + t and work with Laurent series in t over GF(p).  The coin
+    DP over the allowed parts i,
     table[r] += table[r-i] * u_i with u_i = 1/(1+x^i), builds
     sr(r, x) = sum over partitions of r of prod 1/(1+x^lambda_j).  u_i
     has a simple pole with leading coefficient 1/(i zeta^(i-1)) when i/d
@@ -347,9 +352,9 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
 
     and only block 0 is ever computed, in O(d * #parts) operations mod
     p, and only at a floor with p > 2n: the walk learns p from
-    `_root_of_unity` first, which caches (p, zeta) per (d, j) for every
-    floor it tries, skipped or not.  The block is cached with p, zeta
-    and c on (class, d, j) for the life of the process: a run up to
+    `root_of_unity` first, which caches (p, zeta) per (d, j) for every
+    floor it tries, skipped or not.  The block is cached with c on
+    (class, d, j) for the life of the process: a run up to
     n = N <= 500 001 holds one entry per class and d <= N, each of d
     ints below p, at most N(N+1)/2 ints per class, and up to
     `_FLOORS` - 1 more for a d whose block has a zero.  A floor is
@@ -361,9 +366,9 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
         raise ValueError(f"need n >= 0 and d a part of {pclass.value} partitions")
     j = usable = 0
     while True:
-        p, zeta = _root_of_unity(d, j)
+        p, zeta = root_of_unity(d, j)
         if 2 * n < p:
-            _, _, c, block = _leading_block(pclass, d, j)
+            c, block = _leading_block(pclass, d, j)
             lead = pow(c, n // d, p) * block[n % d] % p
             usable += 1
             if lead or usable == _FLOORS:
@@ -371,21 +376,47 @@ def leading_coefficient(n: int, pclass: PartitionClass, d: int) -> tuple[int, in
         j += 1
 
 
-# (p, zeta) per (d, j), shared by the classes, so that a floor with
-# p <= 2n is skipped without building its block.
-_root_of_unity = lru_cache(maxsize=None)(cyclotomic.root_of_unity)
+@lru_cache(maxsize=None)
+def root_of_unity(d: int, j: int) -> tuple[int, int]:
+    """(p, zeta): the first prime p = 1 (mod 2d) above F_j = 10^6 * 2^j, and an element of order 2d in GF(p).
+
+    A candidate is proved prime by trial division up to isqrt(p), run
+    only once it passes a base-2 Fermat test.  zeta is a^((p-1)/2d) for
+    the least a >= 2 for which zeta has order 2d, tested directly:
+    zeta^(2d) = 1 always, zeta^d = -1 rules out every order dividing d,
+    and zeta^(2d/q) != 1, for each odd prime q | d, every order dividing
+    2d/q.  Cached per (d, j), shared by the classes, for the process.
+    """
+    if d < 1:
+        raise ValueError("need d >= 1")
+    m = 2 * d
+    p = -(-(_PRIME_FLOOR << j) // m) * m + 1  # the first candidate above the floor
+    while not _is_prime(p):
+        p += m
+    odd_primes = [q for q in intpoly._prime_divisors(d) if q > 2]
+    a = 2
+    while True:
+        zeta = pow(a, (p - 1) // m, p)
+        if pow(zeta, d, p) == p - 1 and all(pow(zeta, m // q, p) != 1 for q in odd_primes):
+            return p, zeta
+        a += 1
+
+
+def _is_prime(c: int) -> bool:
+    """Primality of an odd c > 2: a base-2 Fermat filter, then trial division."""
+    return pow(2, c - 1, c) == 1 and all(c % q for q in range(3, math.isqrt(c) + 1, 2))
 
 
 @lru_cache(maxsize=None)
-def _leading_block(pclass: PartitionClass, d: int, j: int) -> tuple[int, int, int, array]:
-    """(p, zeta, c, L(0..d-1)) at floor j for `leading_coefficient`: the coin DP over the parts below d."""
-    p, zeta = _root_of_unity(d, j)
+def _leading_block(pclass: PartitionClass, d: int, j: int) -> tuple[int, array]:
+    """(c, L(0..d-1)) at floor j for `leading_coefficient`: the coin DP over the parts below d."""
+    p, zeta = root_of_unity(d, j)
     block = [1] + [0] * (d - 1)
     for i in allowed_parts(pclass, d - 1):
         u = pow(1 + pow(zeta, i, p), -1, p)
         for r in range(i, d):
             block[r] = (block[r] + block[r - i] * u) % p
-    return p, zeta, pow(d * pow(zeta, d - 1, p), -1, p), array("q", block)
+    return pow(d * pow(zeta, d - 1, p), -1, p), array("q", block)
 
 
 def num_at(n: int, pclass: PartitionClass, x0: int) -> int:

@@ -138,14 +138,15 @@ def test_single_conjecture_below_its_lowest_n_exits_2(capsys, cid, fmt):
     assert f"--conjecture {cid} needs --max-n >= 2" in captured.err
 
 
-def test_all_below_a_lowest_n_warns_and_skips(capsys, caplog):
-    with caplog.at_level("WARNING", logger="subsum"):
-        code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "1", "--format", "json"])
-    assert code == 0
-    ids = [r["conjecture"] for r in json.loads(out)]
+SKIP_WARNINGS = [f"WARNING subsum: skipping conjecture {cid}: needs max-n >= 2" for cid in ("5", "6", "7")]
+
+
+def test_all_below_a_lowest_n_warns_and_skips(capsys):
+    assert cli.main(["verify", "--conjecture", "all", "--max-n", "1", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    ids = [r["conjecture"] for r in json.loads(captured.out)]
     assert ids == ["1", "2", "3", "4", "8", "9", "10", "lemma4"]
-    skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert skipped == [f"skipping conjecture {cid}: needs max-n >= 2" for cid in ("5", "6", "7")]
+    assert captured.err.splitlines() == SKIP_WARNINGS
 
 
 def _spy_run(monkeypatch):
@@ -169,12 +170,11 @@ def test_max_n_past_the_old_ceiling_reaches_run(capsys, monkeypatch, cid):
     assert capsys.readouterr().err == ""
 
 
-def test_all_past_the_old_ceiling_runs_every_conjecture(capsys, monkeypatch, caplog):
+def test_all_past_the_old_ceiling_runs_every_conjecture(capsys, monkeypatch):
     calls = _spy_run(monkeypatch)
-    with caplog.at_level("WARNING", logger="subsum"):
-        assert cli.main(["verify", "--conjecture", "all", "--max-n", "500002"]) == 0
+    assert cli.main(["verify", "--conjecture", "all", "--max-n", "500002"]) == 0
     assert calls == [(cid, 500002) for cid in verify.CONJECTURES]
-    assert [r.getMessage() for r in caplog.records] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_table_t(capsys):
@@ -250,9 +250,15 @@ def test_bad_flags_exit_2():
         # A prefix stands for no flag.
         (["verify", "--conjecture", "2", "--max", "4"], "unrecognized argument '--max'"),
         (["compute", "--class", "odd", "--n", "3", "--what", "g", "--expand=yes"], "--expand takes no value"),
+        # A bad token before -h is reported first, and -h as a value is a value.
+        (["check", "-h"], "unknown command 'check'"),
+        (["verify", "--bogus", "-h"], "unrecognized argument '--bogus'"),
+        (["compute", "--class", "odd", "--n", "-h", "--what", "g"], "--n: expected an integer >= 0, got '-h'"),
+        (["compute", "--class", "odd", "--n=-h", "--what", "g"], "--n: expected an integer >= 0, got '-h'"),
     ],
     ids=["unknown-flag", "no-value-at-end", "flag-for-value", "missing-required", "no-command",
-         "unknown-command", "stray-positional", "prefix", "switch-with-value"],
+         "unknown-command", "stray-positional", "prefix", "switch-with-value",
+         "unknown-command-before-help", "unknown-flag-before-help", "help-as-value", "help-as-equals-value"],
 )
 def test_malformed_command_lines_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -287,6 +293,16 @@ def test_help_names_every_flag_and_conjecture_and_exits_0(capsys, argv):
         assert f"usage: subsum {command} " in out
         assert all(flag in out for flag in cli._COMMANDS[command][2])
     assert "{" + ",".join([*verify.CONJECTURES, "all"]) + "}" in out
+
+
+@pytest.mark.parametrize("spelling", [["--out", "-h"], ["--out=-h"]], ids=["spaced", "equals"])
+def test_help_as_the_value_of_out_names_a_file(tmp_path, capsys, monkeypatch, spelling):
+    # -h asks for help only where a flag stands; as a value it is the file name -h.
+    monkeypatch.chdir(tmp_path)
+    argv = ["table", "--sequence", "t", "--max-n", "3"]
+    _, want = run(capsys, argv)
+    assert run(capsys, [*argv, *spelling]) == (0, "")
+    assert (tmp_path / "-h").read_text() == want
 
 
 @pytest.mark.parametrize(
@@ -588,14 +604,16 @@ def test_verify_conjecture_1_report_is_pinned():
 
 
 def test_write_to_closed_pipe_exits_1_with_one_line():
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # every write to write_end now fails with EPIPE
-    try:
-        proc = _cli_process(["compute", "--class", "ordinary", "--n", "3", "--what", "num"], write_end)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["cannot write output: [Errno 32] Broken pipe"]
+    # The help is a payload like any other.
+    for argv in (["compute", "--class", "ordinary", "--n", "3", "--what", "num"], ["compute", "--class", "ordinary", "-h"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to write_end now fails with EPIPE
+        try:
+            proc = _cli_process(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.splitlines() == ["cannot write output: [Errno 32] Broken pipe"], argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
@@ -617,18 +635,38 @@ def test_import_loads_neither_the_process_pool_nor_fractions():
 
 def test_import_does_not_load_logging():
     # -I ignores PYTHONPATH, so the checkout's sources go on sys.path by hand.
-    # One run through main, stdout swapped out, covers parsing too: no argparse
-    # and so no gettext or locale.
+    # Runs through main, stdout swapped out, cover parsing too: no argparse
+    # and so no gettext or locale.  The second run prints warnings.
     src = str(Path(subsum.__file__).parents[1])
     code = (
         f"import io, sys; sys.path.insert(0, {src!r}); import subsum.cli; "
         "out, sys.stdout = sys.stdout, io.StringIO(); "
         "subsum.cli.main(['verify', '--conjecture', '9', '--max-n', '1', '--format', 'json']); "
+        "subsum.cli.main(['verify', '--conjecture', 'all', '--max-n', '1', '--format', 'json']); "
         "sys.stdout = out; "
         "print([m for m in ('argparse', 'gettext', 'locale', 'logging', 'numbers') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    assert out.stderr.splitlines() == SKIP_WARNINGS
+
+
+@pytest.mark.parametrize("setup", ["logging.basicConfig(stream=io.StringIO())", "pass"], ids=["host-handler", "none"])
+def test_log_lines_go_to_stderr_whatever_the_host_logging_setup(setup):
+    # A root handler installed first does not catch the warnings, and main
+    # adds no handler to the root logger.
+    code = (
+        f"import io, logging, sys; from subsum import cli; {setup}; "
+        "before = list(logging.getLogger().handlers); "
+        "out, sys.stdout = sys.stdout, io.StringIO(); "
+        "code = cli.main(['verify', '--conjecture', 'all', '--max-n', '1', '--format', 'json']); "
+        "sys.stdout = out; "
+        "assert logging.getLogger().handlers == before, logging.getLogger().handlers; "
+        "sys.exit(code)"
+    )
+    proc = _python(["-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == SKIP_WARNINGS
 
 
 def test_subsum_log_info_reports_each_conjecture_on_stderr(monkeypatch):

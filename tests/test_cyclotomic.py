@@ -267,17 +267,3 @@ def test_phi_2d_divides_multiples_of_phi(d):
         a = oracles.naive_mul(q, phi)
         assert cyclotomic.phi_2d_divides(a, d), (d, q)
         assert not cyclotomic.phi_2d_divides(oracles.naive_add(a, (1,)), d), (d, q)
-
-
-def test_root_of_unity_primes_and_orders():
-    for d, j in [(d, 0) for d in range(1, 41)] + [(d, 1) for d in (1, 6, 15, 40)]:
-        m, floor = 2 * d, 10**6 << j
-        p, zeta = cyclotomic.root_of_unity(d, j)
-        # The first prime = 1 (mod 2d) above the floor 10^6 * 2^j, by trial division alone.
-        assert p > floor and p % m == 1 and oracles.is_prime(p)
-        assert not any(oracles.is_prime(c) for c in range(p - m, floor, -m))
-        orders = [next(j for j in range(1, m + 1) if pow(pow(a, (p - 1) // m, p), j, p) == 1) for a in range(2, 40)]
-        assert next(j for j in range(1, m + 1) if pow(zeta, j, p) == 1) == m
-        assert zeta == pow(2 + orders.index(m), (p - 1) // m, p)
-    with pytest.raises(ValueError):
-        cyclotomic.root_of_unity(0, 0)

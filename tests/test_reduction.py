@@ -370,7 +370,7 @@ def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
     for d in allowed_parts(pclass, 24):
         phi = oracles.phi_by_division(2 * d)
         derivative = tuple(j * c for j, c in enumerate(phi))[1:]
-        p, zeta = cyclotomic.root_of_unity(d, 0)
+        p, zeta = reduction.root_of_unity(d, 0)
         lc = pow(d * pow(zeta, d - 1, p), -1, p)
         for n in range(25):
             big_d = pow(_at_mod(derivative, zeta, p), n // d, p)
@@ -386,6 +386,20 @@ def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
             assert lead == pow(lc, n // d, p) * reduction.leading_coefficient(n % d, pclass, d)[2] % p
 
 
+def test_root_of_unity_primes_and_orders():
+    for d, j in [(d, 0) for d in range(1, 41)] + [(d, 1) for d in (1, 6, 15, 40)]:
+        m, floor = 2 * d, 10**6 << j
+        p, zeta = reduction.root_of_unity(d, j)
+        # The first prime = 1 (mod 2d) above the floor 10^6 * 2^j, by trial division alone.
+        assert p > floor and p % m == 1 and oracles.is_prime(p)
+        assert not any(oracles.is_prime(c) for c in range(p - m, floor, -m))
+        orders = [next(j for j in range(1, m + 1) if pow(pow(a, (p - 1) // m, p), j, p) == 1) for a in range(2, 40)]
+        assert next(j for j in range(1, m + 1) if pow(zeta, j, p) == 1) == m
+        assert zeta == pow(2 + orders.index(m), (p - 1) // m, p)
+    with pytest.raises(ValueError):
+        reduction.root_of_unity(0, 0)
+
+
 def test_leading_coefficient_needs_an_allowed_part():
     with pytest.raises(ValueError):
         reduction.leading_coefficient(9, BIN, 3)
@@ -395,23 +409,23 @@ def test_leading_coefficient_needs_an_allowed_part():
 
 def test_leading_coefficient_needs_p_above_2n():
     # The floors are 10^6 * 2^j; a floor whose prime is at most 2n is skipped.
-    p = cyclotomic.root_of_unity(1, 0)[0]
+    p = reduction.root_of_unity(1, 0)[0]
     assert p == 1_000_003
     assert reduction.leading_coefficient((p - 1) // 2, ORD, 1)[0] == p
-    assert cyclotomic.root_of_unity(1, 1)[0] == 2_000_003
+    assert reduction.root_of_unity(1, 1)[0] == 2_000_003
     for n in ((p + 1) // 2, 600_000, 1_000_001):
         assert reduction.leading_coefficient(n, BIN, 1)[0] == 2_000_003, n
-    assert reduction.leading_coefficient(1_000_002, BIN, 1)[0] == cyclotomic.root_of_unity(1, 2)[0] > 4 * 10**6
+    assert reduction.leading_coefficient(1_000_002, BIN, 1)[0] == reduction.root_of_unity(1, 2)[0] > 4 * 10**6
 
 
 def test_the_zero_at_d_1534_takes_the_next_floor():
     # The ordinary block at d = 1534, j = 0 vanishes at r = 245, so n = 1779
     # is certified at j = 1; its j = 1 entry is nonzero.
-    p, zeta, _, block = reduction._leading_block(ORD, 1534, 0)
-    assert (p, zeta, block[245]) == (1_009_373, 20_124, 0)
+    assert reduction.root_of_unity(1534, 0) == (1_009_373, 20_124)
+    assert reduction._leading_block(ORD, 1534, 0)[1][245] == 0
     assert reduction.leading_coefficient(1779, ORD, 1534) == (2_015_677, 1_271_540, 922_215)
-    assert cyclotomic.root_of_unity(1534, 1) == (2_015_677, 1_271_540)
-    assert reduction._leading_block(ORD, 1534, 1)[3][245] == 1_544_783
+    assert reduction.root_of_unity(1534, 1) == (2_015_677, 1_271_540)
+    assert reduction._leading_block(ORD, 1534, 1)[1][245] == 1_544_783
 
 
 def test_a_zero_in_the_block_takes_the_next_floor(monkeypatch):
@@ -421,47 +435,37 @@ def test_a_zero_in_the_block_takes_the_next_floor(monkeypatch):
     real = reduction._leading_block
 
     def zeroed(pclass, d, j):
-        p, zeta, c, block = real(pclass, d, j)
+        c, block = real(pclass, d, j)
         if (d, j) == (5, 0):
             block = array("q", block)
             block[3] = 0
-        return p, zeta, c, block
+        return c, block
 
     monkeypatch.setattr(reduction, "_leading_block", zeroed)
     for n in range(30):
         p, zeta, lead = reduction.leading_coefficient(n, ORD, 5)
-        assert (p, zeta) == cyclotomic.root_of_unity(5, 1 if n % 5 == 3 else 0), n
+        assert (p, zeta) == reduction.root_of_unity(5, 1 if n % 5 == 3 else 0), n
         assert oracles.certificate_problems(n, reduction.num(n, ORD, "dp"), [5, p, zeta, lead]) == [], n
 
 
-def test_past_the_old_ceiling_a_certificate_takes_a_higher_floor(monkeypatch):
+def test_past_the_old_ceiling_a_certificate_takes_a_higher_floor(low_floor):
     # With the floor at 16, the primes of the first floors at d = 1 are 17
     # and 37, both at most 2n = 40, so n = 20 takes j = 2 there; at every
     # d the prime is above 40 and the checker accepts the certificate.
-    reduction._leading_block.cache_clear()
-    reduction._root_of_unity.cache_clear()
-    monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
-    try:
-        assert [cyclotomic.root_of_unity(1, j)[0] for j in range(3)] == [17, 37, 67]
-        assert reduction.leading_coefficient(20, ORD, 1)[0] == 67
-        num = reduction.num(20, ORD, "dp")
-        for d in range(1, 21):
-            p, zeta, lead = reduction.leading_coefficient(20, ORD, d)
-            assert p > 40, d
-            assert oracles.certificate_problems(20, num, [d, p, zeta, lead]) == [], d
-    finally:
-        reduction._leading_block.cache_clear()
-        reduction._root_of_unity.cache_clear()
+    assert [reduction.root_of_unity(1, j)[0] for j in range(3)] == [17, 37, 67]
+    assert reduction.leading_coefficient(20, ORD, 1)[0] == 67
+    num = reduction.num(20, ORD, "dp")
+    for d in range(1, 21):
+        p, zeta, lead = reduction.leading_coefficient(20, ORD, d)
+        assert p > 40, d
+        assert oracles.certificate_problems(20, num, [d, p, zeta, lead]) == [], d
 
 
-def test_a_skipped_floor_builds_no_block(monkeypatch):
+def test_a_skipped_floor_builds_no_block(monkeypatch, low_floor):
     # With the floor at 16, n = 20 skips every floor with p <= 40 (j = 0
     # and 1 at d = 1).  Only usable floors build a block, and each
     # certificate is the one the walk over the oracle's full recurrence
     # picks at the same floors.
-    reduction._leading_block.cache_clear()
-    reduction._root_of_unity.cache_clear()
-    monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
     real, built = reduction._leading_block, []
 
     def spy(pclass, d, j):
@@ -470,29 +474,25 @@ def test_a_skipped_floor_builds_no_block(monkeypatch):
 
     monkeypatch.setattr(reduction, "_leading_block", spy)
     n = 20
-    try:
-        for d in range(1, n + 1):
-            usable = 0
-            for j in range(10):
-                p, zeta = cyclotomic.root_of_unity(d, j)
-                if 2 * n < p:
-                    usable += 1
-                    lead = oracles.leading_pass(ORD.allows, d, n, p, zeta)[n]
-                    if lead or usable == reduction._FLOORS:
-                        break
-            assert reduction.leading_coefficient(n, ORD, d) == (p, zeta, lead), d
-        assert (1, 0) not in built and (1, 2) in built
-        assert all(cyclotomic.root_of_unity(d, j)[0] > 2 * n for d, j in built), built
-    finally:
-        real.cache_clear()
-        reduction._root_of_unity.cache_clear()
+    for d in range(1, n + 1):
+        usable = 0
+        for j in range(10):
+            p, zeta = reduction.root_of_unity(d, j)
+            if 2 * n < p:
+                usable += 1
+                lead = oracles.leading_pass(ORD.allows, d, n, p, zeta)[n]
+                if lead or usable == reduction._FLOORS:
+                    break
+        assert reduction.leading_coefficient(n, ORD, d) == (p, zeta, lead), d
+    assert (1, 0) not in built and (1, 2) in built
+    assert all(reduction.root_of_unity(d, j)[0] > 2 * n for d, j in built), built
 
 
 def test_leading_coefficient_matches_the_full_recurrence():
     """The cached block and lemma 4 against every cell of the full recurrence: n, d < 60."""
     for pclass in CLASSES:
         for d in allowed_parts(pclass, 59):
-            p, zeta = cyclotomic.root_of_unity(d, 0)
+            p, zeta = reduction.root_of_unity(d, 0)
             want = [(p, zeta, lead) for lead in oracles.leading_pass(pclass.allows, d, 59, p, zeta)]
             assert [reduction.leading_coefficient(n, pclass, d) for n in range(60)] == want, (pclass, d)
 
@@ -500,15 +500,17 @@ def test_leading_coefficient_matches_the_full_recurrence():
 def test_leading_block_is_cached_once_per_class_and_d():
     # Below the old ceiling and with no zero in the block, only j = 0 is built.
     reduction._leading_block.cache_clear()
+    reduction.root_of_unity.cache_clear()
     keys = [(pclass, d) for pclass in (ORD, ODD) for d in (1, 3, 7)]
     for pclass, d in keys:
         for n in range(40):
             reduction.leading_coefficient(n, pclass, d)
     info = reduction._leading_block.cache_info()
     assert (info.currsize, info.misses) == (len(keys), len(keys))
-    # The classes share p and zeta at each (d, j) but not their blocks.
-    assert reduction._leading_block(ORD, 7, 0)[3] != reduction._leading_block(ODD, 7, 0)[3]
-    assert reduction._leading_block(ORD, 7, 1)[:2] == reduction._leading_block(ODD, 7, 1)[:2]
+    # The classes share one (p, zeta) search per d, and c, but not their blocks.
+    assert reduction.root_of_unity.cache_info().misses == 3
+    assert reduction._leading_block(ORD, 7, 0)[1] != reduction._leading_block(ODD, 7, 0)[1]
+    assert reduction._leading_block(ORD, 7, 1)[0] == reduction._leading_block(ODD, 7, 1)[0]
 
 
 def test_leading_block_has_no_zero_entry():
@@ -516,4 +518,4 @@ def test_leading_block_has_no_zero_entry():
     # certifies every n at that d: no such d ever takes the full route.
     for pclass, top in ((ORD, 200), (BIN, 4096)):
         for d in allowed_parts(pclass, top):
-            assert all(reduction._leading_block(pclass, d, 0)[3]), (pclass, d)
+            assert all(reduction._leading_block(pclass, d, 0)[1]), (pclass, d)

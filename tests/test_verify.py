@@ -397,19 +397,12 @@ def test_run_validates_range_and_jobs():
 CERTIFIED_IDS = ["2", "5", "7", "lemma4"]
 
 
-def test_every_certificate_prime_is_above_2n(monkeypatch):
+def test_every_certificate_prime_is_above_2n(low_floor):
     # With the floor at 16, the primes of the low floors are at most 2n
     # for most n <= 40, so the rule must skip them; the checker rejects a
     # certificate whose p is at most 2n.
-    reduction._leading_block.cache_clear()
-    reduction._root_of_unity.cache_clear()
-    monkeypatch.setattr(cyclotomic, "_PRIME_FLOOR", 16)
-    try:
-        _assert_certified(verify.run("2", 30), ORD, lambda w: w["d_checked"])
-        _assert_certified(verify.run("7", 40), BIN, lambda w: [1 << s for s in w["s_checked"]])
-    finally:
-        reduction._leading_block.cache_clear()
-        reduction._root_of_unity.cache_clear()
+    _assert_certified(verify.run("2", 30), ORD, lambda w: w["d_checked"])
+    _assert_certified(verify.run("7", 40), BIN, lambda w: [1 << s for s in w["s_checked"]])
 
 
 @pytest.mark.parametrize("cid", CERTIFIED_IDS)
@@ -534,14 +527,14 @@ def test_zero_at_every_floor_takes_the_full_route(monkeypatch):
     floors = []
 
     def zeroed(pclass, d, j):
-        p, zeta, c, block = real(pclass, d, j)
+        c, block = real(pclass, d, j)
         if d != 3:
-            return p, zeta, c, block
+            return c, block
         floors.append(j)
-        return p, zeta, c, array("q", [0] * d)
+        return c, array("q", [0] * d)
 
     monkeypatch.setattr(reduction, "_leading_block", zeroed)
-    assert reduction.leading_coefficient(7, ORD, 3) == (*cyclotomic.root_of_unity(3, reduction._FLOORS - 1), 0)
+    assert reduction.leading_coefficient(7, ORD, 3) == (*reduction.root_of_unity(3, reduction._FLOORS - 1), 0)
     assert floors == list(range(reduction._FLOORS))
     assert verify._decide(7, ORD, [3], "dp") == ([], {"certificates": [], "full_route": [3]})
     divides, decided = verify._decide(7, ORD, [1, 2, 3, 4], "dp")
