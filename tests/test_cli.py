@@ -603,6 +603,62 @@ def test_verify_conjecture_1_report_is_pinned():
     assert hashlib.sha256(kept.encode()).hexdigest() == CONJECTURE_1_30_REPORT_SHA256
 
 
+# The same digest for `subsum verify --conjecture <point> --format json`
+# at points that reach the certificate routes at scale and every id past
+# n = 12.  A change that keeps the report format keeps every digest; a
+# deliberate format change updates them here.
+REPORT_SHA256 = {
+    "2 --max-n 200": "cccfdfe44dfe7ef1aa892310790dcce76cf8a943a08c262cd8a7e3fc828539ea",
+    "5 --max-n 300": "16587002e5d3973c557c47d1adcb6347ded65b870a9e7064eab8aa5a4321ec1f",
+    "7 --max-n 4096": "ade0444357637e11751aca91d5c7294c864e7a28ad73e75962935e440062d61b",
+    "lemma4 --max-n 40": "af8b641aa360037feb8d552370d6b885a89a10315beabbaf608fa7f6c23bb817",
+    "8 --max-n 60": "5fffb8d71f98b18b69ee59aa8affb18128334d24d554321806dfb474cb32d32a",
+    "9 --max-n 120": "88ecad816f8ad6b7ab62e2fed2ba8ca6011207689abc4ecf4012e6cdad213717",
+    "10 --max-n 60": "a32995b0172dc279fa59929b0b3dde33cc86b000d5c7a4231d46ad6ed5b1f31b",
+    "3 --max-n 40": "98f46d46ad64d543eeba442585e5677d42813fa3df9d55786c6b572db103f731",
+    "6 --max-n 80": "a3c52175501abbc2afd275e898cdcaa96e42a78840f013444befae93b6a75940",
+    "4 --max-n 80": "8ceab41c01f1d7b35cff8c9c923a284e7524546d6cc553e0ace39424d9f9c847",
+    "all --max-n 9": "36d13501dea122ef28fedeb521bdd0a006c427d2e6de23be7f4dab6971af51eb",
+    "2 --max-n 60": "7dfd07eaafbe3cad86842e91fa9c8e09ca0ba5e714871e8975c205d214342c23",
+    "5 --max-n 64": "5876f6d7d191381ee9f3c24f38eaa469695368cbcce3cadcccee98d9190f5dea",
+    "7 --max-n 64": "5cfd0b3992c287e5250be93b3924d77e7005a68ae7c0e93621d8f1783807909c",
+    "lemma4 --max-n 60": "4dae20727a6a1a371c5a37825332e5ce118c5052266bea10852a9c07ad92d440",
+    "8 --max-n 40": "a50e4af4dbb1e09434f4128e4bdae3372eeb734ec97563a9d0a2d969a79be843",
+    "9 --max-n 60": "8e664c993811889c3ccc6c54ee272e7bc8157967a998b062236099d5dbc19829",
+    "10 --max-n 30": "abe8f7a766334e4752441bbdac1a10c838ede2dc9dfba5693fe8faffecd23b6c",
+}
+
+# Points whose report under --engine both, which adds the full path to
+# every route, must be the report under dp.
+ENGINE_BOTH_POINTS = [
+    "2 --max-n 60",
+    "5 --max-n 64",
+    "7 --max-n 64",
+    "lemma4 --max-n 60",
+    "8 --max-n 40",
+    "9 --max-n 60",
+    "10 --max-n 30",
+    "all --max-n 9",
+]
+
+
+def _report_digest(point: str, *extra: str) -> str:
+    argv = ["-m", "subsum.cli", "verify", "--conjecture", *point.split(), *extra, "--format", "json"]
+    proc = _python(argv, capture_output=True, check=True)
+    kept = "".join(line for line in proc.stdout.splitlines(keepends=True) if "elapsed_seconds" not in line)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("point", list(REPORT_SHA256))
+def test_report_digest_corpus(point):
+    assert _report_digest(point) == REPORT_SHA256[point]
+
+
+@pytest.mark.parametrize("point", ENGINE_BOTH_POINTS)
+def test_report_digest_corpus_engine_both(point):
+    assert _report_digest(point, "--engine", "both") == REPORT_SHA256[point]
+
+
 def test_write_to_closed_pipe_exits_1_with_one_line():
     # The help is a payload like any other.
     for argv in (["compute", "--class", "ordinary", "--n", "3", "--what", "num"], ["compute", "--class", "ordinary", "-h"]):
