@@ -43,7 +43,7 @@ print(f"  cyclotomic exponents: {g}  (d -> exponent of Phi_2d)")
 print(f"  expanded: {format_poly(cyclotomic.expand_cyclotomics(g))}")
 
 show("The reduced pair")
-num = reduction.num(4, ORD, "dp")
+num = reduction.num(4, ORD)
 den = cyclotomic.expand_cyclotomics(reduction.den(4, ORD))
 print(f"  num(4,x) = {format_poly(num)}")
 print(f"  den(4,x) = {format_poly(den)}")

@@ -26,7 +26,7 @@ for w in report.witnesses:
 print()
 print("Binary numerator shape for n <= 24:")
 report = verify.run("6", 24)
-num4 = reduction.num(4, PartitionClass.BINARY, "dp")
+num4 = reduction.num(4, PartitionClass.BINARY)
 print(f"  num_B(4,x) coefficients: {list(num4)}")
 ok, idx = intpoly.is_log_concave(num4)
 print(f"  log-concave: {ok}; first violated index {idx}: "
@@ -38,6 +38,6 @@ print(f"  unimodal for every n > 5 in range: {all(w['unimodal'] for w in report.
 print()
 print("Irreducibility witnesses for num(n,x), n <= 10 (mod-p certificates):")
 for n in range(2, 11):
-    rec = verify.irreducibility_witness(n, PartitionClass.ORDINARY, "dp")
+    rec = verify.irreducibility_witness(n, PartitionClass.ORDINARY)
     tag = f"certified at p={rec['prime']}" if rec["verdict"] == "IrreducibleCertified" else "inconclusive"
     print(f"  n={n:2d}: content {rec['content']}, {tag}")

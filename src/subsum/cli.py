@@ -9,11 +9,10 @@ it; a flag is named in full, a repeated flag keeps its last value, and
 `--what` to its builder and its form, and `main`'s flag rules read the
 form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
 its conjecture ids from `verify.CONJECTURES` and runs each through
-`verify.run`.  `--engine` (`dp` or `both`) is passed straight through:
-`reduction.num_star` is the one place it is applied, wherever num* is
-built, and `verify` picks every route from it; den and G are read from
-(n, class) and build no num*.  `verify --conjecture <id>` prints the one
-report asked for.
+`verify.run`.  `--engine` (`dp` or `both`) picks the routes of `verify`
+and, for `compute --what num-star`, the num* engines of
+`reduction.num_star`; everything else reads the num* dynamic program.
+`verify --conjecture <id>` prints the one report asked for.
 
 Exit codes: 0 success, or help; 1 any failure record in a report
 whose registry entry is proved, an engine disagreement, or an internal
@@ -23,15 +22,15 @@ any work: an unknown command or flag, a missing or bad value, a missing
 required flag, a stray argument, a `verify --max-n` below the lowest n
 of the one conjecture requested (`--conjecture all` skips such
 conjectures with a warning instead), a flag that would be ignored:
-`--engine both` where no num* is built (`compute --what
-den|g|den-star|spol-list`, `verify --conjecture 4`; `--conjecture all`
-applies it wherever num* is built) and `--expand` where nothing is
-factored (`--what num|num-star|spol-list`), and an `--out` that is
-empty, holds a NUL byte, is a directory, or whose directory is missing
-or not writable.  A payload write that fails later exits 1 with one
-line, "cannot write output: ...".  WitnessOnly verdicts never affect the
-exit code.  stdout carries data and help, stderr diagnostics and the
-lines "LEVEL subsum: message" that `_log` prints for SUBSUM_LOG itself.
+`--engine both` where it picks nothing (`compute` but `--what num-star`,
+`verify --conjecture 1|3|4|6`; `--conjecture all` applies it to the ids
+that pick a route) and `--expand` where nothing is factored (`--what
+num|num-star|spol-list`), and an `--out` that is empty, holds a NUL
+byte, is a directory, or whose directory is missing or not writable.
+A payload write that fails later exits 1 with one line, "cannot write
+output: ...".  WitnessOnly verdicts never affect the exit code.  stdout
+carries data and help, stderr diagnostics and the lines "LEVEL subsum:
+message" that `_log` prints for SUBSUM_LOG itself.
 All big integers are serialized as decimal strings; coefficient lists
 ascend from x^0.
 """
@@ -53,13 +52,13 @@ _HELP = ("-h", "--help")
 
 _CLASSES = [c.value for c in PartitionClass]
 
-# Each --what, in choice order: (builder(n, pclass, engine), form).  The
-# form says what the flags apply to: --engine both only to a
-# "polynomial" (the num* engines), --expand only to the factored forms
-# "cyclotomic" and "binomial".  Builders look their function up at call
-# time, so a patched module attribute reaches them.
+# Each --what, in choice order: (builder(n, pclass, engine), form).
+# --expand applies only to the factored forms "cyclotomic" and
+# "binomial", and --engine both only to num-star, the one builder that
+# reads the engine.  Builders look their function up at call time, so a
+# patched module attribute reaches them.
 _WHAT = {
-    "num": (lambda n, c, e: reduction.num(n, c, e), "polynomial"),
+    "num": (lambda n, c, e: reduction.num(n, c), "polynomial"),
     "den": (lambda n, c, e: reduction.den(n, c), "cyclotomic"),
     "g": (lambda n, c, e: reduction.big_g(n, c), "cyclotomic"),
     "num-star": (lambda n, c, e: reduction.num_star(n, c, e), "polynomial"),
@@ -250,12 +249,12 @@ def main(argv=None) -> int:
         bound = entry.max_n_bound(args.max_n)
         if bound:
             _usage_error(args.command, f"--conjecture {args.conjecture} needs --{bound}")
-        if args.engine == "both" and not entry.builds_num:
-            _usage_error(args.command, f"--engine both: conjecture {args.conjecture} builds no num*")
+        if args.engine == "both" and not entry.picks_route:
+            _usage_error(args.command, f"--engine both: conjecture {args.conjecture} picks no route")
     if args.command == "compute":
         form = _WHAT[args.what][1]
-        if args.engine == "both" and form != "polynomial":
-            _usage_error(args.command, f"--engine both: --what {args.what} builds no num*")
+        if args.engine == "both" and args.what != "num-star":
+            _usage_error(args.command, f"--engine both: only --what num-star has two engines, not --what {args.what}")
         if args.expand and form not in ("cyclotomic", "binomial"):
             _usage_error(args.command, f"--expand: --what {args.what} has no factored form")
     try:

@@ -36,9 +36,10 @@ needs num*.  Two accumulations of num* exist: a dynamic program over the
 allowed parts (production) and a streaming fold over the enumerated
 partitions (the oracle).  Integer arithmetic is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
-`num_star` is the one place the engine is applied, wherever num* is
-built: engine "dp" runs the dynamic program, and engine "both" runs
-both accumulations and raises EngineMismatchError unless they agree.
+`num_star` is the one place the engines apply: engine "dp" runs the
+dynamic program, and engine "both" runs both accumulations and raises
+EngineMismatchError unless they agree.  Every other caller, `num` and
+`num_at` included, reads the dynamic program alone.
 
 The dynamic program needs only a ring with the step S: p -> p*(1+x^i),
 applied k times at a time, and it runs on Python ints, twice.  Over Z
@@ -57,7 +58,7 @@ carries between digits in intermediate cells are harmless: only the
 final value has to hold its coefficients digit by digit, and it does.
 One unpack reads the low half back, and the mirror gives num*.
 
-`num(n, pclass, engine)` returns num = num*/G, taken by
+`num(n, pclass)` returns num = num*/G, taken by
 `cyclotomic.divide_cyclotomics`, which reads G as a product of binomials
 1 + x^j and divides by each in turn by synthetic division on Python
 ints; a zero remainder at every step proves the division exact.  It is
@@ -279,22 +280,21 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
 
 # Under engine "dp" lemma 4 certifies its n side at a root of unity and
 # reads num only at r = n mod d < n/2: a sweep to n = N holds ceil(N/2)
-# entries.  It builds num(n) itself only under "both", which reads the
-# N + 1 entries 0..N, or when the certificate vanishes.  256 entries
-# hold both working sets together up to N = 170.
+# entries.  Under "both" it also reads num(n), the N + 1 entries 0..N,
+# which hold the dp entries, so 256 entries hold either sweep up to N = 255.
 @lru_cache(maxsize=256)
-def num(n: int, pclass: PartitionClass, engine: str, /) -> IntPoly:
+def num(n: int, pclass: PartitionClass, /) -> IntPoly:
     """The reduced numerator num = num*/G, with the summand gcd G cancelled.
 
-    The division is `cyclotomic.divide_cyclotomics` (a nonzero remainder
-    would be a pipeline bug and raises); n = 0 gives num 1.  den is
-    `den(n, pclass)`.  engine is "dp" or "both", as for `num_star`.
+    num* is the dynamic program's.  The division is
+    `cyclotomic.divide_cyclotomics` (a nonzero remainder would be a
+    pipeline bug and raises); n = 0 gives num 1.  den is `den(n, pclass)`.
 
     Results are cached in an LRU cache of 256 entries keyed on
-    (n, pclass, engine).  The parameters are positional-only and have no
-    default, so there is one call form and one entry per key.
+    (n, pclass).  The parameters are positional-only, so there is one
+    call form and one entry per key.
     """
-    return cyclotomic.divide_cyclotomics(num_star(n, pclass, engine), big_g(n, pclass))
+    return cyclotomic.divide_cyclotomics(num_star(n, pclass), big_g(n, pclass))
 
 
 # Certificate primes lie above the floors F_j = _PRIME_FLOOR * 2^j.  A floor

@@ -15,20 +15,18 @@ unexpected violation would be a publishable finding and lands in the
 failures list with full reproduction data; neither outcome gates the
 build.
 
-Every check that builds num passes its engine straight to
-`reduction.num`, the one cached route to num = num*/G, so
-`reduction.num_star` is the one place the accumulation engine is
-applied; under engine "both" it raises EngineMismatchError, which `run`
-records as a failure.  Checks that read only den (conjecture 4, and
-the den side of 2 and 5) build no num*.
+Every check that builds num reads it from `reduction.num`, the one
+cached route to num = num*/G by the num* dynamic program.  Checks that
+read only den (conjecture 4, and the den side of 2 and 5) build no num*.
 
-Every other route is picked by one of two route-pickers.  Each takes
+The engine picks routes only, in one of two route-pickers.  Each takes
 the cheap route under engine "dp"; under "both" it also takes the full
 path, for every d and every value, and raises EngineMismatchError unless
-the two agree.  `_decide` finds the Phi_{2d} that divide num(n)
-(conjectures 2, 5 and 7, lemma 4 at n): a certificate at a root of unity
-mod p decides each d, and num is built only when it vanishes.  Lemma 4
-decides its n mod d side by the full test under either engine.
+the two agree, which `run` records as a failure.  `_decide` finds the
+Phi_{2d} that divide num(n) (conjectures 2, 5 and 7, lemma 4 at n): a
+certificate at a root of unity mod p decides each d, and num is built
+only when it vanishes.  Lemma 4 decides its n mod d side by the full
+test under either engine.
 `_value_at` reads num(n, x0) by `reduction.num_at`, off num* at
 x = x0 + t with no division by G: at x0 = -1 for conjectures 8 and 9,
 against `VALUE_AT_MINUS_ONE`, and at x0 = 1 for conjecture 10, against
@@ -122,7 +120,7 @@ def _decide(n: int, pclass: PartitionClass, ds: Iterable[int], engine: str) -> t
                 continue
         else:
             full_route.append(d)
-        if cyclotomic.phi_2d_divides(reduction.num(n, pclass, engine), d):
+        if cyclotomic.phi_2d_divides(reduction.num(n, pclass), d):
             if lead:
                 raise reduction.EngineMismatchError(
                     f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
@@ -135,12 +133,12 @@ def _value_at(n: int, pclass: PartitionClass, x0: int, engine: str) -> int:
     """num(n, x0) for x0 = 1 or -1 by `reduction.num_at`, which builds no num.
 
     Engine "both" also reads the full path's num at x0, which proves
-    G | num* and checks num* against the enumeration, and raises
-    EngineMismatchError at n unless the two values agree.
+    G | num*, and raises EngineMismatchError at n unless the two values
+    agree.
     """
     got = reduction.num_at(n, pclass, x0)
     if engine == "both":
-        full = intpoly.eval_at_int(reduction.num(n, pclass, engine), x0)
+        full = intpoly.eval_at_int(reduction.num(n, pclass), x0)
         if full != got:
             raise reduction.EngineMismatchError(
                 f"num({n},{x0}) = {full} by the full path != {got} off num* at x = {x0}", n=n
@@ -200,7 +198,7 @@ def _value_at_minus_one_check(n: int, pclass: PartitionClass, engine: str) -> tu
 
     num(n,-1) comes from `_value_at`, which under engine "dp" runs the
     num* DP alone and does not prove G | num*; under "both" the full
-    path proves it, and the enumeration runs once per n.
+    path proves it.
     """
     name, form, value = VALUE_AT_MINUS_ONE[pclass]
     got = _value_at(n, pclass, -1, engine)
@@ -246,7 +244,7 @@ def _ternary_block_check(k: int, pclass: PartitionClass, engine: str) -> tuple[l
 
 def _even_part_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: the even-exponent part of num stays unimodal."""
-    compressed = intpoly.normalize(reduction.num(n, pclass, engine)[::2])
+    compressed = intpoly.normalize(reduction.num(n, pclass)[::2])
     if intpoly.is_unimodal(compressed):
         return [], [{"n": n, "unimodal": True}]
     return (
@@ -293,7 +291,7 @@ BINARY_LOG_CONCAVE_EXCEPTIONS = frozenset({4, 5})
 
 def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: binary numerator unimodal; log-concavity fails only at n = 4, 5."""
-    num = reduction.num(n, pclass, engine)
+    num = reduction.num(n, pclass)
     unimodal = intpoly.is_unimodal(num)
     lc_ok, idx = intpoly.is_log_concave(num)
     failures = []
@@ -321,7 +319,7 @@ def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[li
 
 
 @lru_cache(maxsize=None)
-def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str) -> bool:
+def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int) -> bool:
     """Whether Phi_{2d} does not divide num(r) of the class, r < d, by the full test.
 
     This is lemma 4's r side.  It takes the full test,
@@ -333,10 +331,10 @@ def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int, engine: str
     then degenerates to nondivisibility at n alone; the equivalence is
     still checked as stated.  The pair (r, d) recurs for every
     n = r (mod d), so it is decided once per process: a run up to n = N
-    holds at most N(N+1)/2 booleans per (class, engine), keyed on
-    r < d <= N.
+    holds at most N(N+1)/2 booleans per class, keyed on r < d <= N,
+    under either engine.
     """
-    return not cyclotomic.phi_2d_divides(reduction.num(r, pclass, engine), d)
+    return not cyclotomic.phi_2d_divides(reduction.num(r, pclass), d)
 
 
 def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
@@ -350,7 +348,7 @@ def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dic
     divides, _ = _decide(n, pclass, range(1, n + 1), engine)
     failures = []
     for d in range(1, n + 1):
-        if (d not in divides) != _nondivides_at_remainder(n % d, pclass, d, engine):
+        if (d not in divides) != _nondivides_at_remainder(n % d, pclass, d):
             failures.append(
                 {"n": n, "d": d, "detail": f"divisibility of num by Phi_{2 * d} differs between n={n} and r={n % d}"}
             )
@@ -362,7 +360,7 @@ def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dic
 DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def irreducibility_witness(n: int, pclass: PartitionClass, engine: str) -> dict:
+def irreducibility_witness(n: int, pclass: PartitionClass) -> dict:
     """Mod-p sufficient-condition witness for irreducibility of the class's num(n,x).
 
     Reports the integer content, then tries each prime until one
@@ -370,7 +368,7 @@ def irreducibility_witness(n: int, pclass: PartitionClass, engine: str) -> dict:
     reducible reduction proves nothing over the integers, so it never
     produces a negative verdict, only Inconclusive.
     """
-    num = reduction.num(n, pclass, engine)
+    num = reduction.num(n, pclass)
     record: dict = {"n": n, "content": intpoly.content(num), "tried": []}
     if len(num) <= 1:
         record["verdict"] = "Inconclusive"
@@ -392,7 +390,7 @@ def irreducibility_witness(n: int, pclass: PartitionClass, engine: str) -> dict:
 
 def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
     """Evidence: mod-p irreducibility witness; never claims reducibility."""
-    return [], [irreducibility_witness(n, pclass, engine)]
+    return [], [irreducibility_witness(n, pclass)]
 
 
 # --- The registry and the runner ---
@@ -402,8 +400,8 @@ class Conjecture(NamedTuple):
     """Everything `run` needs to produce one report.
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, the
-    range the report states.  `builds_num` is false for a check that
-    reads only den, so that no engine applies to it.
+    range the report states.  `picks_route` is false for a check that
+    calls neither route-picker, so that the engine does not apply to it.
     """
 
     cid: str
@@ -411,7 +409,7 @@ class Conjecture(NamedTuple):
     lowest_n: int
     check: Callable
     proved: bool
-    builds_num: bool = True
+    picks_route: bool = True
 
     def max_n_bound(self, max_n: int) -> str | None:
         """The bound on max-n that max_n breaks, as "max-n >= ...", or None."""
@@ -422,12 +420,12 @@ class Conjecture(NamedTuple):
 CONJECTURES: dict[str, Conjecture] = {
     c.cid: c
     for c in (
-        Conjecture("1", ORDINARY, 1, _witness_check, proved=False),
+        Conjecture("1", ORDINARY, 1, _witness_check, proved=False, picks_route=False),
         Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
-        Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
-        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, builds_num=False),
+        Conjecture("3", ORDINARY, 1, _even_part_check, proved=False, picks_route=False),
+        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, picks_route=False),
         Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True),
-        Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
+        Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False, picks_route=False),
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
         Conjecture("8", PartitionClass.ODD, 1, _value_at_minus_one_check, proved=True),
         Conjecture("9", PartitionClass.TERNARY, 1, _value_at_minus_one_check, proved=True),

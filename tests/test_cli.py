@@ -309,10 +309,10 @@ def test_help_as_the_value_of_out_names_a_file(tmp_path, capsys, monkeypatch, sp
     "argv",
     [
         *(["compute", "--class", "ordinary", "--n", "4", "--what", w, "--engine", "both"]
-          for w in ("den", "g", "den-star", "spol-list")),
+          for w in ("num", "den", "g", "den-star", "spol-list")),
         *(["compute", "--class", "ordinary", "--n", "4", "--what", w, "--expand"]
           for w in ("num", "num-star", "spol-list")),
-        ["verify", "--conjecture", "4", "--max-n", "4", "--engine", "both"],
+        *(["verify", "--conjecture", cid, "--max-n", "4", "--engine", "both"] for cid in ("1", "3", "4", "6")),
     ],
 )
 def test_flags_that_would_be_ignored_exit_2(capsys, argv):
@@ -331,8 +331,8 @@ def test_engine_both_on_all_skips_no_conjecture(capsys):
 def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
     real = reduction.num
 
-    def mutated(n, pclass, engine):
-        num = real(n, pclass, engine)
+    def mutated(n, pclass):
+        num = real(n, pclass)
         return oracles.naive_mul(num, (1, 1)) if n == 3 and pclass is PartitionClass.ORDINARY else num
 
     monkeypatch.setattr(reduction, "num", mutated)
@@ -347,11 +347,11 @@ def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
 def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
     real = reduction.num
 
-    def mutated(n, pclass, engine):
+    def mutated(n, pclass):
         if n == 2 and pclass is PartitionClass.ORDINARY:
             # force a fake non-unimodal even part: 1 + 0x^2 + x^4
             return (1, 0, 0, 0, 1)
-        return real(n, pclass, engine)
+        return real(n, pclass)
 
     monkeypatch.setattr(reduction, "num", mutated)
     code, out = run(capsys, ["verify", "--conjecture", "3", "--max-n", "3", "--format", "json"])
@@ -386,8 +386,8 @@ def _den_2_without_its_middle(monkeypatch):
 def _binary_num_6_without_its_middle(monkeypatch):
     real = reduction.num
 
-    def mutated(n, pclass, engine):
-        return (1, 0, 1) if n == 6 and pclass is PartitionClass.BINARY else real(n, pclass, engine)
+    def mutated(n, pclass):
+        return (1, 0, 1) if n == 6 and pclass is PartitionClass.BINARY else real(n, pclass)
 
     monkeypatch.setattr(reduction, "num", mutated)
 
@@ -444,8 +444,9 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
     real_dp = reduction._num_star_dp
 
     def corrupted(n, pclass):
+        # A Phi_2 in num(2), which its certificate at d = 1 denies.
         star = real_dp(n, pclass)
-        return oracles.naive_add(star, (1,)) if n == 2 else star
+        return oracles.naive_mul(star, (1, 1)) if n == 2 else star
 
     monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
     reduction.num.cache_clear()
@@ -461,13 +462,13 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["_num_star_dp", "_num_star_enumerate"])
-@pytest.mark.parametrize("what", ["num", "num-star"])
+@pytest.mark.parametrize("what", ["num-star"])
 def test_compute_engine_disagreement_exits_1(capsys, monkeypatch, what, engine):
     real = getattr(reduction, engine)
 
     def corrupted(n, pclass):
-        # G(3,x) = 1 + x does not divide the corrupted num*, so only a
-        # comparison made before that division reports the disagreement.
+        # G(3,x) = 1 + x does not divide the corrupted num*; num-star
+        # divides by nothing, so the comparison reports the disagreement.
         star = real(n, pclass)
         return oracles.naive_add(star, (1,)) if n == 3 else star
 
@@ -749,7 +750,7 @@ def test_json_round_trip(capsys):
 def test_mutated_numerator_breaks_division_exit_1(capsys, monkeypatch):
     # A numerator that is not divisible by G must surface as exit 1 with
     # a diagnostic, not a traceback.
-    def corrupted(n, pclass, engine):
+    def corrupted(n, pclass):
         raise intpoly.NotDivisibleError("injected")
 
     monkeypatch.setattr(reduction, "num", corrupted)
@@ -785,37 +786,58 @@ def test_conjecture_choices_come_from_registry():
 
 
 def test_engine_enumerate_reaches_every_pair(capsys, monkeypatch):
-    real = reduction.num
-    engines = set()
+    real = reduction._num_star_enumerate
+    pairs = []
 
-    def recording(n, pclass, engine):
-        engines.add(engine)
-        return real(n, pclass, engine)
+    def recording(n, pclass):
+        pairs.append((n, pclass))
+        return real(n, pclass)
 
-    monkeypatch.setattr(reduction, "num", recording)
-    # Engine "both" runs the streaming fold beside the DP at every pair.
-    for cid in ("1", "lemma4"):
-        code, _ = run(capsys, ["verify", "--conjecture", cid, "--max-n", "6", "--engine", "both", "--format", "json"])
-        assert code == 0, cid
-    assert engines == {"both"}
+    monkeypatch.setattr(reduction, "_num_star_enumerate", recording)
+    # compute --what num-star --engine both runs the streaming fold beside the DP at every pair.
+    want = [(n, pclass) for pclass in PartitionClass for n in range(0, 7)]
+    for n, pclass in want:
+        argv = ["compute", "--class", pclass.value, "--n", str(n), "--what", "num-star", "--engine", "both"]
+        assert run(capsys, argv)[0] == 0, argv
+    assert pairs == want
 
 
-def test_engine_both_checks_conjecture1(capsys, monkeypatch):
-    real_enum = reduction._num_star_enumerate
+def test_verify_engine_both_enumerates_no_partitions(capsys, monkeypatch):
+    # --engine both picks routes only: every full path reads the num* DP.
+    def no_enumeration(n, pclass):
+        raise AssertionError(f"verify enumerated the partitions of {n}")
 
-    def corrupted(n, pclass):
-        star = real_enum(n, pclass)
-        return oracles.naive_add(star, (1,)) if n == 2 else star
-
-    monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
+    monkeypatch.setattr(reduction, "_num_star_enumerate", no_enumeration)
     reduction.num.cache_clear()
     try:
-        code, out = run(capsys, ["verify", "--conjecture", "1", "--max-n", "4", "--engine", "both", "--format", "json"])
+        code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "12", "--engine", "both", "--format", "json"])
     finally:
         reduction.num.cache_clear()
-    assert code == 1
-    record = json.loads(out)
-    assert [f["n"] for f in record["failures"] if f.get("kind") == "engine-mismatch"] == [2]
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True) if "elapsed_seconds" not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == ALL_12_REPORT_SHA256
+
+
+def test_num_cache_holds_one_entry_per_n_and_class(capsys, monkeypatch):
+    cached = reduction.num
+    keys = set()
+
+    def recording(n, pclass):
+        keys.add((n, pclass))
+        return cached(n, pclass)
+
+    monkeypatch.setattr(reduction, "num", recording)
+    cached.cache_clear()
+    verify._nondivides_at_remainder.cache_clear()
+    try:
+        for engine in ("dp", "both"):
+            code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--engine", engine])
+            assert code == 0, engine
+            assert cached.cache_info().currsize == len(keys), engine
+    finally:
+        cached.cache_clear()
+    # dp reads num at n mod d <= 3; both reads every n, the dp entries among them.
+    assert keys == {(n, PartitionClass.ORDINARY) for n in range(0, 9)}
 
 
 def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
@@ -839,7 +861,8 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
         assert code == 0
     finally:
         reduction.num.cache_clear()
-    assert sorted(calls) == [(n, "both") for n in range(0, 9)]
+    # Under both, n is also decided by the full test, on the DP's num* that dp has not built yet.
+    assert sorted(calls) == [(n, "dp") for n in range(4, 9)]
 
 
 def test_den_readers_build_no_num_star(capsys, monkeypatch):

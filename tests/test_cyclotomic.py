@@ -251,7 +251,7 @@ def test_phi_2d_divides_matches_direct_remainder():
     # The folds decide divisibility exactly as the schoolbook remainder mod Phi_2d does.
     for pclass in PartitionClass:
         for n in range(0, 25):
-            num = reduction.num(n, pclass, "dp")
+            num = reduction.num(n, pclass)
             for d in range(1, n + 3):
                 want = oracles.remainder_mod_monic(num, oracles.phi_by_division(2 * d)) == ()
                 assert cyclotomic.phi_2d_divides(num, d) == want, (pclass, n, d)

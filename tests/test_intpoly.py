@@ -280,7 +280,7 @@ def test_half_degree_builds_h_of_x_plus_inverse():
 )
 def test_irreducible_mod_p_matches_full_degree_rabin(pclass, ns):
     for n in ns:
-        num = reduction.num(n, pclass, "dp")
+        num = reduction.num(n, pclass)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             try:
                 want = oracles.rabin_full_degree(num, p) == "irreducible"

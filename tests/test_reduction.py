@@ -97,7 +97,7 @@ def test_n0_is_the_empty_partition_in_every_layer():
         assert reduction._num_star_enumerate(0, pclass) == (1,), pclass
         for engine in ("dp", "both"):
             assert reduction.num_star(0, pclass, engine) == (1,), (pclass, engine)
-            assert reduction.num(0, pclass, engine) == (1,), (pclass, engine)
+        assert reduction.num(0, pclass) == (1,), pclass
         for x0 in (1, -1):
             assert reduction._order_at(0, pclass, x0) == (0, 1), (pclass, x0)
             assert reduction.num_at(0, pclass, x0) == 1, (pclass, x0)
@@ -160,7 +160,7 @@ def test_num4_is_num_star_divided_by_1_plus_x():
 
 
 def test_num_golden_ordinary_n4():
-    assert reduction.num(4, ORD, "dp") == NUM4
+    assert reduction.num(4, ORD) == NUM4
     g = reduction.big_g(4, ORD)
     assert g == {1: 1}
     assert cyclotomic.expand_cyclotomics(g) == (1, 1)
@@ -171,16 +171,16 @@ def test_num_golden_ordinary_n4():
 
 
 def test_num_golden_binary_n4():
-    assert reduction.num(4, BIN, "dp") == NUMB4
+    assert reduction.num(4, BIN) == NUMB4
     assert reduction.big_g(4, BIN) == {}
 
 
 def test_num_small_and_conventions():
-    assert reduction.num(0, ORD, "dp") == (1,)
+    assert reduction.num(0, ORD) == (1,)
     assert reduction.den(0, ORD) == {} and reduction.big_g(0, ORD) == {}
-    assert reduction.num(1, ORD, "dp") == (1,)
+    assert reduction.num(1, ORD) == (1,)
     assert reduction.den(1, ORD) == {1: 1}
-    assert reduction.num(2, ORD, "dp") == (2, 2, 2)
+    assert reduction.num(2, ORD) == (2, 2, 2)
 
 
 def test_num_has_one_call_form_and_one_entry_per_key(monkeypatch):
@@ -194,14 +194,14 @@ def test_num_has_one_call_form_and_one_entry_per_key(monkeypatch):
     monkeypatch.setattr(reduction, "_num_star_dp", counting)
     reduction.num.cache_clear()
     try:
-        first = reduction.num(7, ORD, "dp")
-        assert reduction.num(7, ORD, "dp") is first
+        first = reduction.num(7, ORD)
+        assert reduction.num(7, ORD) is first
         with pytest.raises(TypeError):
-            reduction.num(7, ORD, engine="dp")
+            reduction.num(7, pclass=ORD)
         with pytest.raises(TypeError):
-            reduction.num(n=7, pclass=ORD, engine="dp")
+            reduction.num(n=7, pclass=ORD)
         with pytest.raises(TypeError):
-            reduction.num(7, ORD)
+            reduction.num(7, ORD, "dp")
     finally:
         reduction.num.cache_clear()
     assert calls == [7]
@@ -218,7 +218,7 @@ def test_reconstruction_identities():
     for pclass in CLASSES:
         for n in range(0, 26):
             g = reduction.big_g(n, pclass)
-            num = reduction.num(n, pclass, "dp")
+            num = reduction.num(n, pclass)
             assert oracles.naive_mul(cyclotomic.expand_cyclotomics(g), num) == reduction.num_star(n, pclass)
             den_star_cyclo = oracles.cyclo_exponents(reduction.den_star(n, pclass))
             merged = dict(reduction.den(n, pclass))
@@ -230,7 +230,7 @@ def test_reconstruction_identities():
 def test_num_positive_ends():
     for pclass in CLASSES:
         for n in range(1, 31):
-            num = reduction.num(n, pclass, "dp")
+            num = reduction.num(n, pclass)
             assert num[0] > 0 and num[-1] > 0
 
 
@@ -239,7 +239,7 @@ def test_degree_drop_and_palindrome_regressions():
     # and num reads the same in both directions.
     findings = []
     for n in range(1, 21):
-        num = reduction.num(n, ORD, "dp")
+        num = reduction.num(n, ORD)
         if len(num) - 1 != cyclotomic.cyclo_degree(reduction.den(n, ORD)) - n:
             findings.append(f"degree drop violated at n={n}")
         if num != num[::-1]:
@@ -251,7 +251,7 @@ def test_degree_drop_and_palindrome_regressions():
 
 def _pair_at(n, pclass, x0):
     x0 = Fraction(x0)
-    num = reduction.num(n, pclass, "dp")
+    num = reduction.num(n, pclass)
     den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
     return intpoly.eval_at_int(num, x0) / intpoly.eval_at_int(den, x0)
 
@@ -284,7 +284,7 @@ def test_sr_eval_pole():
         oracles.reciprocal_sum(list(enumerate_partitions(3, ORD)), -1)
     den = cyclotomic.expand_cyclotomics(reduction.den(3, ORD))
     assert intpoly.eval_at_int(den, -1) == 0
-    assert intpoly.eval_at_int(reduction.num(3, ORD, "dp"), -1) != 0
+    assert intpoly.eval_at_int(reduction.num(3, ORD), -1) != 0
 
 
 def test_t_direct_values():
@@ -294,7 +294,7 @@ def test_t_direct_values():
 
 def test_t_direct_matches_polynomial_eval():
     for n in range(0, 28):
-        num_t = reduction.num(n, TER, "dp")
+        num_t = reduction.num(n, TER)
         assert oracles.t_direct(n) == intpoly.eval_at_int(num_t, 1), n
 
 
@@ -312,7 +312,7 @@ def test_t_values_match_the_enumeration_oracle():
 def test_num_at_matches_the_full_path(x0, tops):
     for pclass, top in tops:
         for n in range(top + 1):
-            want = intpoly.eval_at_int(reduction.num(n, pclass, "dp"), x0)
+            want = intpoly.eval_at_int(reduction.num(n, pclass), x0)
             assert reduction.num_at(n, pclass, x0) == want, (pclass, n)
 
 
@@ -349,7 +349,7 @@ def test_exact_division_by_g_always_clean(n, pclass):
     # is the schoolbook one by the oracle's Phi.
     star = reduction.num_star(n, pclass)
     want = oracles.exact_div(star, oracles.expand_phi_product(reduction.big_g(n, pclass)))
-    assert reduction.num(n, pclass, "dp") == want
+    assert reduction.num(n, pclass) == want
 
 
 def _at_mod(f, z, p):
@@ -380,7 +380,7 @@ def test_leading_coefficient_times_d_is_num_at_zeta(pclass):
             assert big_d
             got_p, got_zeta, lead = reduction.leading_coefficient(n, pclass, d)
             assert (got_p, got_zeta) == (p, zeta)
-            num = reduction.num(n, pclass, "dp")
+            num = reduction.num(n, pclass)
             assert lead * big_d % p == _at_mod(num, zeta, p), (n, d)
             # Lemma 4 inside the DP, which the pass computes but does not assume.
             assert lead == pow(lc, n // d, p) * reduction.leading_coefficient(n % d, pclass, d)[2] % p
@@ -445,7 +445,7 @@ def test_a_zero_in_the_block_takes_the_next_floor(monkeypatch):
     for n in range(30):
         p, zeta, lead = reduction.leading_coefficient(n, ORD, 5)
         assert (p, zeta) == reduction.root_of_unity(5, 1 if n % 5 == 3 else 0), n
-        assert oracles.certificate_problems(n, reduction.num(n, ORD, "dp"), [5, p, zeta, lead]) == [], n
+        assert oracles.certificate_problems(n, reduction.num(n, ORD), [5, p, zeta, lead]) == [], n
 
 
 def test_past_the_old_ceiling_a_certificate_takes_a_higher_floor(low_floor):
@@ -454,7 +454,7 @@ def test_past_the_old_ceiling_a_certificate_takes_a_higher_floor(low_floor):
     # d the prime is above 40 and the checker accepts the certificate.
     assert [reduction.root_of_unity(1, j)[0] for j in range(3)] == [17, 37, 67]
     assert reduction.leading_coefficient(20, ORD, 1)[0] == 67
-    num = reduction.num(20, ORD, "dp")
+    num = reduction.num(20, ORD)
     for d in range(1, 21):
         p, zeta, lead = reduction.leading_coefficient(20, ORD, d)
         assert p > 40, d

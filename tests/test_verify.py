@@ -89,7 +89,7 @@ def test_binary_nondivisibility():
     by_n = {w["n"]: w for w in report.witnesses}
     assert by_n[4]["s_checked"] == [0, 1, 2]
     # n=2, s=0: num_B(2,-1) = 2
-    assert intpoly.eval_at_int(reduction.num(2, PartitionClass.BINARY, "dp"), -1) == 2
+    assert intpoly.eval_at_int(reduction.num(2, PartitionClass.BINARY), -1) == 2
 
 
 def test_odd_special_value():
@@ -153,7 +153,7 @@ def test_any_coefficient_off_by_one_from_t_to_the_g_fails_or_raises(monkeypatch,
 def test_route_at_minus_one_against_the_full_path_under_both(monkeypatch, cid, pclass):
     real = reduction.num_at
     monkeypatch.setattr(reduction, "num_at", lambda n, pclass_, x0: real(n, pclass_, x0) + (n == 5))
-    full = intpoly.eval_at_int(reduction.num(5, pclass, "both"), -1)
+    full = intpoly.eval_at_int(reduction.num(5, pclass), -1)
     report = verify.run(cid, 6, engine="both")
     detail = f"num(5,-1) = {full} by the full path != {full + 1} off num* at x = -1"
     assert report.failures == [{"n": 5, "kind": "engine-mismatch", "detail": detail}]
@@ -204,7 +204,7 @@ def test_binary_shape():
 def test_remainder_reduction_check_examples():
     for n, d in [(7, 3), (4, 4), (4, 1)]:  # (4, 4): r = 0, num(0,x) = 1; (4, 1): num(4,-1) = 24 != 0
         divides, _ = verify._decide(n, ORD, [d], "dp")
-        assert divides == [] and verify._nondivides_at_remainder(n % d, ORD, d, "dp"), (n, d)
+        assert divides == [] and verify._nondivides_at_remainder(n % d, ORD, d), (n, d)
     assert verify._lemma4_check(7, ORD, "dp") == ([], [])
 
 
@@ -215,9 +215,9 @@ def test_lemma4_reads_the_class_it_is_given(monkeypatch, engine):
     seen = set()
     real_num, real_lead = reduction.num, reduction.leading_coefficient
 
-    def num(n, pclass, engine):
+    def num(n, pclass):
         seen.add(pclass)
-        return real_num(n, ORD, engine)
+        return real_num(n, ORD)
 
     def leading_coefficient(n, pclass, d):
         seen.add(pclass)
@@ -232,7 +232,7 @@ def test_lemma4_reads_the_class_it_is_given(monkeypatch, engine):
         assert seen == {PartitionClass.ODD}
         misses = cached.cache_info().misses
         for d in range(1, 10):
-            cached(9 % d, PartitionClass.ODD, d, engine)
+            cached(9 % d, PartitionClass.ODD, d)
         assert cached.cache_info().misses == misses
     finally:
         cached.cache_clear()
@@ -249,8 +249,8 @@ def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
     # A Phi_6 smuggled into num(2) shows at every n = 2 mod 3, d = 3: the n mod d side is a real remainder.
     real = reduction.num
 
-    def mutated(n, pclass, engine):
-        num = real(n, pclass, engine)
+    def mutated(n, pclass):
+        num = real(n, pclass)
         return oracles.naive_mul(num, oracles.phi_by_division(6)) if n == 2 else num
 
     monkeypatch.setattr(reduction, "num", mutated)
@@ -284,16 +284,16 @@ def test_lemma4_decides_each_remainder_pair_once(monkeypatch):
 
 
 def test_irreducibility_witness_examples():
-    rec2 = verify.irreducibility_witness(2, ORD, "dp")
+    rec2 = verify.irreducibility_witness(2, ORD)
     assert rec2["content"] == 2
     assert rec2["verdict"] == "IrreducibleCertified"
     assert rec2["prime"] == 2
 
-    rec1 = verify.irreducibility_witness(1, ORD, "dp")
+    rec1 = verify.irreducibility_witness(1, ORD)
     assert rec1["verdict"] == "Inconclusive"
     assert rec1["detail"] == "degree <= 0"
 
-    rec4 = verify.irreducibility_witness(4, ORD, "dp")
+    rec4 = verify.irreducibility_witness(4, ORD)
     assert rec4["verdict"] in ("IrreducibleCertified", "Inconclusive")
 
 
@@ -304,9 +304,9 @@ def test_irreducibility_witness_reads_the_class_it_is_given(monkeypatch, engine)
     seen = set()
     real_num = reduction.num
 
-    def num(n, pclass, engine):
+    def num(n, pclass):
         seen.add(pclass)
-        return real_num(n, ORD, engine)
+        return real_num(n, ORD)
 
     want = verify._witness_check(6, ORD, engine)
     monkeypatch.setattr(reduction, "num", num)
@@ -350,29 +350,28 @@ def test_engine_both_agreement():
 
 
 def test_engine_mismatch_recorded(monkeypatch):
-    real = reduction._num_star_enumerate
+    real = reduction._num_star_dp
 
     def corrupted(n, pclass):
-        # G(3,x) = 1 + x does not divide the corrupted num*; the engines
-        # are compared before that division, so the mismatch is what is seen.
+        # A Phi_4 smuggled into the DP's num*(3) reaches num(3); under
+        # "both" the full test finds it where the certificate for d = 2 denies it.
         star = real(n, pclass)
-        return oracles.naive_add(star, (1,)) if n == 3 else star
+        return oracles.naive_mul(star, oracles.phi_by_division(4)) if n == 3 else star
 
-    monkeypatch.setattr(reduction, "_num_star_enumerate", corrupted)
+    monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
     reduction.num.cache_clear()
     try:
         report = verify.run("2", 4, engine="both")
     finally:
         reduction.num.cache_clear()
-    assert report.has_engine_mismatch()
-    assert any(f.get("n") == 3 for f in report.failures)
+    assert [(f["n"], f["d"], f["kind"]) for f in report.failures] == [(3, 2, "engine-mismatch")]
 
 
 def test_mutated_numerator_detected(monkeypatch):
     real = reduction.num
 
-    def mutated(n, pclass, engine):
-        num = real(n, pclass, engine)
+    def mutated(n, pclass):
+        num = real(n, pclass)
         if n == 4 and pclass is ORD:
             return oracles.naive_mul(num, (1, 1))  # smuggle a Phi_2 factor in
         return num
@@ -454,7 +453,7 @@ def test_jobs_capped_at_cpus_and_values(monkeypatch):
 
 def _assert_certified(report, pclass, ds_of):
     for w in report.witnesses:
-        num = reduction.num(w["n"], pclass, "dp")
+        num = reduction.num(w["n"], pclass)
         assert w["full_route"] == []
         assert [c[0] for c in w["certificates"]] == ds_of(w)
         for certificate in w["certificates"]:
@@ -468,7 +467,7 @@ def test_every_certificate_passes_the_independent_checker():
 
 
 def test_checker_rejects_a_bad_certificate():
-    num = reduction.num(4, ORD, "dp")
+    num = reduction.num(4, ORD)
     [good] = [c for c in verify.run("2", 4).witnesses[-1]["certificates"] if c[0] == 3]
     d, p, zeta, lead = good
     assert oracles.certificate_problems(4, num, good) == []
@@ -548,8 +547,8 @@ def test_full_route_reports_a_divisor(monkeypatch):
     _vanishing(monkeypatch, {2})
     real = reduction.num
 
-    def mutated(n, pclass, engine):
-        num = real(n, pclass, engine)
+    def mutated(n, pclass):
+        num = real(n, pclass)
         return oracles.naive_mul(num, oracles.phi_by_division(4)) if n == 4 and pclass is ORD else num
 
     monkeypatch.setattr(reduction, "num", mutated)
@@ -618,8 +617,8 @@ def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
         _vanishing(monkeypatch, {1, 2, 4})
     real = reduction.num
 
-    def mutated(n, pclass, engine):
-        num = real(n, pclass, engine)
+    def mutated(n, pclass):
+        num = real(n, pclass)
         return oracles.naive_mul(num, (1, 0, 1)) if n == 4 and pclass is BIN else num
 
     monkeypatch.setattr(reduction, "num", mutated)
@@ -677,7 +676,7 @@ def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
     # 3, 4, 5; under "dp" the coin DP catches it and drops m = 5 alone.
     real = reduction.num_at
     monkeypatch.setattr(reduction, "num_at", lambda n, pclass, x0: real(n, pclass, x0) + 2 * (n == 5))
-    full = intpoly.eval_at_int(reduction.num(5, PartitionClass.TERNARY, "both"), 1)
+    full = intpoly.eval_at_int(reduction.num(5, PartitionClass.TERNARY), 1)
     report = verify.run("10", 3, engine=engine)
     assert report.verdict == verify.FAILURES_FOUND
     assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
