@@ -9,24 +9,23 @@ it; a flag is named in full, a repeated flag keeps its last value, and
 `--what` to its builder and its form, and `main`'s flag rules read the
 form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
 its conjecture ids from `verify.CONJECTURES` and runs each through
-`verify.run`.  `--engine` (`dp` or `both`) picks the routes of `verify`
-and, for `compute --what num-star`, the num* engines of
-`reduction.num_star`; everything else reads the num* dynamic program.
+`verify.run`.  `verify --engine` (`dp` or `both`) picks the routes of
+`verify`; every command reads num* by its dynamic program alone.
 `verify --conjecture <id>` prints the one report asked for.
 
 Exit codes: 0 success, or help; 1 any failure record in a report
-whose registry entry is proved, an engine disagreement, or an internal
-error (the library raised ValueError or ArithmeticError on input the
-parser accepted); 2 bad flags, each reported by `_usage_error` before
-any work: an unknown command or flag, a missing or bad value, a missing
-required flag, a stray argument, a `verify --max-n` below the lowest n
-of the one conjecture requested (`--conjecture all` skips such
-conjectures with a warning instead), a flag that would be ignored:
-`--engine both` where it picks nothing (`compute` but `--what num-star`,
-`verify --conjecture 1|3|4|6`; `--conjecture all` applies it to the ids
-that pick a route) and `--expand` where nothing is factored (`--what
-num|num-star|spol-list`), and an `--out` that is empty, holds a NUL
-byte, is a directory, or whose directory is missing or not writable.
+whose registry entry is proved (an engine disagreement under `--engine
+both` is one), or an internal error (the library raised ValueError or
+ArithmeticError on input the parser accepted); 2 bad flags, each
+reported by `_usage_error` before any work: an unknown command or flag,
+a missing or bad value, a missing required flag, a stray argument, a
+`verify` that the one conjecture requested refuses by its registry
+entry's `refusal` (`--max-n` below its lowest n, or `--engine both` for
+1, 3, 4 or 6, which pick no route; `--conjecture all` skips what the
+rule still refuses with a warning, and runs 1, 3, 4 and 6 under `dp`),
+`--expand` where nothing is factored (`--what num|num-star|spol-list`),
+and an `--out` that is empty, holds a NUL byte, is a directory, or whose
+directory is missing or not writable.
 A payload write that fails later exits 1 with one line, "cannot write
 output: ...".  WitnessOnly verdicts never affect the exit code.  stdout
 carries data and help, stderr diagnostics and the lines "LEVEL subsum:
@@ -52,18 +51,17 @@ _HELP = ("-h", "--help")
 
 _CLASSES = [c.value for c in PartitionClass]
 
-# Each --what, in choice order: (builder(n, pclass, engine), form).
-# --expand applies only to the factored forms "cyclotomic" and
-# "binomial", and --engine both only to num-star, the one builder that
-# reads the engine.  Builders look their function up at call time, so a
-# patched module attribute reaches them.
+# Each --what, in choice order: (builder(n, pclass), form).  --expand
+# applies only to the factored forms "cyclotomic" and "binomial".
+# Builders look their function up at call time, so a patched module
+# attribute reaches them.
 _WHAT = {
-    "num": (lambda n, c, e: reduction.num(n, c), "polynomial"),
-    "den": (lambda n, c, e: reduction.den(n, c), "cyclotomic"),
-    "g": (lambda n, c, e: reduction.big_g(n, c), "cyclotomic"),
-    "num-star": (lambda n, c, e: reduction.num_star(n, c, e), "polynomial"),
-    "den-star": (lambda n, c, e: reduction.den_star(n, c), "binomial"),
-    "spol-list": (lambda n, c, e: [(p, reduction.spol(p)) for p in enumerate_partitions(n, c)], "list"),
+    "num": (lambda n, c: reduction.num(n, c), "polynomial"),
+    "den": (lambda n, c: reduction.den(n, c), "cyclotomic"),
+    "g": (lambda n, c: reduction.big_g(n, c), "cyclotomic"),
+    "num-star": (lambda n, c: reduction.num_star(n, c), "polynomial"),
+    "den-star": (lambda n, c: reduction.den_star(n, c), "binomial"),
+    "spol-list": (lambda n, c: [(p, reduction.spol(p)) for p in enumerate_partitions(n, c)], "list"),
 }
 
 
@@ -135,7 +133,6 @@ _COMMANDS = {
         "--what": (_choice(list(_WHAT)), _REQUIRED),
         "--format": (_choice(["json", "text"]), "text"),
         "--expand": (None, False),
-        "--engine": (_choice(reduction.ENGINES), "dp"),
         "--out": (_out_path, None),
     }),
     "verify": (lambda args: cmd_verify(args), "run conjecture checks over 1..max-n", {
@@ -143,7 +140,7 @@ _COMMANDS = {
         "--max-n": (_int_at_least(1), _REQUIRED),
         "--format": (_choice(["json", "text"]), "text"),
         "--jobs": (_int_at_least(1), 1),
-        "--engine": (_choice(reduction.ENGINES), "dp"),
+        "--engine": (_choice(verify.ENGINES), "dp"),
         "--out": (_out_path, None),
     }),
     "table": (lambda args: cmd_table(args), "emit a sequence, one row per n", {
@@ -245,23 +242,13 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "verify" and args.conjecture != "all":
-        entry = verify.CONJECTURES[args.conjecture]
-        bound = entry.max_n_bound(args.max_n)
-        if bound:
-            _usage_error(args.command, f"--conjecture {args.conjecture} needs --{bound}")
-        if args.engine == "both" and not entry.picks_route:
-            _usage_error(args.command, f"--engine both: conjecture {args.conjecture} picks no route")
-    if args.command == "compute":
-        form = _WHAT[args.what][1]
-        if args.engine == "both" and args.what != "num-star":
-            _usage_error(args.command, f"--engine both: only --what num-star has two engines, not --what {args.what}")
-        if args.expand and form not in ("cyclotomic", "binomial"):
-            _usage_error(args.command, f"--expand: --what {args.what} has no factored form")
+        refusal = verify.CONJECTURES[args.conjecture].refusal(args.max_n, args.engine)
+        if refusal:
+            _usage_error(args.command, f"--conjecture {args.conjecture} {refusal}")
+    if args.command == "compute" and args.expand and _WHAT[args.what][1] not in ("cyclotomic", "binomial"):
+        _usage_error(args.command, f"--expand: --what {args.what} has no factored form")
     try:
         return args.func(args)
-    except reduction.EngineMismatchError as exc:
-        print(f"engine disagreement: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError) as exc:
         # The parser has checked every flag, so these come from the
         # library's own consistency checks (inexact division, a signed
@@ -325,7 +312,7 @@ def cmd_compute(args) -> int:
     pclass = PartitionClass(args.pclass)
     n, what = args.n, args.what
     build, form = _WHAT[what]
-    value = build(n, pclass, args.engine)
+    value = build(n, pclass)
     if args.expand:
         expand = cyclotomic.expand_cyclotomics if form == "cyclotomic" else cyclotomic.expand_binomials
         value, form = expand(value), "polynomial"
@@ -352,11 +339,13 @@ def cmd_verify(args) -> int:
     ids = list(verify.CONJECTURES) if args.conjecture == "all" else [args.conjecture]
     reports = []
     for cid in ids:
-        bound = verify.CONJECTURES[cid].max_n_bound(args.max_n)
-        if bound:
-            _log("WARNING", f"skipping conjecture {cid}: needs {bound}")
+        entry = verify.CONJECTURES[cid]
+        engine = args.engine if entry.picks_route else "dp"
+        refusal = entry.refusal(args.max_n, engine)
+        if refusal:
+            _log("WARNING", f"skipping conjecture {cid}: {refusal}")
             continue
-        report = verify.run(cid, args.max_n, engine=args.engine, jobs=args.jobs)
+        report = verify.run(cid, args.max_n, engine=engine, jobs=args.jobs)
         _log("INFO", f"conjecture {cid}: {report.verdict} in {report.elapsed:.2f}s")
         reports.append(report)
 
@@ -366,9 +355,7 @@ def cmd_verify(args) -> int:
     else:
         _emit("\n".join(_report_text(r) for r in reports), args.out)
 
-    bad = any(r.verdict == verify.FAILURES_FOUND for r in reports)
-    mismatch = any(r.has_engine_mismatch() for r in reports)
-    return 1 if bad or mismatch else 0
+    return 1 if any(r.verdict == verify.FAILURES_FOUND for r in reports) else 0
 
 
 def _report_json(r: verify.ConjectureReport) -> dict:

@@ -38,8 +38,9 @@ partitions (the oracle).  Integer arithmetic is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
 `num_star` is the one place the engines apply: engine "dp" runs the
 dynamic program, and engine "both" runs both accumulations and raises
-EngineMismatchError unless they agree.  Every other caller, `num` and
-`num_at` included, reads the dynamic program alone.
+EngineMismatchError unless they agree.  Only the tests and one CI step
+pass "both"; every other caller, `num`, `num_at` and the CLI included,
+reads the dynamic program alone.
 
 The dynamic program needs only a ring with the step S: p -> p*(1+x^i),
 applied k times at a time, and it runs on Python ints, twice.  Over Z
@@ -176,16 +177,13 @@ def big_g(n: int, pclass: PartitionClass) -> dict[int, int]:
     return out
 
 
-# The accumulation engines of num* (see `num_star`).
-ENGINES = ("dp", "both")
-
-
 def num_star(n: int, pclass: PartitionClass, engine: str = "dp") -> IntPoly:
     """Unreduced numerator sum of the cofactors h_lambda.
 
     engine is "dp" or "both"; "both" also builds num* by the streaming
     fold, raises EngineMismatchError unless the two agree and returns the
-    dp result.
+    dp result.  No command and no `verify` check passes "both": it is the
+    library's oracle entry point, called by the tests and by one CI step.
     """
     if engine == "dp":
         return _num_star_dp(n, pclass)

@@ -54,6 +54,8 @@ WITNESS_ONLY = "WitnessOnly"
 
 ORDINARY = PartitionClass.ORDINARY
 
+ENGINES = ("dp", "both")  # the route choices of `_decide` and `_value_at`
+
 
 class ConjectureReport(NamedTuple):
     """Machine-readable verdict for one conjecture over an n-range."""
@@ -401,7 +403,7 @@ class Conjecture(NamedTuple):
 
     `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, the
     range the report states.  `picks_route` is false for a check that
-    calls neither route-picker, so that the engine does not apply to it.
+    calls neither route-picker, so that `refusal` refuses engine "both".
     """
 
     cid: str
@@ -411,10 +413,14 @@ class Conjecture(NamedTuple):
     proved: bool
     picks_route: bool = True
 
-    def max_n_bound(self, max_n: int) -> str | None:
-        """The bound on max-n that max_n breaks, as "max-n >= ...", or None."""
+    def refusal(self, max_n: int, engine: str) -> str | None:
+        """Why `run`, and so the CLI, refuses (max_n, engine), as words to follow "conjecture <cid>", or None."""
         lowest = max(self.lowest_n, 1)
-        return f"max-n >= {lowest}" if max_n < lowest else None
+        if max_n < lowest:
+            return f"needs --max-n >= {lowest}"
+        if engine == "both" and not self.picks_route:
+            return "picks no route for --engine both"
+        return None
 
 
 CONJECTURES: dict[str, Conjecture] = {
@@ -439,18 +445,20 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
     """Run conjecture `cid` up to max_n and return its report.
 
     Engine disagreements become "engine-mismatch" failure records.  At
-    most min(jobs, CPU count, number of n) worker processes are used.  A
-    max_n outside the entry's bounds (`Conjecture.max_n_bound`), jobs < 1
-    or an engine outside `reduction.ENGINES` raises ValueError before
-    any work.
+    most min(jobs, CPU count, number of n) worker processes are used.
+    Each fills its own caches, so jobs > 1 speeds up checks whose n are
+    costly alone (conjecture 8), not the certificate checks of 2, 5, 7
+    and lemma 4, whose n share them.  What `Conjecture.refusal` names,
+    jobs < 1 or an engine outside `ENGINES` raises ValueError before any
+    work.
     """
     entry = CONJECTURES[cid]
-    bound = entry.max_n_bound(max_n)
-    if bound:
-        raise ValueError(f"conjecture {cid} needs {bound}")
+    refusal = entry.refusal(max_n, engine)
+    if refusal:
+        raise ValueError(f"conjecture {cid} {refusal}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if engine not in reduction.ENGINES:
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
     check = partial(_guarded, entry.check, entry.pclass, engine)

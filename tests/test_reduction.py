@@ -132,6 +132,35 @@ def test_num_star_engines_agree():
             ), (pclass, n)
 
 
+@pytest.mark.parametrize("engine", ["_num_star_dp", "_num_star_enumerate"])
+def test_num_star_engine_disagreement_raises(monkeypatch, engine):
+    real = getattr(reduction, engine)
+
+    def corrupted(n, pclass):
+        star = real(n, pclass)
+        return oracles.naive_add(star, (1,)) if n == 3 else star
+
+    monkeypatch.setattr(reduction, engine, corrupted)
+    with pytest.raises(reduction.EngineMismatchError, match=r"^num\* engines disagree at n=3, ordinary$"):
+        reduction.num_star(3, ORD, "both")
+
+
+def test_engine_enumerate_reaches_every_pair(monkeypatch):
+    real = reduction._num_star_enumerate
+    pairs = []
+
+    def recording(n, pclass):
+        pairs.append((n, pclass))
+        return real(n, pclass)
+
+    monkeypatch.setattr(reduction, "_num_star_enumerate", recording)
+    # Engine "both" runs the streaming fold beside the DP at every pair.
+    want = [(n, pclass) for pclass in PartitionClass for n in range(0, 7)]
+    for n, pclass in want:
+        assert reduction.num_star(n, pclass, "both") == reduction.num_star(n, pclass), (n, pclass)
+    assert pairs == want
+
+
 def _at_one(n, pclass):
     return reduction._ring_dp(n, allowed_parts(pclass, n), reduction._times_binomials_at_one)
 

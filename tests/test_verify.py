@@ -423,6 +423,18 @@ def test_run_rejects_an_unknown_engine_before_any_work(monkeypatch, cid):
         verify.run(cid, 6, engine="fast")
 
 
+@pytest.mark.parametrize("cid", ["1", "3", "4", "6"])
+def test_run_refuses_engine_both_where_no_route_is_picked(monkeypatch, cid):
+    checked = []
+    monkeypatch.setattr(verify, "_guarded", lambda check, pclass, engine, n: checked.append(n) or ([], []))
+    with pytest.raises(ValueError, match=f"^conjecture {cid} picks no route for --engine both$"):
+        verify.run(cid, 6, engine="both")
+    assert checked == []
+    # The spy sees the checks of a run that is not refused.
+    verify.run(cid, 6, engine="dp")
+    assert checked == list(range(verify.CONJECTURES[cid].lowest_n, 7))
+
+
 def test_jobs_capped_at_cpus_and_values(monkeypatch):
     sizes = []
 
