@@ -6,23 +6,21 @@ help and its flags, each with a parse function and a default.
 it; a flag is named in full, a repeated flag keeps its last value, and
 -h or --help is help only where a flag stands: a flag's value is a value.
 `compute` and `table` dispatch through one table each: `_WHAT` maps a
-`--what` to its builder and its form, and `main`'s flag rules read the
-form; `_SEQUENCES` maps a `--sequence` to its rows.  `verify` takes
-its conjecture ids from `verify.CONJECTURES` and runs each through
-`verify.run`.  `verify --engine` (`dp` or `both`) picks the routes of
-`verify`; every command reads num* by its dynamic program alone.
-`verify --conjecture <id>` prints the one report asked for.
+`--what` to its builder and its form, and `cmd_compute`'s `--expand`
+rule reads the form; `_SEQUENCES` maps a `--sequence` to its rows.
+`verify` takes its conjecture ids from `verify.CONJECTURES` and runs
+each through `verify.run`.  Every command reads num* by its dynamic
+program alone.  `verify --conjecture <id>` prints the one report asked
+for.  `main` only parses, runs the command and maps internal errors.
 
 Exit codes: 0 success, or help; 1 any failure record in a report
-whose registry entry is proved (an engine disagreement under `--engine
-both` is one), or an internal error (the library raised ValueError or
-ArithmeticError on input the parser accepted); 2 bad flags, each
-reported by `_usage_error` before any work: an unknown command or flag,
-a missing or bad value, a missing required flag, a stray argument, a
-`verify` that the one conjecture requested refuses by its registry
-entry's `refusal` (`--max-n` below its lowest n, or `--engine both` for
-1, 3, 4 or 6, which pick no route; `--conjecture all` skips what the
-rule still refuses with a warning, and runs 1, 3, 4 and 6 under `dp`),
+whose registry entry is proved, or an internal error (the library
+raised ValueError or ArithmeticError on input the parser accepted); 2
+bad flags, each reported by `_usage_error` before any work: an unknown
+command or flag, a missing or bad value, a missing required flag, a
+stray argument, a `verify` that the one conjecture requested refuses
+by its registry entry's `refusal` (`--max-n` below its lowest n;
+`--conjecture all` skips what the rule refuses with a warning),
 `--expand` where nothing is factored (`--what num|num-star|spol-list`),
 and an `--out` that is empty, holds a NUL byte, is a directory, or whose
 directory is missing or not writable.
@@ -140,7 +138,6 @@ _COMMANDS = {
         "--max-n": (_int_at_least(1), _REQUIRED),
         "--format": (_choice(["json", "text"]), "text"),
         "--jobs": (_int_at_least(1), 1),
-        "--engine": (_choice(verify.ENGINES), "dp"),
         "--out": (_out_path, None),
     }),
     "table": (lambda args: cmd_table(args), "emit a sequence, one row per n", {
@@ -241,12 +238,6 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    if args.command == "verify" and args.conjecture != "all":
-        refusal = verify.CONJECTURES[args.conjecture].refusal(args.max_n, args.engine)
-        if refusal:
-            _usage_error(args.command, f"--conjecture {args.conjecture} {refusal}")
-    if args.command == "compute" and args.expand and _WHAT[args.what][1] not in ("cyclotomic", "binomial"):
-        _usage_error(args.command, f"--expand: --what {args.what} has no factored form")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
@@ -312,6 +303,8 @@ def cmd_compute(args) -> int:
     pclass = PartitionClass(args.pclass)
     n, what = args.n, args.what
     build, form = _WHAT[what]
+    if args.expand and form not in ("cyclotomic", "binomial"):
+        _usage_error("compute", f"--expand: --what {what} has no factored form")
     value = build(n, pclass)
     if args.expand:
         expand = cyclotomic.expand_cyclotomics if form == "cyclotomic" else cyclotomic.expand_binomials
@@ -339,13 +332,13 @@ def cmd_verify(args) -> int:
     ids = list(verify.CONJECTURES) if args.conjecture == "all" else [args.conjecture]
     reports = []
     for cid in ids:
-        entry = verify.CONJECTURES[cid]
-        engine = args.engine if entry.picks_route else "dp"
-        refusal = entry.refusal(args.max_n, engine)
+        refusal = verify.CONJECTURES[cid].refusal(args.max_n)
         if refusal:
+            if args.conjecture != "all":
+                _usage_error("verify", f"--conjecture {cid} {refusal}")
             _log("WARNING", f"skipping conjecture {cid}: {refusal}")
             continue
-        report = verify.run(cid, args.max_n, engine=engine, jobs=args.jobs)
+        report = verify.run(cid, args.max_n, jobs=args.jobs)
         _log("INFO", f"conjecture {cid}: {report.verdict} in {report.elapsed:.2f}s")
         reports.append(report)
 

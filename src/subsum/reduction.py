@@ -36,11 +36,12 @@ needs num*.  Two accumulations of num* exist: a dynamic program over the
 allowed parts (production) and a streaming fold over the enumerated
 partitions (the oracle).  Integer arithmetic is exact, so both are
 bit-deterministic and must agree coefficient for coefficient.
-`num_star` is the one place the engines apply: engine "dp" runs the
-dynamic program, and engine "both" runs both accumulations and raises
-EngineMismatchError unless they agree.  Only the tests and one CI step
-pass "both"; every other caller, `num`, `num_at` and the CLI included,
-reads the dynamic program alone.
+`num_star` is the one place in the package that reads an engine:
+engine "dp" runs the dynamic program, and engine "both" runs both
+accumulations and raises EngineMismatchError unless they agree.  Only
+the tests and one CI step pass "both"; every other caller, `num`,
+`num_at`, `verify` and the CLI included, reads the dynamic program
+alone.
 
 The dynamic program needs only a ring with the step S: p -> p*(1+x^i),
 applied k times at a time, and it runs on Python ints, twice.  Over Z
@@ -69,8 +70,8 @@ num at x0 = 1 or -1 needs neither num nor a division by G: `num_at`
 reads it off num* by one identity.  Put x = x0 + t; then
 G(x0 + t) = T_G * t^g + O(t^(g+1)), so T_G * num(x0) = [t^g] num*(x0 + t).
 At x0 = 1, g = 0 and the coefficient is the DP's run at x = 1; at
-x0 = -1 it is one pass over num*.  `verify` compares it with the full
-path's num at x0 under engine "both".  For the ternary class num(n, 1)
+x0 = -1 it is one pass over num*.  The tests compare it with the full
+path's num at x0.  For the ternary class num(n, 1)
 is t(n), the sum of 2^(n - length) over the partitions of n, which
 `t_values` also computes by a coin DP over the parts 3^k alone, for
 every n up to a bound at once.
@@ -108,15 +109,7 @@ class InvalidPartitionError(ValueError):
 
 
 class EngineMismatchError(AssertionError):
-    """Two routes disagree: the num* engines, or a certificate and the full test.
-
-    `fields` (such as d, or an n finer than the check's) locate the
-    disagreement in its failure record.
-    """
-
-    def __init__(self, detail: str, **fields):
-        super().__init__(detail)
-        self.fields = fields
+    """The num* engines disagree: `num_star(n, pclass, "both")` found the DP and the enumeration apart."""
 
 
 def spol(p: Partition) -> IntPoly:
@@ -276,10 +269,10 @@ def _num_star_enumerate(n: int, pclass: PartitionClass) -> IntPoly:
     return intpoly.unpack(total, width)
 
 
-# Under engine "dp" lemma 4 certifies its n side at a root of unity and
-# reads num only at r = n mod d < n/2: a sweep to n = N holds ceil(N/2)
-# entries.  Under "both" it also reads num(n), the N + 1 entries 0..N,
-# which hold the dp entries, so 256 entries hold either sweep up to N = 255.
+# Lemma 4 certifies its n side at a root of unity and reads num only at
+# r = n mod d < n/2: a sweep to n = N holds ceil(N/2) entries.  A check
+# that builds num at every n holds N + 1; 256 entries hold either up to
+# N = 255.
 @lru_cache(maxsize=256)
 def num(n: int, pclass: PartitionClass, /) -> IntPoly:
     """The reduced numerator num = num*/G, with the summand gcd G cancelled.

@@ -3,9 +3,9 @@
 `CONJECTURES` is the registry: one entry per report id, holding the
 partition class, the lowest n, the per-n check and whether the
 statement is proved.  `run` is the one runner.  It validates the range,
-maps the check over the n the report states, turns engine disagreements
-into failure records and builds one ConjectureReport with enough
-witness data to re-check any verdict by hand.  Proved statements (coprimality in the
+maps the check over the n the report states and builds one
+ConjectureReport with enough witness data to re-check any verdict by
+hand.  Proved statements (coprimality in the
 ordinary and binary classes, binary nondivisibility, the odd and
 ternary special values, the ternary recurrence, lemma 4) report
 AllHold or FailuresFound; the open problems (irreducibility,
@@ -19,18 +19,15 @@ Every check that builds num reads it from `reduction.num`, the one
 cached route to num = num*/G by the num* dynamic program.  Checks that
 read only den (conjecture 4, and the den side of 2 and 5) build no num*.
 
-The engine picks routes only, in one of two route-pickers.  Each takes
-the cheap route under engine "dp"; under "both" it also takes the full
-path, for every d and every value, and raises EngineMismatchError unless
-the two agree, which `run` records as a failure.  `_decide` finds the
-Phi_{2d} that divide num(n) (conjectures 2, 5 and 7, lemma 4 at n): a
-certificate at a root of unity mod p decides each d, and num is built
-only when it vanishes.  Lemma 4 decides its n mod d side by the full
-test under either engine.
-`_value_at` reads num(n, x0) by `reduction.num_at`, off num* at
-x = x0 + t with no division by G: at x0 = -1 for conjectures 8 and 9,
-against `VALUE_AT_MINUS_ONE`, and at x0 = 1 for conjecture 10, against
-t(m) by a coin DP over 2^(m - length).
+Each proved check takes one route.  `_decide` finds the Phi_{2d} that
+divide num(n) over the class's parts d <= n (conjectures 2, 5 and 7,
+lemma 4 at n): a certificate at a root of unity mod p decides each d,
+and the full test on num decides a d whose certificate vanishes.
+Lemma 4 decides its n mod d side by the full test.  Conjectures 8, 9
+and 10 read num(n, x0) by `reduction.num_at`, off num* at x = x0 + t
+with no division by G: at x0 = -1 for 8 and 9, against
+`VALUE_AT_MINUS_ONE`, and at x0 = 1 for 10, against t(m) by a coin DP
+over 2^(m - length).  The tests compare every route with the full path.
 
 `run` accepts jobs > 1 to spread independent n over a process pool.
 Reports are merged in ascending n, so parallel runs are byte-identical
@@ -43,7 +40,7 @@ import math
 import os
 import time
 from functools import lru_cache, partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import cyclotomic, intpoly, reduction
 from .partitions import PartitionClass, allowed_parts
@@ -53,8 +50,6 @@ FAILURES_FOUND = "FailuresFound"
 WITNESS_ONLY = "WitnessOnly"
 
 ORDINARY = PartitionClass.ORDINARY
-
-ENGINES = ("dp", "both")  # the route choices of `_decide` and `_value_at`
 
 
 class ConjectureReport(NamedTuple):
@@ -66,9 +61,6 @@ class ConjectureReport(NamedTuple):
     failures: list[dict]
     witnesses: list[dict]
     elapsed: float
-
-    def has_engine_mismatch(self) -> bool:
-        return any(f.get("kind") == "engine-mismatch" for f in self.failures)
 
 
 def odd_part(m: int) -> int:
@@ -97,74 +89,49 @@ def odd_factorial_part(n: int) -> int:
     return odd_part(math.factorial(n))
 
 
-# --- The two route-pickers ---
+# --- The certificate route ---
 
 
-def _decide(n: int, pclass: PartitionClass, ds: Iterable[int], engine: str) -> tuple[list[int], dict]:
-    """The d in ds with Phi_{2d} | num(n), and witness fields saying how each d was decided.
+def _decide(n: int, pclass: PartitionClass) -> tuple[list[int], list[int], dict]:
+    """The class's parts d <= n, the d among them with Phi_{2d} | num(n), and witness fields saying how each d was decided.
 
     The local route reads L = num(n)(zeta) up to a unit at a root of
     unity zeta of order 2d mod p, one p per (d, j) for the floor index j
     that `reduction.leading_coefficient` picks; L != 0 proves
-    nondivisibility, and [d, p, zeta, L] is its certificate.  Engine
-    "dp" takes a certificate as the answer and, when L = 0, decides by
-    the full test, `cyclotomic.phi_2d_divides` on num, listing d under
-    "full_route".  Engine "both" takes the full test for every d, which
-    decides; it raises EngineMismatchError at d when a certificate
-    proves a nondivisibility that the full test denies.
+    nondivisibility, and [d, p, zeta, L] is its certificate.  When L = 0
+    the full test, `cyclotomic.phi_2d_divides` on num, decides, and d is
+    listed under "full_route".
     """
+    ds = allowed_parts(pclass, n)
     divides, certificates, full_route = [], [], []
     for d in ds:
         p, zeta, lead = reduction.leading_coefficient(n, pclass, d)
         if lead:
             certificates.append([d, p, zeta, lead])
-            if engine == "dp":
-                continue
-        else:
-            full_route.append(d)
+            continue
+        full_route.append(d)
         if cyclotomic.phi_2d_divides(reduction.num(n, pclass), d):
-            if lead:
-                raise reduction.EngineMismatchError(
-                    f"Phi_{2 * d} divides num({n},x), but L = {lead} != 0 mod {p} at zeta = {zeta}", d=d
-                )
             divides.append(d)
-    return divides, {"certificates": certificates, "full_route": full_route}
+    return ds, divides, {"certificates": certificates, "full_route": full_route}
 
 
-def _value_at(n: int, pclass: PartitionClass, x0: int, engine: str) -> int:
-    """num(n, x0) for x0 = 1 or -1 by `reduction.num_at`, which builds no num.
-
-    Engine "both" also reads the full path's num at x0, which proves
-    G | num*, and raises EngineMismatchError at n unless the two values
-    agree.
-    """
-    got = reduction.num_at(n, pclass, x0)
-    if engine == "both":
-        full = intpoly.eval_at_int(reduction.num(n, pclass), x0)
-        if full != got:
-            raise reduction.EngineMismatchError(
-                f"num({n},{x0}) = {full} by the full path != {got} off num* at x = {x0}", n=n
-            )
-    return got
-
-
-# Per-n checks: check(n, pclass, engine) -> (failures, witnesses).  They
-# stay module-level so that `run` can send them to worker processes.
+# Per-n checks: check(n, pclass) -> (failures, witnesses).  They stay
+# module-level so that `run` can send them to worker processes.
 
 # --- Conjectures 2 and 5: coprimality, ordinary and binary ---
 
 
-def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _coprimality_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """gcd(num, den) = 1: no Phi_{2d} from den divides num.
 
     den is a product of factors Phi_{2d}, each irreducible, monic and of
     constant term 1 (Phi_{2d} is a quotient of products of the binomials
     1 + x^j, by the Moebius form in `cyclotomic`).  By Gauss's lemma den then has content 1, so num
     and den are coprime exactly when none of its Phi_{2d} divides num.
-    den is never expanded, and no Phi_{2d} is built.
+    den is never expanded, and no Phi_{2d} is built; its d are the
+    class's parts <= n, which `_decide` reads.
     """
-    d_checked = sorted(reduction.den(n, pclass))
-    divides, decided = _decide(n, pclass, d_checked, engine)
+    d_checked, divides, decided = _decide(n, pclass)
     failures = [
         {"n": n, "d": d, "detail": f"Phi_{2 * d} divides num({n},x) but occurs in den({n},x)"}
         for d in divides
@@ -175,10 +142,9 @@ def _coprimality_check(n: int, pclass: PartitionClass, engine: str) -> tuple[lis
 # --- Conjecture 7: binary nondivisibility ---
 
 
-def _binary_nondiv_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _binary_nondiv_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """No factor 1+x^(2^s) = Phi_(2^(s+1)) with 2^s <= n divides the binary numerator."""
-    ds = allowed_parts(pclass, n)
-    divides, decided = _decide(n, pclass, ds, engine)
+    ds, divides, decided = _decide(n, pclass)
     failures = [{"n": n, "s": d.bit_length() - 1, "detail": f"(1+x^{d}) divides num_B({n},x)"} for d in divides]
     return failures, [{"n": n, "s_checked": [d.bit_length() - 1 for d in ds], **decided}]
 
@@ -195,15 +161,15 @@ VALUE_AT_MINUS_ONE: dict[PartitionClass, tuple[str, str, Callable[[int], int]]] 
 }
 
 
-def _value_at_minus_one_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _value_at_minus_one_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """num(n,-1) equals the class's proved value in `VALUE_AT_MINUS_ONE`.
 
-    num(n,-1) comes from `_value_at`, which under engine "dp" runs the
-    num* DP alone and does not prove G | num*; under "both" the full
-    path proves it.
+    num(n,-1) comes from `reduction.num_at`, which runs the num* DP
+    alone and does not prove G | num*; the tests compare it with the
+    full path, which does.
     """
     name, form, value = VALUE_AT_MINUS_ONE[pclass]
-    got = _value_at(n, pclass, -1, engine)
+    got = reduction.num_at(n, pclass, -1)
     want = value(n)
     if got != want:
         return [{"n": n, "detail": f"{name}({n},-1) = {got} != {form.format(n)} = {want}"}], []
@@ -213,18 +179,18 @@ def _value_at_minus_one_check(n: int, pclass: PartitionClass, engine: str) -> tu
 # --- Conjecture 10: ternary partitions at x = 1 ---
 
 
-def _ternary_block_check(k: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _ternary_block_check(k: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """Block k of t(m) = num_T(m,1): t(3k) = t(3k+1) = t(3k+2) and t(3k)-t(3k-2) = 4^k t(k).
 
     Each t(m) by the coin DP over 2^(m - length) (`reduction.t_values`)
-    must equal num_T(m,1) from `_value_at`, by the num* DP over the
-    cofactors at x = 1; neither side builds num under engine "dp".
+    must equal num_T(m,1) from `reduction.num_at`, by the num* DP over
+    the cofactors at x = 1; neither side builds num.
     Block 0 also checks t(1) = t(2) = 1.
     """
     t = reduction.t_values(3 * k + 2)
     failures, witnesses = [], []
     for m in range(3 * k, 3 * k + 3):
-        at_one = _value_at(m, pclass, 1, engine)
+        at_one = reduction.num_at(m, pclass, 1)
         if t[m] != at_one:
             failures.append({"n": m, "detail": f"t({m}) = {t[m]} by the coin DP != num_T({m},1) = {at_one}"})
         else:
@@ -244,7 +210,7 @@ def _ternary_block_check(k: int, pclass: PartitionClass, engine: str) -> tuple[l
 # --- Conjecture 3 (open): unimodality of the even part ---
 
 
-def _even_part_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _even_part_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """Evidence: the even-exponent part of num stays unimodal."""
     compressed = intpoly.normalize(reduction.num(n, pclass)[::2])
     if intpoly.is_unimodal(compressed):
@@ -267,7 +233,7 @@ def _even_part_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[
 DEN_LOG_CONCAVE_EXCEPTIONS = frozenset({3, 5, 6, 7})
 
 
-def _den_lc_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _den_lc_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """Evidence: den is log-concave with failure set exactly {3,5,6,7}."""
     den = cyclotomic.expand_cyclotomics(reduction.den(n, pclass))
     ok, idx = intpoly.is_log_concave(den)
@@ -291,7 +257,7 @@ def _den_lc_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dic
 BINARY_LOG_CONCAVE_EXCEPTIONS = frozenset({4, 5})
 
 
-def _binary_shape_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _binary_shape_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """Evidence: binary numerator unimodal; log-concavity fails only at n = 4, 5."""
     num = reduction.num(n, pclass)
     unimodal = intpoly.is_unimodal(num)
@@ -325,7 +291,7 @@ def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int) -> bool:
     """Whether Phi_{2d} does not divide num(r) of the class, r < d, by the full test.
 
     This is lemma 4's r side.  It takes the full test,
-    `cyclotomic.phi_2d_divides` on num(r), under either engine: at each
+    `cyclotomic.phi_2d_divides` on num(r): at each
     floor the certificate at r reads the same cached block entry L(r)
     that L(n) = c^floor(n/d) * L(r) is built from (see
     `reduction.leading_coefficient`), so it could not disagree with the
@@ -333,23 +299,21 @@ def _nondivides_at_remainder(r: int, pclass: PartitionClass, d: int) -> bool:
     then degenerates to nondivisibility at n alone; the equivalence is
     still checked as stated.  The pair (r, d) recurs for every
     n = r (mod d), so it is decided once per process: a run up to n = N
-    holds at most N(N+1)/2 booleans per class, keyed on r < d <= N,
-    under either engine.
+    holds at most N(N+1)/2 booleans per class, keyed on r < d <= N.
     """
     return not cyclotomic.phi_2d_divides(reduction.num(r, pclass), d)
 
 
-def _lemma4_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
-    """Phi_{2d}-nondivisibility of num agrees between n and r = n mod d, for every 1 <= d <= n.
+def _lemma4_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
+    """Phi_{2d}-nondivisibility of num agrees between n and r = n mod d, for every part d <= n.
 
     The n side is decided by `_decide`, the r side by
-    `_nondivides_at_remainder`, both on the class the registry gives.
-    The certificate at n needs every d <= n to be a part, as it is in
-    the ordinary class that lemma 4 is stated for.
+    `_nondivides_at_remainder`, both on the class the registry gives:
+    the ordinary class, whose parts are every d <= n.
     """
-    divides, _ = _decide(n, pclass, range(1, n + 1), engine)
+    ds, divides, _ = _decide(n, pclass)
     failures = []
-    for d in range(1, n + 1):
+    for d in ds:
         if (d not in divides) != _nondivides_at_remainder(n % d, pclass, d):
             failures.append(
                 {"n": n, "d": d, "detail": f"divisibility of num by Phi_{2 * d} differs between n={n} and r={n % d}"}
@@ -390,7 +354,7 @@ def irreducibility_witness(n: int, pclass: PartitionClass) -> dict:
     return record
 
 
-def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[dict], list[dict]]:
+def _witness_check(n: int, pclass: PartitionClass) -> tuple[list[dict], list[dict]]:
     """Evidence: mod-p irreducibility witness; never claims reducibility."""
     return [], [irreducibility_witness(n, pclass)]
 
@@ -401,9 +365,8 @@ def _witness_check(n: int, pclass: PartitionClass, engine: str) -> tuple[list[di
 class Conjecture(NamedTuple):
     """Everything `run` needs to produce one report.
 
-    `check(n, pclass, engine)` is mapped over n = lowest_n .. max_n, the
-    range the report states.  `picks_route` is false for a check that
-    calls neither route-picker, so that `refusal` refuses engine "both".
+    `check(n, pclass)` is mapped over n = lowest_n .. max_n, the range
+    the report states.
     """
 
     cid: str
@@ -411,27 +374,22 @@ class Conjecture(NamedTuple):
     lowest_n: int
     check: Callable
     proved: bool
-    picks_route: bool = True
 
-    def refusal(self, max_n: int, engine: str) -> str | None:
-        """Why `run`, and so the CLI, refuses (max_n, engine), as words to follow "conjecture <cid>", or None."""
+    def refusal(self, max_n: int) -> str | None:
+        """Why `run`, and so the CLI, refuses max_n, as words to follow "conjecture <cid>", or None."""
         lowest = max(self.lowest_n, 1)
-        if max_n < lowest:
-            return f"needs --max-n >= {lowest}"
-        if engine == "both" and not self.picks_route:
-            return "picks no route for --engine both"
-        return None
+        return f"needs --max-n >= {lowest}" if max_n < lowest else None
 
 
 CONJECTURES: dict[str, Conjecture] = {
     c.cid: c
     for c in (
-        Conjecture("1", ORDINARY, 1, _witness_check, proved=False, picks_route=False),
+        Conjecture("1", ORDINARY, 1, _witness_check, proved=False),
         Conjecture("2", ORDINARY, 1, _coprimality_check, proved=True),
-        Conjecture("3", ORDINARY, 1, _even_part_check, proved=False, picks_route=False),
-        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False, picks_route=False),
+        Conjecture("3", ORDINARY, 1, _even_part_check, proved=False),
+        Conjecture("4", ORDINARY, 1, _den_lc_check, proved=False),
         Conjecture("5", PartitionClass.BINARY, 2, _coprimality_check, proved=True),
-        Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False, picks_route=False),
+        Conjecture("6", PartitionClass.BINARY, 2, _binary_shape_check, proved=False),
         Conjecture("7", PartitionClass.BINARY, 2, _binary_nondiv_check, proved=True),
         Conjecture("8", PartitionClass.ODD, 1, _value_at_minus_one_check, proved=True),
         Conjecture("9", PartitionClass.TERNARY, 1, _value_at_minus_one_check, proved=True),
@@ -441,27 +399,23 @@ CONJECTURES: dict[str, Conjecture] = {
 }
 
 
-def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> ConjectureReport:
+def run(cid: str, max_n: int, *, jobs: int = 1) -> ConjectureReport:
     """Run conjecture `cid` up to max_n and return its report.
 
-    Engine disagreements become "engine-mismatch" failure records.  At
-    most min(jobs, CPU count, number of n) worker processes are used.
+    At most min(jobs, CPU count, number of n) worker processes are used.
     Each fills its own caches, so jobs > 1 speeds up checks whose n are
     costly alone (conjecture 8), not the certificate checks of 2, 5, 7
     and lemma 4, whose n share them.  What `Conjecture.refusal` names,
-    jobs < 1 or an engine outside `ENGINES` raises ValueError before any
-    work.
+    or jobs < 1, raises ValueError before any work.
     """
     entry = CONJECTURES[cid]
-    refusal = entry.refusal(max_n, engine)
+    refusal = entry.refusal(max_n)
     if refusal:
         raise ValueError(f"conjecture {cid} {refusal}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
     start = time.perf_counter()
-    check = partial(_guarded, entry.check, entry.pclass, engine)
+    check = partial(entry.check, pclass=entry.pclass)
     ns = range(entry.lowest_n, max_n + 1)
     workers = _workers(jobs, len(ns))
     if workers == 1:
@@ -478,16 +432,6 @@ def run(cid: str, max_n: int, *, engine: str = "dp", jobs: int = 1) -> Conjectur
     verdict = (FAILURES_FOUND if failures else ALL_HOLD) if entry.proved else WITNESS_ONLY
     elapsed = time.perf_counter() - start
     return ConjectureReport(entry.cid, (entry.lowest_n, max_n), verdict, failures, witnesses, elapsed)
-
-
-def _guarded(check, pclass: PartitionClass, engine: str, n: int) -> tuple[list[dict], list[dict]]:
-    # An engine disagreement is a failure record, not an exception: the
-    # report and the CLI exit code must carry it, and the sweep goes on.
-    # A field n (an m of conjecture 10's block) overrides the check's n.
-    try:
-        return check(n, pclass, engine)
-    except reduction.EngineMismatchError as exc:
-        return [{"n": n, "kind": "engine-mismatch", **exc.fields, "detail": str(exc)}], []
 
 
 def _workers(jobs: int, count: int) -> int:

@@ -12,6 +12,7 @@ from subsum import cli, cyclotomic, intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
 import oracles
+import routes
 
 
 def run(capsys, argv):
@@ -153,7 +154,7 @@ def _spy_run(monkeypatch):
     """Replaces verify.run with a stub that records (cid, max_n) and returns an empty passing report."""
     calls = []
 
-    def spy(cid, max_n, *, engine, jobs):
+    def spy(cid, max_n, *, jobs):
         calls.append((cid, max_n))
         return verify.ConjectureReport(cid, (1, max_n), verify.ALL_HOLD, [], [], 0.0)
 
@@ -228,7 +229,7 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "--class", "ordinary", "--n", "-3", "--what", "num"])
     assert exc.value.code == 2
-    # compute takes no --engine, and verify's engines are dp and both.
+    # No command takes --engine.
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "--class", "ordinary", "--n", "4", "--what", "num", "--engine", "enumerate"])
     assert exc.value.code == 2
@@ -255,10 +256,14 @@ def test_bad_flags_exit_2():
         (["verify", "--bogus", "-h"], "unrecognized argument '--bogus'"),
         (["compute", "--class", "odd", "--n", "-h", "--what", "g"], "--n: expected an integer >= 0, got '-h'"),
         (["compute", "--class", "odd", "--n=-h", "--what", "g"], "--n: expected an integer >= 0, got '-h'"),
+        # Every check has one route, so verify has no --engine.
+        (["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both"], "unrecognized argument '--engine'"),
+        (["verify", "--conjecture", "2", "--max-n", "4", "--engine", "dp"], "unrecognized argument '--engine'"),
     ],
     ids=["unknown-flag", "no-value-at-end", "flag-for-value", "missing-required", "no-command",
          "unknown-command", "stray-positional", "prefix", "switch-with-value",
-         "unknown-command-before-help", "unknown-flag-before-help", "help-as-value", "help-as-equals-value"],
+         "unknown-command-before-help", "unknown-flag-before-help", "help-as-value", "help-as-equals-value",
+         "engine-both", "engine-dp"],
 )
 def test_malformed_command_lines_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -308,7 +313,7 @@ def test_help_as_the_value_of_out_names_a_file(tmp_path, capsys, monkeypatch, sp
 @pytest.mark.parametrize(
     "argv",
     [
-        # compute has no --engine: every --what rejects it as an unknown flag.
+        # No command has --engine: every --what and conjecture rejects it as an unknown flag.
         *(["compute", "--class", "ordinary", "--n", "4", "--what", w, "--engine", "both"]
           for w in ("num", "den", "g", "den-star", "spol-list")),
         *(["compute", "--class", "ordinary", "--n", "4", "--what", w, "--expand"]
@@ -324,13 +329,7 @@ def test_flags_that_would_be_ignored_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_engine_both_on_all_skips_no_conjecture(capsys):
-    code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "4", "--engine", "both", "--format", "json"])
-    assert code == 0
-    assert [r["conjecture"] for r in json.loads(out)] == list(verify.CONJECTURES)
-
-
-def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
+def test_mutated_numerator_forces_exit_1(monkeypatch):
     real = reduction.num
 
     def mutated(n, pclass):
@@ -338,12 +337,9 @@ def test_mutated_numerator_forces_exit_1(capsys, monkeypatch):
         return oracles.naive_mul(num, (1, 1)) if n == 3 and pclass is PartitionClass.ORDINARY else num
 
     monkeypatch.setattr(reduction, "num", mutated)
-    # Engine "dp" certifies at a root of unity and reads no num; "both"
-    # also takes the full remainder of the corrupted num.
-    code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
-    assert code == 1
-    record = json.loads(out)
-    assert record["verdict"] == "FailuresFound"
+    # The check certifies at a root of unity and reads no num; the
+    # cross-check also takes the full remainder of the corrupted num.
+    assert routes.disagreements("2", 4) == [(3, 1)]
 
 
 def test_witness_only_failure_does_not_gate_exit(capsys, monkeypatch):
@@ -442,7 +438,7 @@ def test_open_conjecture_findings_are_recorded_and_exit_0(capsys, monkeypatch, c
     assert record["failures"] == findings
 
 
-def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
+def test_engine_disagreement_forces_exit_1(monkeypatch):
     real_dp = reduction._num_star_dp
 
     def corrupted(n, pclass):
@@ -453,28 +449,22 @@ def test_engine_disagreement_forces_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
     reduction.num.cache_clear()
     try:
-        code = cli.main(["verify", "--conjecture", "2", "--max-n", "4", "--engine", "both", "--format", "json"])
+        assert routes.disagreements("2", 4) == [(2, 1)]
     finally:
         reduction.num.cache_clear()
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "internal error" not in captured.err
-    record = json.loads(captured.out)
-    assert [f["n"] for f in record["failures"] if f.get("kind") == "engine-mismatch"] == [2]
 
 
 def test_engine_both_clean_run(capsys):
     reduction.num.cache_clear()
-    code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "8", "--engine", "both", "--format", "json"])
+    assert routes.disagreements("2", 8) == []
+    code, out = run(capsys, ["verify", "--conjecture", "2", "--max-n", "8", "--format", "json"])
     assert code == 0
 
 
-def test_engine_both_agreement_all_classes_to_15(capsys):
-    # conjectures 2, 7, 8, 9 touch the ordinary, binary, odd and ternary
-    # pipelines respectively
-    for cid in ("2", "7", "8", "9"):
-        code, _ = run(capsys, ["verify", "--conjecture", cid, "--max-n", "15", "--engine", "both", "--format", "json"])
-        assert code == 0, cid
+def test_engine_both_agreement_all_classes_to_15():
+    # Every route id, over the ordinary, binary, odd and ternary pipelines.
+    for cid in routes.ROUTE_IDS:
+        assert routes.disagreements(cid, 15) == [], cid
 
 
 def test_verify_lemma4(capsys):
@@ -608,8 +598,7 @@ REPORT_SHA256 = {
     "10 --max-n 30": "abe8f7a766334e4752441bbdac1a10c838ede2dc9dfba5693fe8faffecd23b6c",
 }
 
-# Points whose report under --engine both, which adds the full path to
-# every route, must be the report under dp.
+# Points where every route must agree with the full path.
 ENGINE_BOTH_POINTS = [
     "2 --max-n 60",
     "5 --max-n 64",
@@ -622,8 +611,8 @@ ENGINE_BOTH_POINTS = [
 ]
 
 
-def _report_digest(point: str, *extra: str) -> str:
-    argv = ["-m", "subsum.cli", "verify", "--conjecture", *point.split(), *extra, "--format", "json"]
+def _report_digest(point: str) -> str:
+    argv = ["-m", "subsum.cli", "verify", "--conjecture", *point.split(), "--format", "json"]
     proc = _python(argv, capture_output=True, check=True)
     kept = "".join(line for line in proc.stdout.splitlines(keepends=True) if "elapsed_seconds" not in line)
     return hashlib.sha256(kept.encode()).hexdigest()
@@ -636,7 +625,9 @@ def test_report_digest_corpus(point):
 
 @pytest.mark.parametrize("point", ENGINE_BOTH_POINTS)
 def test_report_digest_corpus_engine_both(point):
-    assert _report_digest(point, "--engine", "both") == REPORT_SHA256[point]
+    cid, _, max_n = point.split()
+    for route_id in routes.ROUTE_IDS if cid == "all" else [cid]:
+        assert routes.disagreements(route_id, int(max_n)) == [], route_id
 
 
 def test_write_to_closed_pipe_exits_1_with_one_line():
@@ -765,14 +756,14 @@ def test_conjecture_choices_come_from_registry():
 
 
 def test_verify_engine_both_enumerates_no_partitions(capsys, monkeypatch):
-    # --engine both picks routes only: every full path reads the num* DP.
+    # verify reads num* by the DP alone: no check enumerates partitions.
     def no_enumeration(n, pclass):
         raise AssertionError(f"verify enumerated the partitions of {n}")
 
     monkeypatch.setattr(reduction, "_num_star_enumerate", no_enumeration)
     reduction.num.cache_clear()
     try:
-        code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "12", "--engine", "both", "--format", "json"])
+        code, out = run(capsys, ["verify", "--conjecture", "all", "--max-n", "12", "--format", "json"])
     finally:
         reduction.num.cache_clear()
     assert code == 0
@@ -792,14 +783,14 @@ def test_num_cache_holds_one_entry_per_n_and_class(capsys, monkeypatch):
     cached.cache_clear()
     verify._nondivides_at_remainder.cache_clear()
     try:
-        for engine in ("dp", "both"):
-            code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--engine", engine])
-            assert code == 0, engine
-            assert cached.cache_info().currsize == len(keys), engine
+        for max_n in (8, 12):
+            code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", str(max_n)])
+            assert code == 0, max_n
+            assert cached.cache_info().currsize == len(keys), max_n
     finally:
         cached.cache_clear()
-    # dp reads num at n mod d <= 3; both reads every n, the dp entries among them.
-    assert keys == {(n, PartitionClass.ORDINARY) for n in range(0, 9)}
+    # Lemma 4 reads num at n mod d < n/2 alone, so the run to 12 adds r = 4, 5.
+    assert keys == {(r, PartitionClass.ORDINARY) for r in range(0, 6)}
 
 
 def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
@@ -819,12 +810,12 @@ def test_lemma4_builds_num_star_once_per_n(capsys, monkeypatch):
         # n is certified at a root of unity; n mod d = 0..3 is decided by the full remainder.
         assert sorted(calls) == [(r, "dp") for r in range(0, 4)]
         calls.clear()
-        code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--engine", "both", "--format", "json"])
+        code, _ = run(capsys, ["verify", "--conjecture", "lemma4", "--max-n", "8", "--format", "json"])
         assert code == 0
     finally:
         reduction.num.cache_clear()
-    # Under both, n is also decided by the full test, on the DP's num* that dp has not built yet.
-    assert sorted(calls) == [(n, "dp") for n in range(4, 9)]
+    # A second run finds every (n mod d, d) decided and builds no num*.
+    assert calls == []
 
 
 def test_den_readers_build_no_num_star(capsys, monkeypatch):

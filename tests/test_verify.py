@@ -8,6 +8,7 @@ from subsum import cyclotomic, intpoly, reduction, verify
 from subsum.partitions import PartitionClass
 
 import oracles
+import routes
 
 ORD = PartitionClass.ORDINARY
 BIN = PartitionClass.BINARY
@@ -143,7 +144,7 @@ def test_any_coefficient_off_by_one_from_t_to_the_g_fails_or_raises(monkeypatch,
         off = star[:k] + (star[k] + 1,) + star[k + 1 :]
         monkeypatch.setattr(reduction, "num_star", lambda n_, pclass_, off=off: off)
         try:
-            failures, witnesses = verify._value_at_minus_one_check(n, pclass, "dp")
+            failures, witnesses = verify._value_at_minus_one_check(n, pclass)
         except intpoly.NotDivisibleError:
             continue
         assert len(failures) == 1 and witnesses == [], k
@@ -151,14 +152,13 @@ def test_any_coefficient_off_by_one_from_t_to_the_g_fails_or_raises(monkeypatch,
 
 @pytest.mark.parametrize("cid, pclass", [("8", PartitionClass.ODD), ("9", PartitionClass.TERNARY)])
 def test_route_at_minus_one_against_the_full_path_under_both(monkeypatch, cid, pclass):
+    # The cross-check finds the patched route against the full path; the check finds it against the proved value.
     real = reduction.num_at
     monkeypatch.setattr(reduction, "num_at", lambda n, pclass_, x0: real(n, pclass_, x0) + (n == 5))
-    full = intpoly.eval_at_int(reduction.num(5, pclass), -1)
-    report = verify.run(cid, 6, engine="both")
-    detail = f"num(5,-1) = {full} by the full path != {full + 1} off num* at x = -1"
-    assert report.failures == [{"n": 5, "kind": "engine-mismatch", "detail": detail}]
+    assert routes.disagreements(cid, 6) == [(5, -1)]
+    report = verify.run(cid, 6)
+    assert [f["n"] for f in report.failures] == [5]
     assert [w["n"] for w in report.witnesses] == [1, 2, 3, 4, 6]
-    assert verify.run(cid, 6, engine="dp").failures[0]["n"] == 5
 
 
 def test_ternary_one():
@@ -203,15 +203,29 @@ def test_binary_shape():
 
 def test_remainder_reduction_check_examples():
     for n, d in [(7, 3), (4, 4), (4, 1)]:  # (4, 4): r = 0, num(0,x) = 1; (4, 1): num(4,-1) = 24 != 0
-        divides, _ = verify._decide(n, ORD, [d], "dp")
-        assert divides == [] and verify._nondivides_at_remainder(n % d, ORD, d), (n, d)
-    assert verify._lemma4_check(7, ORD, "dp") == ([], [])
+        ds, divides, _ = verify._decide(n, ORD)
+        assert ds == list(range(1, n + 1)) and divides == [], (n, d)
+        assert verify._nondivides_at_remainder(n % d, ORD, d), (n, d)
+    assert verify._lemma4_check(7, ORD) == ([], [])
+
+
+def _num_star_engine(monkeypatch, engine):
+    """Make every num the full path builds read num* from `reduction.num_star` under engine.
+
+    Under "both" each num* the DP builds is checked against the
+    enumeration, which raises EngineMismatchError on a disagreement.
+    The num cache is cleared so that no num built before escapes it.
+    """
+    real = reduction.num_star
+    monkeypatch.setattr(reduction, "num_star", lambda n, pclass: real(n, pclass, engine))
+    reduction.num.cache_clear()
 
 
 @pytest.mark.parametrize("engine", ["dp", "both"])
 def test_lemma4_reads_the_class_it_is_given(monkeypatch, engine):
-    # Both sides read the class passed in, and the r side keys its cache on it.  Only the
-    # ordinary class has every d as a part, so the stand-ins record the class and compute there.
+    # Both sides read the class passed in, and the r side keys its cache on it.  The stand-ins
+    # record the class and compute in the ordinary class, so the odd class's parts d <= 9 are checked.
+    _num_star_engine(monkeypatch, engine)
     seen = set()
     real_num, real_lead = reduction.num, reduction.leading_coefficient
 
@@ -228,10 +242,10 @@ def test_lemma4_reads_the_class_it_is_given(monkeypatch, engine):
     cached = verify._nondivides_at_remainder
     cached.cache_clear()
     try:
-        assert verify._lemma4_check(9, PartitionClass.ODD, engine) == ([], [])
+        assert verify._lemma4_check(9, PartitionClass.ODD) == ([], [])
         assert seen == {PartitionClass.ODD}
         misses = cached.cache_info().misses
-        for d in range(1, 10):
+        for d in range(1, 10, 2):  # the odd parts
             cached(9 % d, PartitionClass.ODD, d)
         assert cached.cache_info().misses == misses
     finally:
@@ -247,6 +261,7 @@ def test_remainder_reduction_range():
 @pytest.mark.parametrize("engine", ["dp", "both"])
 def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
     # A Phi_6 smuggled into num(2) shows at every n = 2 mod 3, d = 3: the n mod d side is a real remainder.
+    _num_star_engine(monkeypatch, engine)
     real = reduction.num
 
     def mutated(n, pclass):
@@ -256,7 +271,7 @@ def test_lemma4_reads_num_at_n_mod_d(monkeypatch, engine):
     monkeypatch.setattr(reduction, "num", mutated)
     verify._nondivides_at_remainder.cache_clear()
     try:
-        report = verify.run("lemma4", 8, engine=engine)
+        report = verify.run("lemma4", 8)
     finally:
         verify._nondivides_at_remainder.cache_clear()  # decided on the mutated num
     assert report.verdict == verify.FAILURES_FOUND
@@ -301,6 +316,7 @@ def test_irreducibility_witness_examples():
 def test_irreducibility_witness_reads_the_class_it_is_given(monkeypatch, engine):
     # The stand-in records the class asked for and computes in the ordinary class,
     # so the record must match the ordinary one.
+    _num_star_engine(monkeypatch, engine)
     seen = set()
     real_num = reduction.num
 
@@ -308,9 +324,9 @@ def test_irreducibility_witness_reads_the_class_it_is_given(monkeypatch, engine)
         seen.add(pclass)
         return real_num(n, ORD)
 
-    want = verify._witness_check(6, ORD, engine)
+    want = verify._witness_check(6, ORD)
     monkeypatch.setattr(reduction, "num", num)
-    assert verify._witness_check(6, PartitionClass.ODD, engine) == want
+    assert verify._witness_check(6, PartitionClass.ODD) == want
     assert seen == {PartitionClass.ODD}
 
 
@@ -344,27 +360,27 @@ def test_jobs_parallel_matches_serial(cid):
 
 
 def test_engine_both_agreement():
-    report = verify.run("2", 6, engine="both")
-    assert report.verdict == verify.ALL_HOLD
-    assert not report.has_engine_mismatch()
+    # The certificates of conjecture 2 agree with the full test, and its report holds.
+    assert routes.disagreements("2", 6) == []
+    assert verify.run("2", 6).verdict == verify.ALL_HOLD
 
 
 def test_engine_mismatch_recorded(monkeypatch):
     real = reduction._num_star_dp
 
     def corrupted(n, pclass):
-        # A Phi_4 smuggled into the DP's num*(3) reaches num(3); under
-        # "both" the full test finds it where the certificate for d = 2 denies it.
+        # A Phi_4 smuggled into the DP's num*(3) reaches num(3); the full
+        # test finds it where the certificate for d = 2 denies it.
         star = real(n, pclass)
         return oracles.naive_mul(star, oracles.phi_by_division(4)) if n == 3 else star
 
     monkeypatch.setattr(reduction, "_num_star_dp", corrupted)
     reduction.num.cache_clear()
     try:
-        report = verify.run("2", 4, engine="both")
+        assert routes.disagreements("2", 4) == [(3, 2)]
+        assert routes.disagreements("lemma4", 4) == [(3, 2)]
     finally:
         reduction.num.cache_clear()
-    assert [(f["n"], f["d"], f["kind"]) for f in report.failures] == [(3, 2, "engine-mismatch")]
 
 
 def test_mutated_numerator_detected(monkeypatch):
@@ -377,11 +393,8 @@ def test_mutated_numerator_detected(monkeypatch):
         return num
 
     monkeypatch.setattr(reduction, "num", mutated)
-    # Only engine "both" reads num here; its certificate then contradicts the remainder.
-    report = verify.run("2", 5, engine="both")
-    assert report.verdict == verify.FAILURES_FOUND
-    assert any(f.get("n") == 4 and f.get("d") == 1 for f in report.failures)
-    assert report.has_engine_mismatch()
+    # The check reads no num here; the certificate at d = 1 contradicts the full test.
+    assert routes.disagreements("2", 5) == [(4, 1)]
 
 
 def test_run_validates_range_and_jobs():
@@ -393,9 +406,6 @@ def test_run_validates_range_and_jobs():
         verify.run("2", 3, jobs=0)
 
 
-CERTIFIED_IDS = ["2", "5", "7", "lemma4"]
-
-
 def test_every_certificate_prime_is_above_2n(low_floor):
     # With the floor at 16, the primes of the low floors are at most 2n
     # for most n <= 40, so the rule must skip them; the checker rejects a
@@ -404,34 +414,30 @@ def test_every_certificate_prime_is_above_2n(low_floor):
     _assert_certified(verify.run("7", 40), BIN, lambda w: [1 << s for s in w["s_checked"]])
 
 
-@pytest.mark.parametrize("cid", CERTIFIED_IDS)
+def _spy_check(monkeypatch, cid):
+    """Replace conjecture cid's registry check with one that records its n and does no work."""
+    checked = []
+    entry = verify.CONJECTURES[cid]
+    monkeypatch.setitem(verify.CONJECTURES, cid, entry._replace(check=lambda n, pclass: checked.append(n) or ([], [])))
+    return checked
+
+
+@pytest.mark.parametrize("cid", routes.CERTIFIED_IDS)
 def test_run_accepts_max_n_past_the_old_ceiling(monkeypatch, cid):
     # No max_n is too large for the certificates: every n has a floor whose prime is above 2n.
-    no_work = ([], [])
-    monkeypatch.setattr(verify, "_guarded", lambda check, pclass, engine, n: no_work)
+    _spy_check(monkeypatch, cid)
     report = verify.run(cid, 500_002)
     assert (report.verdict, report.n_range) == (verify.ALL_HOLD, (verify.CONJECTURES[cid].lowest_n, 500_002))
 
 
 @pytest.mark.parametrize("cid", list(verify.CONJECTURES))
 def test_run_rejects_an_unknown_engine_before_any_work(monkeypatch, cid):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a check ran under an unknown engine")
-
-    monkeypatch.setattr(verify, "_guarded", no_work)
-    with pytest.raises(ValueError, match="unknown engine 'fast'"):
-        verify.run(cid, 6, engine="fast")
-
-
-@pytest.mark.parametrize("cid", ["1", "3", "4", "6"])
-def test_run_refuses_engine_both_where_no_route_is_picked(monkeypatch, cid):
-    checked = []
-    monkeypatch.setattr(verify, "_guarded", lambda check, pclass, engine, n: checked.append(n) or ([], []))
-    with pytest.raises(ValueError, match=f"^conjecture {cid} picks no route for --engine both$"):
-        verify.run(cid, 6, engine="both")
+    # run takes no engine: every check has one route.  Without one, the spy sees every n.
+    checked = _spy_check(monkeypatch, cid)
+    with pytest.raises(TypeError, match="engine"):
+        verify.run(cid, 6, engine="dp")
     assert checked == []
-    # The spy sees the checks of a run that is not refused.
-    verify.run(cid, 6, engine="dp")
+    verify.run(cid, 6)
     assert checked == list(range(verify.CONJECTURES[cid].lowest_n, 7))
 
 
@@ -524,9 +530,7 @@ def test_vanishing_at_every_prime_takes_the_full_route(monkeypatch):
             assert w["full_route"] == ([2] if w["n"] >= 2 else [])
             assert [c[0] for c in w["certificates"]] == [d for d in w["d_checked"] if d != 2]
         assert calls == [2, 3, 4, 5, 6]
-        both = verify.run("2", 6, engine="both")
-        assert [w["full_route"] for w in both.witnesses] == [w["full_route"] for w in report.witnesses]
-        assert verify._lemma4_check(6, ORD, "dp") == ([], [])
+        assert verify._lemma4_check(6, ORD) == ([], [])
     finally:
         reduction.num.cache_clear()
 
@@ -547,10 +551,9 @@ def test_zero_at_every_floor_takes_the_full_route(monkeypatch):
     monkeypatch.setattr(reduction, "_leading_block", zeroed)
     assert reduction.leading_coefficient(7, ORD, 3) == (*reduction.root_of_unity(3, reduction._FLOORS - 1), 0)
     assert floors == list(range(reduction._FLOORS))
-    assert verify._decide(7, ORD, [3], "dp") == ([], {"certificates": [], "full_route": [3]})
-    divides, decided = verify._decide(7, ORD, [1, 2, 3, 4], "dp")
-    assert divides == [] and decided["full_route"] == [3]
-    assert [c[0] for c in decided["certificates"]] == [1, 2, 4]
+    ds, divides, decided = verify._decide(7, ORD)
+    assert ds == list(range(1, 8)) and divides == [] and decided["full_route"] == [3]
+    assert [c[0] for c in decided["certificates"]] == [1, 2, 4, 5, 6, 7]
 
 
 def test_full_route_reports_a_divisor(monkeypatch):
@@ -566,8 +569,7 @@ def test_full_route_reports_a_divisor(monkeypatch):
     monkeypatch.setattr(reduction, "num", mutated)
     report = verify.run("2", 5)
     assert report.verdict == verify.FAILURES_FOUND
-    assert [(f["n"], f["d"]) for f in report.failures] == [(4, 2)]
-    assert not report.has_engine_mismatch()
+    assert report.failures == [{"n": 4, "d": 2, "detail": "Phi_4 divides num(4,x) but occurs in den(4,x)"}]
 
 
 def test_den_side_by_gauss_lemma_matches_the_expanded_den():
@@ -623,10 +625,9 @@ def test_binary_coprimality_matches_binary_nondivisibility():
 
 @pytest.mark.parametrize("engine", ["both", "dp"])
 def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
-    # Under "both" the certificate contradicts the remainder; under "dp",
-    # with no certificate at all, the full remainder finds 1 + x^2.
-    if engine == "dp":
-        _vanishing(monkeypatch, {1, 2, 4})
+    # The certificate at d = 2 contradicts the full test on a 1 + x^2 smuggled
+    # into num(4); with no certificate at all, the full test finds it.
+    _num_star_engine(monkeypatch, engine)
     real = reduction.num
 
     def mutated(n, pclass):
@@ -634,20 +635,17 @@ def test_binary_mutated_numerator_fails_5_and_7(monkeypatch, engine):
         return oracles.naive_mul(num, (1, 0, 1)) if n == 4 and pclass is BIN else num
 
     monkeypatch.setattr(reduction, "num", mutated)
-    coprime, nondiv = verify.run("5", 6, engine=engine), verify.run("7", 6, engine=engine)
+    assert routes.disagreements("5", 6) == routes.disagreements("7", 6) == [(4, 2)]
+    _vanishing(monkeypatch, {1, 2, 4})
+    coprime, nondiv = verify.run("5", 6), verify.run("7", 6)
     assert coprime.verdict == nondiv.verdict == verify.FAILURES_FOUND
-    if engine == "both":
-        assert [(f["n"], f["d"], f["kind"]) for f in coprime.failures] == [(4, 2, "engine-mismatch")]
-        assert [(f["n"], f["d"], f["kind"]) for f in nondiv.failures] == [(4, 2, "engine-mismatch")]
-    else:
-        assert [(f["n"], f["d"]) for f in coprime.failures] == [(4, 2)]
-        assert [(f["n"], f["s"]) for f in nondiv.failures] == [(4, 1)]
-        assert not coprime.has_engine_mismatch() and not nondiv.has_engine_mismatch()
+    assert [(f["n"], f["d"]) for f in coprime.failures] == [(4, 2)]
+    assert [(f["n"], f["s"]) for f in nondiv.failures] == [(4, 1)]
 
 
 def test_conjecture_10_builds_no_polynomial(monkeypatch):
     def no_polynomial(*args, **kwargs):
-        raise AssertionError("conjecture 10 built a polynomial under engine dp")
+        raise AssertionError("conjecture 10 built a polynomial")
 
     for name in ("num", "num_star", "enumerate_partitions"):
         monkeypatch.setattr(reduction, name, no_polynomial)
@@ -681,22 +679,20 @@ def test_x1_route_mutation_fails_conjecture_10(monkeypatch, mutation):
             verify.run("10", 3)
 
 
-@pytest.mark.parametrize("engine, kind", [("both", "engine-mismatch"), ("dp", None)])
-def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine, kind):
-    # Under "both" the full path's num_T(5,1) catches the patched route
-    # before the coin DP does, and the mismatch drops the rest of the block
-    # 3, 4, 5; under "dp" the coin DP catches it and drops m = 5 alone.
+@pytest.mark.parametrize(
+    "engine", [pytest.param("both", id="both-engine-mismatch"), pytest.param("dp", id="dp-None")]
+)
+def test_patched_x1_route_fails_conjecture_10(monkeypatch, engine):
+    # The full path's num_T(5,1) and the coin DP's t(5) both catch the
+    # patched route; the check drops m = 5 alone.
+    _num_star_engine(monkeypatch, engine)
     real = reduction.num_at
     monkeypatch.setattr(reduction, "num_at", lambda n, pclass, x0: real(n, pclass, x0) + 2 * (n == 5))
-    full = intpoly.eval_at_int(reduction.num(5, PartitionClass.TERNARY), 1)
-    report = verify.run("10", 3, engine=engine)
+    assert routes.disagreements("10", 3) == [(5, 1)]
+    report = verify.run("10", 3)
     assert report.verdict == verify.FAILURES_FOUND
-    assert [(f["n"], f.get("kind")) for f in report.failures] == [(5, kind)]
-    if engine == "both":
-        assert report.failures[0]["detail"] == f"num(5,1) = {full} by the full path != {full + 2} off num* at x = 1"
-    assert report.has_engine_mismatch() == (engine == "both")
-    kept = [0, 1, 2] if engine == "both" else [0, 1, 2, 3, 4]
-    assert [w["n"] for w in report.witnesses] == kept + list(range(6, 12))
+    assert [f["n"] for f in report.failures] == [5]
+    assert [w["n"] for w in report.witnesses] == [0, 1, 2, 3, 4] + list(range(6, 12))
 
 
 def test_t_block_check_reports_its_failures(monkeypatch):
